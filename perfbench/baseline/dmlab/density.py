@@ -1,0 +1,216 @@
+"""Window densities and arithmetic-progression structure of return sets.
+
+The density surrogate for a finite index set S below a horizon N is,
+per window length L, the maximum of |S ∩ I| / L over all length-L
+intervals I inside [0, N), as an exact fraction.  A set whose every
+tail is a union of progressions keeps this ratio bounded away from
+zero; a density-zero set drives it toward zero as L grows, which a
+profile over a sparse schedule of window lengths makes visible.
+
+:func:`detect_progressions` certifies progressions a*k + b whose
+members beyond a tail offset all lie in S up to the horizon, dropping
+progressions that a kept coarser one already covers;
+:func:`decompose_return_set` splits S into the certified progression
+union and a residual, with a density profile of the residual.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+from .orbits import ReturnSet
+
+__all__ = [
+    "Decomposition",
+    "DensityProfile",
+    "Progression",
+    "ceil_sqrt",
+    "decompose_return_set",
+    "default_window_schedule",
+    "density_profile",
+    "detect_progressions",
+    "window_density_max",
+]
+
+
+@dataclass(frozen=True)
+class Progression:
+    """Arithmetic progression {modulus * k + offset : k >= 0}."""
+
+    modulus: int
+    offset: int
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("progression modulus must be positive")
+        if self.offset < 0:
+            raise ValueError("progression offset must be non-negative")
+
+    def members_below(self, horizon: int) -> range:
+        return range(self.offset, horizon, self.modulus)
+
+    def count_below(self, horizon: int) -> int:
+        if self.offset >= horizon:
+            return 0
+        return (horizon - 1 - self.offset) // self.modulus + 1
+
+
+@dataclass(frozen=True)
+class DensityProfile:
+    """Exact max window ratios per window length, lengths ascending."""
+
+    horizon: int
+    entries: tuple  # of (window length, Fraction)
+
+    def ratio_at(self, length: int) -> Fraction:
+        for l, r in self.entries:
+            if l == length:
+                return r
+        raise KeyError(f"no profile entry for window length {length}")
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Split of a return set into certified progressions and residual."""
+
+    progressions: tuple
+    residual: ReturnSet
+    residual_profile: DensityProfile
+
+    def covered(self) -> frozenset:
+        out = set()
+        for p in self.progressions:
+            out.update(p.members_below(self.residual.horizon))
+        return frozenset(out)
+
+
+def ceil_sqrt(n: int) -> int:
+    """Smallest integer r with r*r >= n."""
+    if n < 0:
+        raise ValueError("negative input")
+    r = isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def default_window_schedule(n: int) -> tuple:
+    """Window lengths near N^(1/4), N^(1/2), N^(3/4) and N itself.
+
+    Exact integer arithmetic: the k/4 entry is the smallest L with
+    L^4 >= N^k.  Duplicates collapse for small N.
+    """
+    if n < 1:
+        raise ValueError("horizon must be positive")
+
+    def ceil_quarter_root(target: int) -> int:
+        r = isqrt(isqrt(target))
+        while r**4 < target:
+            r += 1
+        return max(r, 1)
+
+    lengths = {
+        ceil_quarter_root(n),
+        ceil_sqrt(n),
+        ceil_quarter_root(n**3),
+        n,
+    }
+    return tuple(sorted(lengths))
+
+
+def _member_flags(s: ReturnSet) -> bytearray:
+    flags = bytearray(s.horizon)
+    for n in s.indices:
+        flags[n] = 1
+    return flags
+
+
+def window_density_max(s: ReturnSet, length: int) -> Fraction:
+    """Exact max of |S ∩ I| / L over length-L windows I inside [0, N)."""
+    n = s.horizon
+    if not 1 <= length <= n:
+        raise ValueError("window length must lie in [1, horizon]")
+    flags = _member_flags(s)
+    prefix = [0] * (n + 1)
+    acc = 0
+    for i, f in enumerate(flags):
+        acc += f
+        prefix[i + 1] = acc
+    best = 0
+    for start in range(n - length + 1):
+        count = prefix[start + length] - prefix[start]
+        if count > best:
+            best = count
+    return Fraction(best, length)
+
+
+def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
+    """Profile of max window ratios over a schedule of lengths."""
+    if lengths is None:
+        lengths = default_window_schedule(s.horizon)
+    lengths = sorted(set(lengths))
+    if not lengths:
+        raise ValueError("window schedule must be nonempty")
+    entries = tuple((l, window_density_max(s, l)) for l in lengths)
+    return DensityProfile(s.horizon, entries)
+
+
+def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: int = 0) -> list:
+    """Progressions fully inside S from their offset to the horizon.
+
+    Scans moduli a = 1..a_max and offsets b in [tail_start,
+    tail_start + a); a progression is kept when every member of
+    a*k + b below the horizon lies in S and there are at least m_min
+    members.  A candidate is suppressed when an already kept
+    progression with dividing modulus and matching offset class covers
+    it, so the output has no redundant refinements.  Output is sorted
+    by (modulus, offset).
+    """
+    if a_max < 1:
+        raise ValueError("modulus bound must be positive")
+    if m_min < 2:
+        raise ValueError("member minimum must be at least 2")
+    if not 0 <= tail_start < s.horizon:
+        raise ValueError("tail offset must lie in [0, horizon)")
+    n = s.horizon
+    flags = _member_flags(s)
+    kept: list = []
+    for a in range(1, a_max + 1):
+        for b in range(tail_start, tail_start + a):
+            if b >= n or not flags[b]:
+                continue
+            count = 0
+            ok = True
+            for m in range(b, n, a):
+                if not flags[m]:
+                    ok = False
+                    break
+                count += 1
+            if not ok or count < m_min:
+                continue
+            if any(a % p.modulus == 0 and b % p.modulus == p.offset % p.modulus for p in kept):
+                continue
+            kept.append(Progression(a, b))
+    return kept
+
+
+def decompose_return_set(s: ReturnSet, progressions, lengths=None) -> Decomposition:
+    """Split S into the union of the given progressions and a residual.
+
+    Every progression is re-verified against S (members from its
+    offset to the horizon must all belong); the residual is S minus
+    the union, profiled with :func:`density_profile`.
+    """
+    flags = _member_flags(s)
+    covered = bytearray(s.horizon)
+    for p in progressions:
+        if not isinstance(p, Progression):
+            raise TypeError("expected Progression")
+        for m in p.members_below(s.horizon):
+            if not flags[m]:
+                raise ValueError("progression not contained in return set")
+            covered[m] = 1
+    residual_indices = [i for i in s.indices if not covered[i]]
+    residual = ReturnSet(s.horizon, residual_indices)
+    profile = density_profile(residual, lengths)
+    return Decomposition(tuple(progressions), residual, profile)

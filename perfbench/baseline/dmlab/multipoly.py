@@ -1,0 +1,391 @@
+"""Sparse multivariate polynomials over the exact coefficient fields.
+
+A monomial is a tuple of non-negative integer exponents, one slot per
+variable.  A :class:`MultiPoly` maps monomials to nonzero
+:class:`~dmlab.fields.FieldValue` coefficients; the zero polynomial has
+an empty term map.  Polynomials do not carry variable names, only a
+variable count; rendering takes the names.
+
+:class:`MonomialOrder` supplies the comparison key for lexicographic
+and graded reverse lexicographic orders, both with an explicit variable
+priority (a permutation of the variable indices, highest first).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .fields import Field, FieldKind, FieldMismatchError, FieldValue
+
+__all__ = [
+    "MonomialOrder",
+    "MultiPoly",
+    "mono_degree",
+    "mono_div",
+    "mono_divides",
+    "mono_lcm",
+    "mono_mul",
+]
+
+LEX = "lex"
+GREVLEX = "grevlex"
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    # a / b; caller guarantees divisibility
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_degree(a: tuple) -> int:
+    return sum(a)
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    """Total order on monomials, given by kind and variable priority.
+
+    ``priority`` lists variable indices from most to least significant.
+    ``key`` maps a monomial to a sortable tuple; bigger key means bigger
+    monomial, so ``max(terms, key=order.key)`` picks the leading term.
+    """
+
+    kind: str
+    priority: tuple
+
+    def __post_init__(self):
+        if self.kind not in (LEX, GREVLEX):
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        if sorted(self.priority) != list(range(len(self.priority))):
+            raise ValueError("priority must be a permutation of the variable indices")
+
+    @classmethod
+    def lex(cls, num_vars: int, priority=None) -> "MonomialOrder":
+        return cls(LEX, tuple(priority) if priority else tuple(range(num_vars)))
+
+    @classmethod
+    def grevlex(cls, num_vars: int, priority=None) -> "MonomialOrder":
+        return cls(GREVLEX, tuple(priority) if priority else tuple(range(num_vars)))
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.priority)
+
+    def key(self, mono: tuple):
+        if self.kind == LEX:
+            return tuple(mono[i] for i in self.priority)
+        # grevlex: compare total degree, then reversed exponent sequence
+        # with flipped sign (the monomial with the smaller exponent on the
+        # least significant variable wins ties).
+        return (sum(mono), tuple(-mono[i] for i in reversed(self.priority)))
+
+
+class MultiPoly:
+    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+
+    __slots__ = ("field", "num_vars", "terms")
+
+    def __init__(self, field: Field, num_vars: int, terms: dict):
+        if num_vars < 1:
+            raise ValueError("polynomials need at least one variable")
+        self.field = field
+        self.num_vars = num_vars
+        self.terms = terms
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, field: Field, num_vars: int) -> "MultiPoly":
+        return cls(field, num_vars, {})
+
+    @classmethod
+    def constant(cls, field: Field, num_vars: int, value: FieldValue) -> "MultiPoly":
+        if value.field != field:
+            raise FieldMismatchError("field mismatch")
+        if value.is_zero():
+            return cls.zero(field, num_vars)
+        return cls(field, num_vars, {(0,) * num_vars: value})
+
+    @classmethod
+    def from_int(cls, field: Field, num_vars: int, n: int) -> "MultiPoly":
+        return cls.constant(field, num_vars, field.from_int(n))
+
+    @classmethod
+    def variable(cls, field: Field, num_vars: int, index: int) -> "MultiPoly":
+        if not 0 <= index < num_vars:
+            raise ValueError(f"variable index {index} out of range")
+        mono = tuple(1 if i == index else 0 for i in range(num_vars))
+        return cls(field, num_vars, {mono: field.one()})
+
+    @classmethod
+    def from_terms(cls, field: Field, num_vars: int, items) -> "MultiPoly":
+        """Build from (monomial, coefficient) pairs, merging duplicates."""
+        acc: dict = {}
+        for mono, coeff in items:
+            mono = tuple(mono)
+            if len(mono) != num_vars:
+                raise ValueError("monomial length does not match variable count")
+            if coeff.field != field:
+                raise FieldMismatchError("field mismatch")
+            cur = acc.get(mono)
+            coeff = coeff if cur is None else cur + coeff
+            if coeff.is_zero():
+                acc.pop(mono, None)
+            else:
+                acc[mono] = coeff
+        return cls(field, num_vars, acc)
+
+    # -- predicates ----------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return not self.terms or self.terms.keys() == {(0,) * self.num_vars}
+
+    def constant_value(self) -> FieldValue:
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        if not self.terms:
+            return self.field.zero()
+        return self.terms[(0,) * self.num_vars]
+
+    def total_degree(self) -> int:
+        """Maximum term degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(m) for m in self.terms)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _check(self, other) -> None:
+        if not isinstance(other, MultiPoly):
+            raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
+        if other.field != self.field:
+            raise FieldMismatchError("field mismatch")
+        if other.num_vars != self.num_vars:
+            raise ValueError("variable count mismatch")
+
+    def __add__(self, other) -> "MultiPoly":
+        self._check(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            cur = out.get(mono)
+            s = c if cur is None else cur + c
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+        return MultiPoly(self.field, self.num_vars, out)
+
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly(
+            self.field, self.num_vars, {m: -c for m, c in self.terms.items()}
+        )
+
+    def __sub__(self, other) -> "MultiPoly":
+        self._check(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            cur = out.get(mono)
+            s = -c if cur is None else cur - c
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+        return MultiPoly(self.field, self.num_vars, out)
+
+    def __mul__(self, other) -> "MultiPoly":
+        self._check(other)
+        if not self.terms or not other.terms:
+            return MultiPoly.zero(self.field, self.num_vars)
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = mono_mul(m1, m2)
+                c = c1 * c2
+                cur = out.get(mono)
+                s = c if cur is None else cur + c
+                if s.is_zero():
+                    out.pop(mono, None)
+                else:
+                    out[mono] = s
+        return MultiPoly(self.field, self.num_vars, out)
+
+    def __pow__(self, e: int) -> "MultiPoly":
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("polynomial exponents must be non-negative integers")
+        out = MultiPoly.from_int(self.field, self.num_vars, 1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def scale(self, c: FieldValue) -> "MultiPoly":
+        if c.field != self.field:
+            raise FieldMismatchError("field mismatch")
+        if c.is_zero():
+            return MultiPoly.zero(self.field, self.num_vars)
+        if c.is_one():
+            return self
+        return MultiPoly(
+            self.field, self.num_vars, {m: v * c for m, v in self.terms.items()}
+        )
+
+    def term_mul(self, mono: tuple, coeff: FieldValue) -> "MultiPoly":
+        """Multiply by the single term coeff * x^mono."""
+        if coeff.is_zero():
+            return MultiPoly.zero(self.field, self.num_vars)
+        return MultiPoly(
+            self.field,
+            self.num_vars,
+            {mono_mul(m, mono): v * coeff for m, v in self.terms.items()},
+        )
+
+    # -- structure -----------------------------------------------------
+
+    def leading_term(self, order: MonomialOrder):
+        """(monomial, coefficient) of the largest term; error on zero."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        mono = max(self.terms, key=order.key)
+        return mono, self.terms[mono]
+
+    def monic(self, order: MonomialOrder) -> "MultiPoly":
+        _, lc = self.leading_term(order)
+        if lc.is_one():
+            return self
+        return self.scale(lc.inverse())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.num_vars == other.num_vars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.num_vars, frozenset(self.terms.items())))
+
+    # -- evaluation and substitution ------------------------------------
+
+    def evaluate(self, point) -> FieldValue:
+        """Value at a point, given as a sequence of field elements."""
+        point = tuple(point)
+        if len(point) != self.num_vars:
+            raise ValueError("point length does not match variable count")
+        for v in point:
+            if not isinstance(v, FieldValue) or v.field != self.field:
+                raise FieldMismatchError("field mismatch")
+        total = self.field.zero()
+        caches = [dict() for _ in range(self.num_vars)]
+        for mono, coeff in self.terms.items():
+            v = coeff
+            for i, e in enumerate(mono):
+                if e:
+                    cache = caches[i]
+                    pw = cache.get(e)
+                    if pw is None:
+                        pw = point[i] ** e
+                        cache[e] = pw
+                    v = pw if v.is_one() else v * pw
+            total = total + v
+        return total
+
+    def substitute(self, images) -> "MultiPoly":
+        """Compose with a variable-to-polynomial map in one pass.
+
+        ``images[i]`` replaces variable i.  All images must share a
+        field and variable count, which become those of the result.
+        """
+        images = tuple(images)
+        if len(images) != self.num_vars:
+            raise ValueError("image count does not match variable count")
+        for g in images:
+            if not isinstance(g, MultiPoly):
+                raise TypeError("images must be MultiPoly")
+            if g.field != self.field:
+                raise FieldMismatchError("field mismatch")
+            if g.num_vars != images[0].num_vars:
+                raise ValueError("variable count mismatch")
+        out_vars = images[0].num_vars
+        result = MultiPoly.zero(self.field, out_vars)
+        caches = [dict() for _ in range(self.num_vars)]
+        for mono, coeff in self.terms.items():
+            term = MultiPoly.constant(self.field, out_vars, coeff)
+            for i, e in enumerate(mono):
+                if e:
+                    cache = caches[i]
+                    pw = cache.get(e)
+                    if pw is None:
+                        pw = images[i] ** e
+                        cache[e] = pw
+                    term = term * pw
+            result = result + term
+        return result
+
+    # -- rendering -------------------------------------------------------
+
+    def render(self, names, order: MonomialOrder | None = None) -> str:
+        """Canonical text: terms sorted descending, explicit * and ^."""
+        names = tuple(names)
+        if len(names) != self.num_vars:
+            raise ValueError("name count does not match variable count")
+        if not self.terms:
+            return "0"
+        if order is None:
+            order = MonomialOrder.grevlex(self.num_vars)
+        pieces = []
+        for mono in sorted(self.terms, key=order.key, reverse=True):
+            pieces.append(self._term_str(mono, self.terms[mono], names))
+        out = []
+        for i, (negative, body) in enumerate(pieces):
+            if i == 0:
+                out.append(f"-{body}" if negative else body)
+            else:
+                out.append(f" - {body}" if negative else f" + {body}")
+        return "".join(out)
+
+    def _term_str(self, mono: tuple, coeff: FieldValue, names):
+        factors = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                factors.append(names[i])
+            elif e:
+                factors.append(f"{names[i]}^{e}")
+        mono_s = "*".join(factors)
+        negative = False
+        if self.field.kind is FieldKind.RATIONALS and coeff.payload < 0:
+            negative = True
+            coeff = -coeff
+        if not mono_s:
+            return negative, str(coeff)
+        if coeff.is_one():
+            return negative, mono_s
+        coeff_s = str(coeff)
+        if self.field.kind is FieldKind.RATIONAL_FUNCTIONS and any(
+            ch in coeff_s for ch in "+*/"
+        ):
+            coeff_s = f"({coeff_s})"
+        return negative, f"{coeff_s}*{mono_s}"
+
+    def __repr__(self) -> str:
+        names = tuple(f"x{i}" for i in range(self.num_vars))
+        return f"<{self.render(names)} over {self.field.label}>"

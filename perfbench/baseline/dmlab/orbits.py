@@ -1,0 +1,233 @@
+"""Forward orbits of polynomial self-maps on affine space.
+
+A :class:`Morphism` bundles one polynomial per coordinate; applying it
+to a point is componentwise evaluation, and the n-th iterate is n
+applications in sequence (never symbolic composition, whose term count
+can explode).  Points are plain tuples of field values.
+
+:class:`OrbitCache` memoizes the orbit prefix of one (map, start)
+pair so the scans in the density and closure layers never recompute an
+iterate.  :func:`detect_cycle` finds the preperiod and cycle length
+over a finite field with Brent's algorithm, and :func:`return_set`
+collects the iterate indices landing on a target subvariety.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .fields import FieldKind
+from .ideals import ReducedGroebnerBasis
+from .multipoly import MultiPoly
+
+__all__ = [
+    "CycleStructure",
+    "Morphism",
+    "OrbitCache",
+    "ReturnSet",
+    "detect_cycle",
+    "morphism_iterate",
+    "orbit_prefix",
+    "return_set",
+]
+
+
+class Morphism:
+    """Polynomial self-map of affine n-space, one component per coordinate."""
+
+    __slots__ = ("field", "num_vars", "components")
+
+    def __init__(self, components):
+        components = tuple(components)
+        if not components:
+            raise ValueError("a morphism needs at least one component")
+        first = components[0]
+        for c in components:
+            if not isinstance(c, MultiPoly):
+                raise TypeError("components must be MultiPoly")
+            if c.field != first.field:
+                raise ValueError("components must share a field")
+            if c.num_vars != len(components):
+                raise ValueError(
+                    "each component must be a polynomial in exactly the ambient variables"
+                )
+        self.components = components
+        self.field = first.field
+        self.num_vars = len(components)
+
+    def apply(self, point) -> tuple:
+        point = tuple(point)
+        if len(point) != self.num_vars:
+            raise ValueError("point length does not match the ambient dimension")
+        return tuple(c.evaluate(point) for c in self.components)
+
+    def __call__(self, point) -> tuple:
+        return self.apply(point)
+
+    def __repr__(self) -> str:
+        names = tuple(f"x{i}" for i in range(self.num_vars))
+        body = ", ".join(c.render(names) for c in self.components)
+        return f"<morphism ({body}) over {self.field.label}>"
+
+
+def morphism_iterate(phi: Morphism, point, n: int) -> tuple:
+    """n-th iterate of the map at a point; n = 0 returns the point."""
+    if n < 0:
+        raise ValueError("iteration count must be non-negative")
+    current = tuple(point)
+    for _ in range(n):
+        current = phi.apply(current)
+    return current
+
+
+def orbit_prefix(phi: Morphism, point, n: int) -> list:
+    """First n orbit points [point, phi(point), ..., phi^(n-1)(point)]."""
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    out = []
+    current = tuple(point)
+    for _ in range(n):
+        out.append(current)
+        current = phi.apply(current)
+    return out
+
+
+class OrbitCache:
+    """Lazily extended orbit prefix shared across analysis passes."""
+
+    __slots__ = ("phi", "_points")
+
+    def __init__(self, phi: Morphism, start):
+        self.phi = phi
+        self._points = [tuple(start)]
+
+    @property
+    def start(self) -> tuple:
+        return self._points[0]
+
+    def point(self, n: int) -> tuple:
+        if n < 0:
+            raise ValueError("orbit index must be non-negative")
+        pts = self._points
+        while len(pts) <= n:
+            pts.append(self.phi.apply(pts[-1]))
+        return pts[n]
+
+    def prefix(self, n: int) -> list:
+        if n > 0:
+            self.point(n - 1)
+        return self._points[:n]
+
+
+@dataclass(frozen=True)
+class CycleStructure:
+    """Eventual period data: orbit enters a cycle of length ``period``
+    after ``preperiod`` steps."""
+
+    preperiod: int
+    period: int
+
+
+def detect_cycle(phi: Morphism, point) -> CycleStructure:
+    """Preperiod and period of the orbit, by Brent's algorithm.
+
+    Requires a finite coefficient field (GF(p)); orbits over QQ or
+    GF(p)(t) need not be eventually periodic, so there is nothing to
+    detect.
+    """
+    if phi.field.kind is not FieldKind.PRIME:
+        raise ValueError("cycle detection requires a finite field")
+    start = tuple(point)
+    power = lam = 1
+    tortoise = start
+    hare = phi.apply(start)
+    while tortoise != hare:
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        hare = phi.apply(hare)
+        lam += 1
+    tortoise = hare = start
+    for _ in range(lam):
+        hare = phi.apply(hare)
+    mu = 0
+    while tortoise != hare:
+        tortoise = phi.apply(tortoise)
+        hare = phi.apply(hare)
+        mu += 1
+    return CycleStructure(mu, lam)
+
+
+class ReturnSet:
+    """Sorted iterate indices below a horizon, with membership lookup."""
+
+    __slots__ = ("horizon", "indices", "_members")
+
+    def __init__(self, horizon: int, indices):
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        idx = tuple(sorted(set(indices)))
+        if idx and not (0 <= idx[0] and idx[-1] < horizon):
+            raise ValueError("indices must lie in [0, horizon)")
+        self.horizon = horizon
+        self.indices = idx
+        self._members = frozenset(idx)
+
+    def __contains__(self, n: int) -> bool:
+        return n in self._members
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        return iter(self.indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReturnSet):
+            return NotImplemented
+        return self.horizon == other.horizon and self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.horizon, self.indices))
+
+    def __repr__(self) -> str:
+        if len(self.indices) <= 12:
+            body = ", ".join(map(str, self.indices))
+        else:
+            head = ", ".join(map(str, self.indices[:10]))
+            body = f"{head}, ... ({len(self.indices)} total)"
+        return f"<returns below {self.horizon}: {{{body}}}>"
+
+
+def _target_generators(target):
+    if isinstance(target, ReducedGroebnerBasis):
+        return tuple(target.generators)
+    gens = tuple(target)
+    for g in gens:
+        if not isinstance(g, MultiPoly):
+            raise TypeError("target generators must be MultiPoly")
+    return gens
+
+
+def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | None = None) -> ReturnSet:
+    """Indices n < horizon with phi^n(start) on the target subvariety.
+
+    The target is a Groebner basis or an iterable of polynomials; a
+    point is on the subvariety when every generator evaluates to zero.
+    An empty generator list cuts out the whole space, so every index
+    returns.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    gens = _target_generators(target)
+    if cache is None:
+        cache = OrbitCache(phi, start)
+    elif cache.start != tuple(start):
+        raise ValueError("cache was built for a different starting point")
+    hits = []
+    for n in range(horizon):
+        pt = cache.point(n)
+        if all(g.evaluate(pt).is_zero() for g in gens):
+            hits.append(n)
+    return ReturnSet(horizon, hits)
