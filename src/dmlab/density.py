@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from operator import sub
 
 from .orbits import ReturnSet
 
@@ -125,23 +127,20 @@ def _member_flags(s: ReturnSet) -> bytearray:
     return flags
 
 
+def _prefix_counts(s: ReturnSet) -> list:
+    # prefix[i] = |S ∩ [0, i)|, so a window [k, k+L) holds prefix[k+L] - prefix[k]
+    return list(accumulate(_member_flags(s), initial=0))
+
+
+def _window_max(prefix: list, length: int) -> Fraction:
+    return Fraction(max(map(sub, prefix[length:], prefix[:-length])), length)
+
+
 def window_density_max(s: ReturnSet, length: int) -> Fraction:
     """Exact max of |S ∩ I| / L over length-L windows I inside [0, N)."""
-    n = s.horizon
-    if not 1 <= length <= n:
+    if not 1 <= length <= s.horizon:
         raise ValueError("window length must lie in [1, horizon]")
-    flags = _member_flags(s)
-    prefix = [0] * (n + 1)
-    acc = 0
-    for i, f in enumerate(flags):
-        acc += f
-        prefix[i + 1] = acc
-    best = 0
-    for start in range(n - length + 1):
-        count = prefix[start + length] - prefix[start]
-        if count > best:
-            best = count
-    return Fraction(best, length)
+    return _window_max(_prefix_counts(s), length)
 
 
 def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
@@ -151,7 +150,10 @@ def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
     lengths = sorted(set(lengths))
     if not lengths:
         raise ValueError("window schedule must be nonempty")
-    entries = tuple((l, window_density_max(s, l)) for l in lengths)
+    if lengths[0] < 1 or lengths[-1] > s.horizon:
+        raise ValueError("window length must lie in [1, horizon]")
+    prefix = _prefix_counts(s)
+    entries = tuple((l, _window_max(prefix, l)) for l in lengths)
     return DensityProfile(s.horizon, entries)
 
 
@@ -177,18 +179,11 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     kept: list = []
     for a in range(1, a_max + 1):
         for b in range(tail_start, tail_start + a):
-            if b >= n or not flags[b]:
-                continue
-            count = 0
-            ok = True
-            for m in range(b, n, a):
-                if not flags[m]:
-                    ok = False
-                    break
-                count += 1
-            if not ok or count < m_min:
-                continue
+            if len(range(b, n, a)) < m_min:
+                break  # later offsets have no more members
             if any(a % p.modulus == 0 and b % p.modulus == p.offset % p.modulus for p in kept):
+                continue
+            if 0 in flags[b::a]:
                 continue
             kept.append(Progression(a, b))
     return kept

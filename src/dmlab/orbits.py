@@ -7,9 +7,13 @@ can explode).  Points are plain tuples of field values.
 
 :class:`OrbitCache` memoizes the orbit prefix of one (map, start)
 pair so the scans in the density and closure layers never recompute an
-iterate.  :func:`detect_cycle` finds the preperiod and cycle length
-over a finite field with Brent's algorithm, and :func:`return_set`
-collects the iterate indices landing on a target subvariety.
+iterate.  Over GF(p) every orbit is eventually periodic, and the cache
+stops at the first repeated point: only preperiod + period iterates
+are computed and stored, and later indices fold into the cycle.
+:func:`detect_cycle` finds the preperiod and cycle length over a
+finite field with Brent's algorithm, and :func:`return_set` collects
+the iterate indices landing on a target subvariety, testing each
+stored point once.
 """
 
 from __future__ import annotations
@@ -93,30 +97,61 @@ def orbit_prefix(phi: Morphism, point, n: int) -> list:
 
 
 class OrbitCache:
-    """Lazily extended orbit prefix shared across analysis passes."""
+    """Lazily extended orbit prefix shared across analysis passes.
 
-    __slots__ = ("phi", "_points")
+    Over GF(p) the cache keeps a point -> index map while it extends.
+    At the first repeated point it records :attr:`cycle`, drops the map
+    and stops growing, so only preperiod + period iterates are ever
+    computed and stored; every later index folds into the cycle.  Over
+    QQ and GF(p)(t) orbits need not repeat: the cache stores the plain
+    prefix, hashes nothing and leaves ``cycle`` as None.
+    """
+
+    __slots__ = ("phi", "cycle", "_points", "_seen")
 
     def __init__(self, phi: Morphism, start):
         self.phi = phi
+        self.cycle: CycleStructure | None = None
         self._points = [tuple(start)]
+        prime = phi.field.kind is FieldKind.PRIME
+        self._seen = {self._points[0]: 0} if prime else None
 
     @property
     def start(self) -> tuple:
         return self._points[0]
 
-    def point(self, n: int) -> tuple:
+    def index(self, n: int) -> int:
+        """Index of the stored point equal to phi^n(start).
+
+        This is n itself until the orbit is known to repeat, and
+        preperiod + (n - preperiod) % period beyond the stored cycle.
+        """
         if n < 0:
             raise ValueError("orbit index must be non-negative")
-        pts = self._points
-        while len(pts) <= n:
-            pts.append(self.phi.apply(pts[-1]))
-        return pts[n]
+        pts, seen = self._points, self._seen
+        while self.cycle is None and len(pts) <= n:
+            nxt = self.phi.apply(pts[-1])
+            if seen is not None:
+                first = seen.setdefault(nxt, len(pts))
+                if first < len(pts):
+                    self.cycle = CycleStructure(first, len(pts) - first)
+                    self._seen = None
+                    break
+            pts.append(nxt)
+        if n < len(pts):
+            return n
+        mu, lam = self.cycle.preperiod, self.cycle.period
+        return mu + (n - mu) % lam
+
+    def point(self, n: int) -> tuple:
+        return self._points[self.index(n)]
 
     def prefix(self, n: int) -> list:
-        if n > 0:
-            self.point(n - 1)
-        return self._points[:n]
+        if n <= 0:
+            return []
+        self.index(n - 1)
+        pts = self._points
+        return pts[:n] + [pts[self.index(i)] for i in range(len(pts), n)]
 
 
 @dataclass(frozen=True)
@@ -225,9 +260,13 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
         cache = OrbitCache(phi, start)
     elif cache.start != tuple(start):
         raise ValueError("cache was built for a different starting point")
+    on_target = []  # on_target[i]: stored point i lies on the target
     hits = []
     for n in range(horizon):
-        pt = cache.point(n)
-        if all(g.evaluate(pt).is_zero() for g in gens):
+        i = cache.index(n)
+        if i == len(on_target):  # stored indices are first met in order
+            pt = cache.point(i)
+            on_target.append(all(g.evaluate(pt).is_zero() for g in gens))
+        if on_target[i]:
             hits.append(n)
     return ReturnSet(horizon, hits)

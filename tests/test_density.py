@@ -75,6 +75,10 @@ def test_window_against_brute_force():
             assert window_density_max(s, length) == _brute_window_max(
                 members, horizon, length
             )
+        lengths = rng.sample(range(1, horizon + 1), min(horizon, 4))
+        assert density_profile(s, lengths).entries == tuple(
+            (l, _brute_window_max(members, horizon, l)) for l in sorted(lengths)
+        )
 
 
 def test_ceil_sqrt():
@@ -109,6 +113,9 @@ def test_density_profile():
     assert prof.ratio_at(64) == Fraction(7, 64)  # window [1, 64] holds 2^0..2^6
     with pytest.raises(KeyError):
         prof.ratio_at(10)
+    for bad in ([0, 8], [8, 2**12 + 1]):
+        with pytest.raises(ValueError, match="window length"):
+            density_profile(s, bad)
     dflt = density_profile(s)
     assert [l for l, _ in dflt.entries] == [8, 64, 512, 4096]
 
@@ -204,6 +211,62 @@ def test_detect_union_matches_unsuppressed_oracle():
                         p.modulus % q.modulus == 0
                         and p.offset % q.modulus == q.offset % q.modulus
                     )
+
+
+def _reference_detect_progressions(s, a_max, m_min=5, tail_start=0):
+    # member-by-member scan, checking suppression only after a full pass
+    n = s.horizon
+    flags = [0] * n
+    for m in s.indices:
+        flags[m] = 1
+    kept = []
+    for a in range(1, a_max + 1):
+        for b in range(tail_start, tail_start + a):
+            if b >= n or not flags[b]:
+                continue
+            count = 0
+            ok = True
+            for m in range(b, n, a):
+                if not flags[m]:
+                    ok = False
+                    break
+                count += 1
+            if not ok or count < m_min:
+                continue
+            if any(a % p.modulus == 0 and b % p.modulus == p.offset % p.modulus for p in kept):
+                continue
+            kept.append(Progression(a, b))
+    return kept
+
+
+def test_detect_matches_reference_scan():
+    rng = random.Random(0x5C4)
+    cases = [
+        (rs(1000, range(1000)), 32, 5, 0),  # dense
+        (rs(1000, range(78, 1000)), 32, 5, 78),  # dense tail
+        (rs(1000, range(78, 1000)), 32, 5, 0),
+        (rs(500, sorted(set(range(0, 500, 2)) | set(range(1, 500, 3)))), 23, 5, 0),  # mixed
+        (rs(200, []), 15, 2, 0),  # empty
+        (rs(200, []), 15, 2, 150),
+        (rs(20, range(0, 20, 4)), 8, 5, 0),  # (4, 0) has exactly m_min members
+        (rs(20, range(0, 20, 4)), 8, 6, 0),  # ... and one too few here
+        (rs(21, range(1, 21, 4)), 8, 5, 1),
+        (rs(10, [7, 9]), 12, 2, 7),  # offsets reach b >= horizon
+        (rs(10, range(3, 10)), 12, 2, 3),
+    ]
+    for _ in range(60):
+        horizon = rng.randint(1, 300)
+        density = rng.choice([0.1, 0.5, 0.9])
+        members = {n for n in range(horizon) if rng.random() < density}
+        a = rng.randint(1, 7)
+        members |= set(range(rng.randrange(horizon), horizon, a))
+        cases.append(
+            (rs(horizon, members), rng.randint(1, 20), rng.randint(2, 8), rng.randrange(horizon))
+        )
+    for s, a_max, m_min, tail in cases:
+        assert detect_progressions(s, a_max, m_min, tail) == _reference_detect_progressions(
+            s, a_max, m_min, tail
+        )
 
 
 def test_decompose_splits_and_verifies():

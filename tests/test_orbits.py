@@ -56,6 +56,70 @@ def test_orbit_cache_lazy_extension():
     assert cache.start == (QQ.from_int(0),)
 
 
+def test_orbit_cache_prefix_past_the_cycle():
+    F7 = Field.prime(7)
+    sq = mk_morphism(["x^2"], ("x",), F7)
+    start = (F7.from_int(3),)  # 3, 2, 4, 2, 4, ...: preperiod 1, period 2
+    cache = OrbitCache(sq, start)
+    assert cache.prefix(9) == orbit_prefix(sq, start, 9)
+    assert cache.cycle == CycleStructure(1, 2)
+    assert cache.prefix(0) == []
+
+
+def test_orbit_cache_folds_prime_orbits_at_the_first_repeat():
+    rng = random.Random(0xF01D)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        field = Field.prime(p)
+        num_vars = rng.randint(1, 2)
+        phi = Morphism([_random_fp_poly(rng, field, num_vars) for _ in range(num_vars)])
+        start = tuple(field.from_int(rng.randrange(p)) for _ in range(num_vars))
+        cache = OrbitCache(phi, start)
+        return_set(phi, start, [_random_fp_poly(rng, field, num_vars)], 2000, cache)
+        cycle = detect_cycle(phi, start)
+        assert cache.cycle == cycle
+        horizon = 3 * (cycle.preperiod + cycle.period) + 10
+        expected = orbit_prefix(phi, start, horizon)
+        for n in rng.sample(range(horizon // 2, horizon), 5):
+            assert cache.point(n) == expected[n]
+        assert cache.prefix(horizon) == expected
+
+
+def test_orbit_cache_never_folds_infinite_fields():
+    qq = OrbitCache(mk_morphism(["x+1"], ("x",), QQ), (QQ.from_int(0),))
+    qq.point(50)
+    assert qq.cycle is None
+    # x -> x^2 is periodic at 1 over GF(2)(t); only GF(p) caches fold
+    f2t = OrbitCache(mk_morphism(["x^2"], ("x",), F2T), (F2T.one(),))
+    assert f2t.prefix(10) == [(F2T.one(),)] * 10
+    assert f2t.cycle is None
+
+
+class _CountingMorphism(Morphism):
+    def __init__(self, components):
+        super().__init__(components)
+        self.calls = 0
+
+    def apply(self, point):
+        self.calls += 1
+        return super().apply(point)
+
+
+def test_prime_return_set_steps_only_through_preperiod_and_period():
+    F101 = Field.prime(101)
+    names = ("x", "y")
+    phi = _CountingMorphism(
+        [parse_polynomial(src, names, F101) for src in ("x^2+y", "x*y+1")]
+    )
+    start = (F101.from_int(87), F101.from_int(93))
+    cycle = detect_cycle(phi, start)
+    phi.calls = 0
+    target = [parse_polynomial("y+5*x-25", names, F101)]
+    s = return_set(phi, start, target, 10**6)
+    assert phi.calls <= cycle.preperiod + cycle.period
+    assert s.indices[-1] == 10**6 - 1
+
+
 def test_detect_cycle_examples():
     F7 = Field.prime(7)
     sq = mk_morphism(["x^2"], ("x",), F7)
