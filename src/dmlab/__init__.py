@@ -24,6 +24,7 @@ from .closures import (
     ClosureEntry,
     OffsetCase,
     PeriodicityCertificate,
+    Session,
     SubInstance,
     SubProgression,
     certify_invariant,
@@ -111,6 +112,7 @@ __all__ = [
     "ReportDocument",
     "ReturnSet",
     "SchemaError",
+    "Session",
     "StageError",
     "SubInstance",
     "SubProgression",

@@ -10,6 +10,8 @@ chain and periodicity certificate for one progression without running
 detection.  CSV format emits the (n, in_V) table and the
 (L, max_ratio) table; with --out the two land in <out>_returns.csv and
 <out>_density.csv, on stdout they are separated by a blank line.
+Every report is built in :mod:`dmlab.experiment`; this module only
+parses arguments, dispatches and maps errors to exit codes.
 
 Exit codes: 0 success, 1 bad input (file, JSON, schema, expression,
 usage), 2 internal failure.
@@ -18,23 +20,18 @@ usage), 2 internal failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .closures import certify_invariant, closure_chain
-from .density import density_profile
 from .experiment import (
     ExperimentError,
     SchemaError,
     StageError,
-    _certificate_json,
-    _chain_json,
-    _profile_json,
+    certify_report,
+    density_report,
     load_experiment,
     run_experiment,
 )
 from .exprparse import ExprSyntaxError
-from .orbits import OrbitCache, return_set
 
 __all__ = ["main"]
 
@@ -99,25 +96,7 @@ def _cmd_run(args) -> None:
 
 def _cmd_density(args) -> None:
     spec = load_experiment(args.file)
-    returns = return_set(spec.phi, spec.start, spec.target_generators, spec.horizon)
-    profile = density_profile(returns, spec.analysis.window_lengths)
-    payload = {
-        "experiment": {
-            "field": spec.field_source,
-            "vars": list(spec.var_names),
-            "phi": list(spec.phi_sources),
-            "alpha": list(spec.alpha_sources),
-            "V": list(spec.target_sources),
-            "N": str(spec.horizon),
-        },
-        "return_set": {
-            "horizon": str(returns.horizon),
-            "count": str(len(returns)),
-            "indices": [str(n) for n in returns.indices],
-        },
-        "density_profile": _profile_json(profile),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(density_report(spec).to_json(), args.out)
 
 
 def _cmd_certify(args) -> None:
@@ -126,34 +105,7 @@ def _cmd_certify(args) -> None:
     if args.b < 0:
         raise SchemaError("--b must be a non-negative offset")
     spec = load_experiment(args.file)
-    params = spec.analysis
-    cache = OrbitCache(spec.phi, spec.start)
-    chain = closure_chain(
-        spec.phi,
-        spec.start,
-        args.a,
-        args.b,
-        degree_cap=params.degree_cap,
-        initial_samples=params.initial_samples,
-        sample_budget=params.sample_budget,
-        order=spec.order,
-        cache=cache,
-    )
-    certificate = certify_invariant(chain.entry_for(args.b).ideal, spec.phi, args.a)
-    payload = {
-        "experiment": {
-            "field": spec.field_source,
-            "vars": list(spec.var_names),
-            "phi": list(spec.phi_sources),
-            "alpha": list(spec.alpha_sources),
-            "V": list(spec.target_sources),
-            "N": str(spec.horizon),
-        },
-        "progression": {"modulus": str(args.a), "offset": str(args.b)},
-        "closure_chain": _chain_json(chain, spec),
-        "certificate": _certificate_json(certificate, spec),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(certify_report(spec, args.a, args.b).to_json(), args.out)
 
 
 def main(argv=None) -> int:

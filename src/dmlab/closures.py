@@ -10,6 +10,12 @@ basis always vanishes on every sampled point; the ``stabilized`` flag
 records whether the doubling settled, and every downstream claim that
 leans on an unstabilized closure carries a flag saying so.
 
+Every entry point takes a :class:`Session`: the run's morphism, start
+point and horizon, its sampling settings, and a per-run memo.  A
+closure depends only on its (stride, offset) and those settings, so
+the session samples each one once, however often the top-level chains
+and the recursive case split reach it again.
+
 A closure chain walks the offsets of one progression class; along the
 true chain the closure dimensions cannot increase, so a recorded
 increase marks sampling noise.  :func:`certify_invariant` checks
@@ -22,7 +28,7 @@ sub-instances analyzed recursively, or honestly flagged fallbacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .density import (
     DensityProfile,
@@ -52,6 +58,7 @@ __all__ = [
     "ClosureEntry",
     "OffsetCase",
     "PeriodicityCertificate",
+    "Session",
     "SubInstance",
     "SubProgression",
     "certify_invariant",
@@ -174,53 +181,81 @@ class SubProgression:
     case_split: CaseSplitFragment
 
 
-def _zero_ideal(order: MonomialOrder, num_vars: int, field) -> ReducedGroebnerBasis:
-    return ReducedGroebnerBasis(order, (), num_vars, field)
+@dataclass(frozen=True, eq=False)
+class Session:
+    """One run's orbit, horizon and closure settings, plus its closure memo.
+
+    The run's values are ``phi``, ``start`` and ``horizon``; the
+    settings are the progression threshold ``m_min``, the closure
+    ``degree_cap``, the ``initial_samples``/``sample_budget`` of the
+    doubling loop and the case split's ``depth_limit``.  Construction
+    validates the settings and derives the shared :class:`OrbitCache`,
+    the grevlex ``order`` and ``memo``, which maps (stride, offset) to
+    the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
+    nothing else, so each one is sampled at most once per session;
+    the memo only ever holds closures the session sampled itself.
+    """
+
+    phi: Morphism
+    start: tuple
+    horizon: int
+    m_min: int = 5
+    degree_cap: int = 4
+    initial_samples: int = 4
+    sample_budget: int = 64
+    depth_limit: int = 3
+    cache: OrbitCache = field(init=False, repr=False)
+    order: MonomialOrder = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.initial_samples < 2:
+            raise ValueError("need at least two initial samples")
+        if self.sample_budget < self.initial_samples:
+            raise ValueError("sample budget below the initial sample count")
+        if self.degree_cap < 1:
+            raise ValueError("degree cap must be positive")
+        object.__setattr__(self, "cache", OrbitCache(self.phi, self.start))
+        object.__setattr__(self, "order", MonomialOrder.grevlex(self.phi.num_vars))
+        object.__setattr__(self, "memo", {})
 
 
-def _closure_at_offsets(
-    phi: Morphism,
-    cache: OrbitCache,
-    stride: int,
-    offset: int,
-    degree_cap: int,
-    initial_samples: int,
-    sample_budget: int,
-    order: MonomialOrder,
-):
-    """(reduced basis, samples used, stabilized) for one offset class."""
-    samples = initial_samples
+def _check_progression(modulus: int, offset: int) -> None:
+    if modulus < 1:
+        raise ValueError("progression modulus must be positive")
+    if offset < 0:
+        raise ValueError("progression offset must be non-negative")
+
+
+def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
+    """Memoized sampled closure of {phi^(stride*k + offset)(start)}."""
+    entry = session.memo.get((stride, offset))
+    if entry is not None:
+        return entry
+    order = session.order
+    samples = session.initial_samples
     previous = None
     while True:
-        points = [cache.point(stride * k + offset) for k in range(samples)]
+        points = [session.cache.point(stride * k + offset) for k in range(samples)]
         raw = vanishing_ideal(points, order)
-        capped = [g for g in raw.generators if g.total_degree() <= degree_cap]
+        capped = [g for g in raw.generators if g.total_degree() <= session.degree_cap]
         if len(capped) == len(raw.generators):
             basis = raw
         elif capped:
             basis = buchberger(capped, order)
         else:
-            basis = _zero_ideal(order, phi.num_vars, phi.field)
-        if previous is not None and ideal_equal(basis, previous):
-            return basis, samples, True
-        if samples >= sample_budget:
-            return basis, samples, False
+            basis = ReducedGroebnerBasis(order, (), session.phi.num_vars, session.phi.field)
+        stabilized = previous is not None and ideal_equal(basis, previous)
+        if stabilized or samples >= session.sample_budget:
+            break
         previous = basis
-        samples = min(samples * 2, sample_budget)
+        samples = min(samples * 2, session.sample_budget)
+    entry = ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
+    session.memo[(stride, offset)] = entry
+    return entry
 
 
-def orbit_closure_ideal(
-    phi: Morphism,
-    start,
-    modulus: int,
-    offset: int,
-    *,
-    degree_cap: int = 4,
-    initial_samples: int = 4,
-    sample_budget: int = 64,
-    order: MonomialOrder | None = None,
-    cache: OrbitCache | None = None,
-):
+def orbit_closure_ideal(session: Session, modulus: int, offset: int):
     """Degree-capped vanishing ideal of the sampled sub-orbit
     {phi^(modulus*k + offset)(start) : k >= 0}.
 
@@ -229,77 +264,25 @@ def orbit_closure_ideal(
     evidence, not proof, that it equals the ideal of the full
     sub-orbit closure.
     """
-    if modulus < 1:
-        raise ValueError("progression modulus must be positive")
-    if offset < 0:
-        raise ValueError("progression offset must be non-negative")
-    if initial_samples < 2:
-        raise ValueError("need at least two initial samples")
-    if sample_budget < initial_samples:
-        raise ValueError("sample budget below the initial sample count")
-    if degree_cap < 1:
-        raise ValueError("degree cap must be positive")
-    if order is None:
-        order = MonomialOrder.grevlex(phi.num_vars)
-    if cache is None:
-        cache = OrbitCache(phi, start)
-    basis, _, stabilized = _closure_at_offsets(
-        phi, cache, modulus, offset, degree_cap, initial_samples, sample_budget, order
-    )
-    return basis, stabilized
+    _check_progression(modulus, offset)
+    entry = _closure(session, modulus, offset)
+    return entry.ideal, entry.stabilized
 
 
-def _chain_at(
-    phi: Morphism,
-    cache: OrbitCache,
-    modulus: int,
-    offsets,
-    degree_cap: int,
-    initial_samples: int,
-    sample_budget: int,
-    order: MonomialOrder,
-) -> ClosureChain:
-    entries = []
-    for offset in offsets:
-        basis, used, stabilized = _closure_at_offsets(
-            phi, cache, modulus, offset, degree_cap, initial_samples, sample_budget, order
-        )
-        entries.append(
-            ClosureEntry(offset, basis, ideal_dimension(basis), used, stabilized)
-        )
-    return ClosureChain(modulus, degree_cap, tuple(entries))
+def _chain(session: Session, stride: int, offsets) -> ClosureChain:
+    entries = tuple(_closure(session, stride, offset) for offset in offsets)
+    return ClosureChain(stride, session.degree_cap, entries)
 
 
-def closure_chain(
-    phi: Morphism,
-    start,
-    modulus: int,
-    base_offset: int,
-    *,
-    degree_cap: int = 4,
-    initial_samples: int = 4,
-    sample_budget: int = 64,
-    order: MonomialOrder | None = None,
-    cache: OrbitCache | None = None,
-) -> ClosureChain:
+def closure_chain(session: Session, modulus: int, base_offset: int) -> ClosureChain:
     """Closures of all offset classes base_offset + i, i < modulus.
 
     Along the true chain each closure maps onto a dense subset of the
     next, so dimensions cannot increase; check
     ``dimension_nonincreasing`` to see whether the samples honor that.
     """
-    if modulus < 1:
-        raise ValueError("progression modulus must be positive")
-    if base_offset < 0:
-        raise ValueError("progression offset must be non-negative")
-    if order is None:
-        order = MonomialOrder.grevlex(phi.num_vars)
-    if cache is None:
-        cache = OrbitCache(phi, start)
-    offsets = range(base_offset, base_offset + modulus)
-    return _chain_at(
-        phi, cache, modulus, offsets, degree_cap, initial_samples, sample_budget, order
-    )
+    _check_progression(modulus, base_offset)
+    return _chain(session, modulus, range(base_offset, base_offset + modulus))
 
 
 def certify_invariant(
@@ -331,62 +314,22 @@ def certify_invariant(
 
 
 def refine_case_split(
-    target: ReducedGroebnerBasis,
-    chain: ClosureChain,
-    phi: Morphism,
-    start,
-    horizon: int,
-    depth_limit: int = 3,
-    *,
-    m_min: int = 5,
-    degree_cap: int = 4,
-    initial_samples: int = 4,
-    sample_budget: int = 64,
-    order: MonomialOrder | None = None,
-    cache: OrbitCache | None = None,
+    session: Session, target: ReducedGroebnerBasis, chain: ClosureChain
 ) -> CaseSplitFragment:
     """Resolve each offset class of a chain against the target variety.
 
     Per offset, with W the sampled closure and V the target: when
     dim(V ∩ W) < dim(V), the class descends to a derived instance (the
     modulus-fold iterate started at the class offset, against V ∩ W)
-    analyzed recursively up to ``depth_limit``; when the ideals of W
-    and V agree, the entire class is inside the return set; equal
-    dimensions with distinct ideals would need irreducibility of the
-    target to conclude, so that outcome is only flagged.
+    analyzed recursively up to the session's ``depth_limit``; when the
+    ideals of W and V agree, the entire class is inside the return set;
+    equal dimensions with distinct ideals would need irreducibility of
+    the target to conclude, so that outcome is only flagged.
     """
-    if order is None:
-        order = chain.entries[0].ideal.order if chain.entries else MonomialOrder.grevlex(phi.num_vars)
-    if cache is None:
-        cache = OrbitCache(phi, start)
-    return _case_split(
-        target,
-        chain,
-        phi,
-        cache,
-        horizon,
-        depth_limit,
-        m_min,
-        degree_cap,
-        initial_samples,
-        sample_budget,
-        order,
-    )
+    return _case_split(session, target, chain, session.depth_limit)
 
 
-def _case_split(
-    target,
-    chain,
-    phi,
-    cache,
-    horizon,
-    depth_limit,
-    m_min,
-    degree_cap,
-    initial_samples,
-    sample_budget,
-    order,
-) -> CaseSplitFragment:
+def _case_split(session, target, chain, depth) -> CaseSplitFragment:
     target_dim = ideal_dimension(target)
     cases = []
     fragment_flags: list = []
@@ -400,21 +343,10 @@ def _case_split(
         inter_dim = ideal_dimension(intersection)
         child = None
         if inter_dim < target_dim:
-            if depth_limit > 0:
+            if depth > 0:
                 case = CASE_DIMENSION_DROP
                 child = _analyze_subinstance(
-                    intersection,
-                    chain.modulus,
-                    entry.offset,
-                    phi,
-                    cache,
-                    horizon,
-                    depth_limit - 1,
-                    m_min,
-                    degree_cap,
-                    initial_samples,
-                    sample_budget,
-                    order,
+                    session, intersection, chain.modulus, entry.offset, depth - 1
                 )
             else:
                 case = CASE_DEPTH_EXHAUSTED
@@ -441,22 +373,10 @@ def _case_split(
     return CaseSplitFragment(chain.modulus, target_dim, tuple(cases), tuple(fragment_flags))
 
 
-def _analyze_subinstance(
-    target,
-    stride,
-    offset,
-    phi,
-    cache,
-    horizon,
-    depth_limit,
-    m_min,
-    degree_cap,
-    initial_samples,
-    sample_budget,
-    order,
-) -> SubInstance:
+def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
     # Instance index l maps to orbit index stride * l + offset; the
     # derived horizon is the number of such indices below the original.
+    horizon = session.horizon
     if offset >= horizon:
         count = 0
     else:
@@ -469,41 +389,22 @@ def _analyze_subinstance(
     gens = target.generators
     members = []
     for l in range(count):
-        pt = cache.point(stride * l + offset)
+        pt = session.cache.point(stride * l + offset)
         if all(g.evaluate(pt).is_zero() for g in gens):
             members.append(l)
     returns = ReturnSet(count, members)
-    progressions = detect_progressions(returns, ceil_sqrt(count), m_min=m_min)
+    progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)
     subs = []
     for prog in progressions:
         orbit_modulus = stride * prog.modulus
         orbit_offsets = [
             stride * j + offset for j in range(prog.offset, prog.offset + prog.modulus)
         ]
-        sub_chain = _chain_at(
-            phi,
-            cache,
-            orbit_modulus,
-            orbit_offsets,
-            degree_cap,
-            initial_samples,
-            sample_budget,
-            order,
+        sub_chain = _chain(session, orbit_modulus, orbit_offsets)
+        certificate = certify_invariant(
+            sub_chain.entries[0].ideal, session.phi, orbit_modulus
         )
-        certificate = certify_invariant(sub_chain.entries[0].ideal, phi, orbit_modulus)
-        fragment = _case_split(
-            target,
-            sub_chain,
-            phi,
-            cache,
-            horizon,
-            depth_limit,
-            m_min,
-            degree_cap,
-            initial_samples,
-            sample_budget,
-            order,
-        )
+        fragment = _case_split(session, target, sub_chain, depth)
         subs.append(
             SubProgression(
                 prog.modulus,

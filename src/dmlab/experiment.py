@@ -32,6 +32,7 @@ from .closures import (
     CaseSplitFragment,
     ClosureChain,
     PeriodicityCertificate,
+    Session,
     SubInstance,
     certify_invariant,
     closure_chain,
@@ -50,7 +51,7 @@ from .exprparse import ExprSyntaxError, parse_polynomial
 from .fields import Field
 from .ideals import ReducedGroebnerBasis, buchberger
 from .multipoly import MonomialOrder
-from .orbits import Morphism, OrbitCache, ReturnSet, return_set
+from .orbits import Morphism, ReturnSet, return_set
 
 __all__ = [
     "AnalysisParams",
@@ -59,6 +60,8 @@ __all__ = [
     "ReportDocument",
     "SchemaError",
     "StageError",
+    "certify_report",
+    "density_report",
     "experiment_from_dict",
     "load_experiment",
     "run_experiment",
@@ -300,7 +303,7 @@ class _ProgressionAnalysis:
 class ReportDocument:
     """Finished analysis: JSON payload plus the exact objects behind it."""
 
-    def __init__(self, payload, returns, profile, decomposition):
+    def __init__(self, payload, returns=None, profile=None, decomposition=None):
         self.payload = payload
         self.returns = returns
         self.profile = profile
@@ -335,17 +338,43 @@ def _stage(name: str):
     return _StageGuard()
 
 
-def run_experiment(spec: ExperimentSpec) -> ReportDocument:
-    """Run the full pipeline and assemble the deterministic report."""
+def _session(spec: ExperimentSpec) -> Session:
     params = spec.analysis
-    cache = OrbitCache(spec.phi, spec.start)
+    return Session(
+        spec.phi,
+        spec.start,
+        spec.horizon,
+        params.m_min,
+        params.degree_cap,
+        params.initial_samples,
+        params.sample_budget,
+        params.depth_limit,
+    )
 
+
+def _scan(spec: ExperimentSpec, cache=None):
+    """The return-set and density-profile stages."""
     with _stage("return-set"):
         returns = return_set(
             spec.phi, spec.start, spec.target_generators, spec.horizon, cache
         )
     with _stage("density-profile"):
-        profile = density_profile(returns, params.window_lengths)
+        profile = density_profile(returns, spec.analysis.window_lengths)
+    return returns, profile
+
+
+def _certified_chain(session: Session, modulus: int, offset: int):
+    """Closure chain of one progression and its base offset's certificate."""
+    chain = closure_chain(session, modulus, offset)
+    certificate = certify_invariant(chain.entry_for(offset).ideal, session.phi, modulus)
+    return chain, certificate
+
+
+def run_experiment(spec: ExperimentSpec) -> ReportDocument:
+    """Run the full pipeline and assemble the deterministic report."""
+    params = spec.analysis
+    session = _session(spec)
+    returns, profile = _scan(spec, session.cache)
     with _stage("progression-detection"):
         progressions = detect_progressions(
             returns, params.a_max, params.m_min, params.tail_start
@@ -354,34 +383,8 @@ def run_experiment(spec: ExperimentSpec) -> ReportDocument:
         target_basis = buchberger(spec.target_generators, spec.order)
         analyses = []
         for prog in progressions:
-            chain = closure_chain(
-                spec.phi,
-                spec.start,
-                prog.modulus,
-                prog.offset,
-                degree_cap=params.degree_cap,
-                initial_samples=params.initial_samples,
-                sample_budget=params.sample_budget,
-                order=spec.order,
-                cache=cache,
-            )
-            certificate = certify_invariant(
-                chain.entry_for(prog.offset).ideal, spec.phi, prog.modulus
-            )
-            fragment = refine_case_split(
-                target_basis,
-                chain,
-                spec.phi,
-                spec.start,
-                spec.horizon,
-                params.depth_limit,
-                m_min=params.m_min,
-                degree_cap=params.degree_cap,
-                initial_samples=params.initial_samples,
-                sample_budget=params.sample_budget,
-                order=spec.order,
-                cache=cache,
-            )
+            chain, certificate = _certified_chain(session, prog.modulus, prog.offset)
+            fragment = refine_case_split(session, target_basis, chain)
             analyses.append(
                 _ProgressionAnalysis(
                     prog.modulus, prog.offset, chain, certificate, fragment
@@ -396,6 +399,30 @@ def run_experiment(spec: ExperimentSpec) -> ReportDocument:
     return ReportDocument(payload, returns, profile, decomposition)
 
 
+def density_report(spec: ExperimentSpec) -> ReportDocument:
+    """Return set and density profile only, under the same stage guards."""
+    returns, profile = _scan(spec)
+    payload = {
+        "experiment": _experiment_json(spec),
+        "return_set": _return_set_json(returns),
+        "density_profile": _profile_json(profile),
+    }
+    return ReportDocument(payload, returns, profile)
+
+
+def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDocument:
+    """Closure chain and certificate of one progression, without detection."""
+    with _stage("closure-certification"):
+        chain, certificate = _certified_chain(_session(spec), modulus, offset)
+    payload = {
+        "experiment": _experiment_json(spec),
+        "progression": {"modulus": str(modulus), "offset": str(offset)},
+        "closure_chain": _chain_json(chain, spec),
+        "certificate": _certificate_json(certificate, spec),
+    }
+    return ReportDocument(payload)
+
+
 # ---------------------------------------------------------------------------
 # Report rendering: every numeric leaf is a string, exact rationals as
 # "num/den"; key order is fixed by construction.
@@ -407,6 +434,25 @@ def _frac(value: Fraction) -> str:
 
 def _ints(values) -> list:
     return [str(v) for v in values]
+
+
+def _experiment_json(spec: ExperimentSpec) -> dict:
+    return {
+        "field": spec.field_source,
+        "vars": list(spec.var_names),
+        "phi": list(spec.phi_sources),
+        "alpha": list(spec.alpha_sources),
+        "V": list(spec.target_sources),
+        "N": str(spec.horizon),
+    }
+
+
+def _return_set_json(returns: ReturnSet) -> dict:
+    return {
+        "horizon": str(returns.horizon),
+        "count": str(len(returns)),
+        "indices": _ints(returns.indices),
+    }
 
 
 def _profile_json(profile: DensityProfile) -> dict:
@@ -528,30 +574,20 @@ def _collect_diagnostics(analyses) -> list:
 def _build_payload(spec, returns, profile, analyses, decomposition: Decomposition):
     params = spec.analysis
     covered = decomposition.covered()
+    header = _experiment_json(spec)
+    header["analysis"] = {
+        "a_max": str(params.a_max),
+        "m_min": str(params.m_min),
+        "tail_start": str(params.tail_start),
+        "degree_cap": str(params.degree_cap),
+        "initial_samples": str(params.initial_samples),
+        "sample_budget": str(params.sample_budget),
+        "depth_limit": str(params.depth_limit),
+        "window_lengths": _ints(params.window_lengths),
+    }
     payload = {
-        "experiment": {
-            "field": spec.field_source,
-            "vars": list(spec.var_names),
-            "phi": list(spec.phi_sources),
-            "alpha": list(spec.alpha_sources),
-            "V": list(spec.target_sources),
-            "N": str(spec.horizon),
-            "analysis": {
-                "a_max": str(params.a_max),
-                "m_min": str(params.m_min),
-                "tail_start": str(params.tail_start),
-                "degree_cap": str(params.degree_cap),
-                "initial_samples": str(params.initial_samples),
-                "sample_budget": str(params.sample_budget),
-                "depth_limit": str(params.depth_limit),
-                "window_lengths": _ints(params.window_lengths),
-            },
-        },
-        "return_set": {
-            "horizon": str(returns.horizon),
-            "count": str(len(returns)),
-            "indices": _ints(returns.indices),
-        },
+        "experiment": header,
+        "return_set": _return_set_json(returns),
         "density_profile": _profile_json(profile),
         "progressions": [
             {

@@ -118,3 +118,23 @@ def test_unexpected_failure_exit_code(swap_file, capsys, monkeypatch):
     monkeypatch.setattr("dmlab.cli.run_experiment", explode)
     assert main(["run", str(swap_file)]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, patched, stage",
+    [
+        (["density"], "return_set", "return-set stage"),
+        (["certify", "--a", "2", "--b", "0"], "closure_chain", "closure-certification stage"),
+    ],
+)
+def test_report_commands_name_the_failed_stage(
+    swap_file, capsys, monkeypatch, args, patched, stage
+):
+    def explode(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(f"dmlab.experiment.{patched}", explode)
+    assert main([args[0], str(swap_file), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert stage in err

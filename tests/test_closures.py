@@ -7,8 +7,8 @@ from dmlab import (
     Morphism,
     MonomialOrder,
     MultiPoly,
-    OrbitCache,
     ReducedGroebnerBasis,
+    Session,
     buchberger,
     certify_invariant,
     closure_chain,
@@ -52,7 +52,7 @@ def swap_fixture():
 
 def test_even_suborbit_closure_is_a_point():
     phi, start = swap_fixture()
-    basis, stabilized = orbit_closure_ideal(phi, start, 2, 0)
+    basis, stabilized = orbit_closure_ideal(Session(phi, start, 20), 2, 0)
     assert basis.render(XY) == ("x - 1", "y - 2")
     assert stabilized
     assert ideal_dimension(basis) == 0
@@ -60,7 +60,7 @@ def test_even_suborbit_closure_is_a_point():
 
 def test_whole_orbit_closure_two_points():
     phi, start = swap_fixture()
-    basis, stabilized = orbit_closure_ideal(phi, start, 1, 0)
+    basis, stabilized = orbit_closure_ideal(Session(phi, start, 20), 1, 0)
     assert basis.render(XY) == ("y^2 - 3*y + 2", "x + y - 3")
     assert stabilized
     assert ideal_dimension(basis) == 0
@@ -72,7 +72,7 @@ def test_infinite_orbit_closure_fills_the_line():
     # x -> 2x over QQ never repeats, so every hypersurface through the
     # samples blows past the degree cap and the ideal collapses to zero.
     phi = mk_morphism(["2*x"], ("x",), QQ)
-    basis, stabilized = orbit_closure_ideal(phi, (QQ.from_int(1),), 1, 0)
+    basis, stabilized = orbit_closure_ideal(Session(phi, (QQ.from_int(1),), 20), 1, 0)
     assert basis.is_zero_ideal
     assert stabilized
     assert ideal_dimension(basis) == 1
@@ -81,7 +81,7 @@ def test_infinite_orbit_closure_fills_the_line():
 def test_degree_cap_one_chain_sees_no_linear_relation():
     phi = mk_morphism(["t*x", "(1-t)*y"], XY, F2T)
     start = (F2T.one(), F2T.one())
-    chain = closure_chain(phi, start, 2, 1, degree_cap=1)
+    chain = closure_chain(Session(phi, start, 20, degree_cap=1), 2, 1)
     assert [e.offset for e in chain.entries] == [1, 2]
     for entry in chain.entries:
         assert entry.ideal.is_zero_ideal
@@ -95,34 +95,39 @@ def test_unstabilized_when_budget_runs_out():
     # successor orbit: 4 samples fit a quartic, 8 samples overflow the
     # cap, and the budget stops the doubling before the bases can agree
     phi = mk_morphism(["x+1"], ("x",), QQ)
-    basis, stabilized = orbit_closure_ideal(
-        phi, (QQ.from_int(0),), 1, 0, degree_cap=4, initial_samples=4, sample_budget=8
+    session = Session(
+        phi, (QQ.from_int(0),), 20, degree_cap=4, initial_samples=4, sample_budget=8
     )
+    basis, stabilized = orbit_closure_ideal(session, 1, 0)
     assert basis.is_zero_ideal
     assert not stabilized
 
 
 def test_closure_parameter_validation():
     phi, start = swap_fixture()
+    session = Session(phi, start, 20)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(phi, start, 0, 0)
+        orbit_closure_ideal(session, 0, 0)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(phi, start, 1, -1)
+        orbit_closure_ideal(session, 1, -1)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(phi, start, 1, 0, initial_samples=1)
+        Session(phi, start, 20, initial_samples=1)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(phi, start, 1, 0, initial_samples=4, sample_budget=3)
+        Session(phi, start, 20, initial_samples=4, sample_budget=3)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(phi, start, 1, 0, degree_cap=0)
+        Session(phi, start, 20, degree_cap=0)
     with pytest.raises(ValueError):
-        closure_chain(phi, start, 0, 0)
+        closure_chain(session, 0, 0)
     with pytest.raises(ValueError):
-        closure_chain(phi, start, 2, -1)
+        closure_chain(session, 2, -1)
+    # a budget below the default four initial samples
+    with pytest.raises(ValueError):
+        Session(phi, start, 20, sample_budget=2)
 
 
 def test_chain_entry_lookup():
     phi, start = swap_fixture()
-    chain = closure_chain(phi, start, 2, 0)
+    chain = closure_chain(Session(phi, start, 20), 2, 0)
     assert chain.entry_for(1).offset == 1
     with pytest.raises(KeyError):
         chain.entry_for(5)
@@ -186,8 +191,9 @@ def test_certify_validation():
 def test_refine_swap_against_line():
     phi, start = swap_fixture()
     target = mk_basis(["x-1"], XY, QQ, ORDER2)
-    chain = closure_chain(phi, start, 2, 0)
-    frag = refine_case_split(target, chain, phi, start, 20)
+    session = Session(phi, start, 20)
+    chain = closure_chain(session, 2, 0)
+    frag = refine_case_split(session, target, chain)
     assert frag.modulus == 2
     assert frag.target_dimension == 1
     assert frag.flags == ()
@@ -219,8 +225,9 @@ def test_refine_swap_against_line():
 def test_refine_depth_exhausted():
     phi, start = swap_fixture()
     target = mk_basis(["x-1"], XY, QQ, ORDER2)
-    chain = closure_chain(phi, start, 2, 0)
-    frag = refine_case_split(target, chain, phi, start, 20, depth_limit=0)
+    session = Session(phi, start, 20, depth_limit=0)
+    chain = closure_chain(session, 2, 0)
+    frag = refine_case_split(session, target, chain)
     assert [c.case for c in frag.offsets] == [CASE_DEPTH_EXHAUSTED] * 2
     assert all(c.child is None for c in frag.offsets)
     assert all(FLAG_DEPTH in c.flags for c in frag.offsets)
@@ -230,8 +237,9 @@ def test_refine_depth_exhausted():
 def test_refine_closure_equal_to_target():
     phi, start = swap_fixture()
     target = mk_basis(["x-1", "y-2"], XY, QQ, ORDER2)
-    chain = closure_chain(phi, start, 2, 0)
-    frag = refine_case_split(target, chain, phi, start, 20)
+    session = Session(phi, start, 20)
+    chain = closure_chain(session, 2, 0)
+    frag = refine_case_split(session, target, chain)
     even, odd = frag.offsets
     assert even.case == CASE_CLOSURE_EQUALS_TARGET
     assert even.child is None
@@ -245,10 +253,11 @@ def test_refine_equal_dimension_distinct_ideals():
     phi = mk_morphism(["x", "y+1"], XY, QQ)
     start = (QQ.from_int(0), QQ.from_int(0))
     target = mk_basis(["x^2-x"], XY, QQ, ORDER2)
-    chain = closure_chain(phi, start, 1, 0)
+    session = Session(phi, start, 30)
+    chain = closure_chain(session, 1, 0)
     assert chain.entries[0].ideal.render(XY) == ("x",)
     assert chain.entries[0].dimension == 1
-    frag = refine_case_split(target, chain, phi, start, 30)
+    frag = refine_case_split(session, target, chain)
     case = frag.offsets[0]
     assert frag.target_dimension == 1
     assert case.case == CASE_IRREDUCIBILITY_UNVERIFIED
@@ -266,7 +275,7 @@ def test_refine_flags_from_hand_built_chain():
         ClosureEntry(0, point, 0, 4, True),
         ClosureEntry(1, zero, 2, 8, False),
     ))
-    frag = refine_case_split(target, chain, phi, start, 20)
+    frag = refine_case_split(Session(phi, start, 20), target, chain)
     assert FLAG_DIMENSION_INCREASE in frag.flags
     unstable = frag.offsets[1]
     assert FLAG_UNSTABILIZED in unstable.flags
@@ -289,8 +298,9 @@ def test_random_chain_generators_vanish_on_samples():
         phi = Morphism(components)
         start = (field.from_int(rng.randrange(7)), field.from_int(rng.randrange(7)))
         modulus = rng.randrange(1, 4)
-        cache = OrbitCache(phi, start)
-        chain = closure_chain(phi, start, modulus, 0, cache=cache)
+        session = Session(phi, start, 20)
+        cache = session.cache
+        chain = closure_chain(session, modulus, 0)
         for entry in chain.entries:
             assert 0 <= entry.dimension <= 2
             for g in entry.ideal.generators:

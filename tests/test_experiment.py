@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from dmlab import (
     parse_polynomial,
     run_experiment,
 )
+from dmlab.cli import main
 
 
 def base_doc():
@@ -249,3 +251,61 @@ def test_load_experiment_round_trip(tmp_path):
     assert "not valid JSON" in str(exc.value)
     with pytest.raises(OSError):
         load_experiment(tmp_path / "missing.json")
+
+
+# QQ shift of four coordinates against x = y: two top-level progressions
+# whose case splits derive sub-instances that reach the same closures.
+ROTATION = {
+    "field": "QQ",
+    "vars": ["x", "y", "z", "w"],
+    "phi": ["y", "z", "w", "x+1"],
+    "alpha": ["0", "0", "0", "0"],
+    "V": ["x-y"],
+    "N": 40,
+    "analysis": {"sample_budget": 16},
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_rotation_report():
+    report = run_experiment(experiment_from_dict(ROTATION))
+    assert len(report.payload["progressions"]) == 2
+    assert sha256(report.to_json()) == (
+        "9acace523ac6ffd2cdc8e97225071a2b1b1b3dc0b9038f73ce13d53641f26c35"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["density"], "572bd95296cef987f651ea96c00337334d1569d50ed2de60167ac5481b0d0ca6"),
+        (
+            ["certify", "--a", "2", "--b", "0"],
+            "ba77225df88bf2b942335e6eaab232bc2aa0e917abef2ec2764d4166a902f500",
+        ),
+    ],
+)
+def test_golden_cli_reports(args, digest, tmp_path, capsys):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(base_doc()), encoding="utf-8")
+    assert main([args[0], str(path), *args[1:]]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_each_closure_is_sampled_once_per_run(monkeypatch):
+    import dmlab.closures
+
+    seen = []
+    original = dmlab.closures.vanishing_ideal
+
+    def record(points, order):
+        seen.append(tuple(points))
+        return original(points, order)
+
+    monkeypatch.setattr(dmlab.closures, "vanishing_ideal", record)
+    run_experiment(experiment_from_dict(ROTATION))
+    assert seen
+    assert len(seen) == len(set(seen))
