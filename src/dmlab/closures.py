@@ -19,10 +19,10 @@ and the recursive case split reach it again.
 A closure chain walks the offsets of one progression class; along the
 true chain the closure dimensions cannot increase, so a recorded
 increase marks sampling noise.  :func:`certify_invariant` checks
-algebraically that a subvariety maps into itself under the a-th
-iterate, by reducing the a-fold pullback of each generator to normal
-form.  :func:`refine_case_split` turns chain-versus-target dimension
-comparisons into either certified whole progressions, derived
+algebraically that a subvariety W maps into itself under the a-th
+iterate, composing phi a times modulo I(W), so for finite W the work
+is linear in a.  :func:`refine_case_split` turns chain-versus-target
+dimension comparisons into either certified whole progressions, derived
 sub-instances analyzed recursively, or honestly flagged fallbacks.
 """
 
@@ -45,7 +45,7 @@ from .ideals import (
     normal_form,
     vanishing_ideal,
 )
-from .multipoly import MonomialOrder
+from .multipoly import MonomialOrder, MultiPoly
 from .orbits import Morphism, OrbitCache, ReturnSet
 
 __all__ = [
@@ -116,8 +116,8 @@ class ClosureChain:
 class PeriodicityCertificate:
     """Outcome of the self-map containment check for one subvariety.
 
-    ``invariant`` is True exactly when every generator's pullback under
-    the ``modulus``-fold iterate reduces to zero against the basis;
+    ``invariant`` is True exactly when every generator composed with
+    the ``modulus``-th iterate reduces to zero against the basis;
     ``witnesses`` pairs each failing generator with its nonzero normal
     form.
     """
@@ -289,27 +289,36 @@ def certify_invariant(
     basis: ReducedGroebnerBasis, phi: Morphism, modulus: int
 ) -> PeriodicityCertificate:
     """Check that the subvariety of the basis maps into itself under
-    the modulus-fold iterate of phi.
+    the modulus-th iterate of phi.
 
-    Each generator is pulled back through phi one application at a
-    time (repeated substitution, never symbolic self-composition) and
-    reduced to normal form against the basis; a nonzero form is a
-    failure witness.  Membership is checked in the ideal as given,
-    which for the vanishing ideals produced here (finite point sets)
-    is exact containment.
+    The coordinate images of phi^modulus are built in R/I one step at a
+    time, taking normal forms after each substitution into phi.  Since
+    reduction is a ring map onto R/I and normal forms are canonical, a
+    generator g evaluated at those images reduces to exactly the normal
+    form of g(phi^modulus); a nonzero form is a failure witness.  For a
+    finite point set every image has degree below the point count, so
+    the work is linear in modulus.  Membership is checked in the ideal
+    as given, which for the vanishing ideals produced here (finite
+    point sets) is exact containment.
     """
     if modulus < 1:
         raise ValueError("iterate count must be positive")
     if basis.num_vars != phi.num_vars or basis.field != phi.field:
         raise ValueError("basis and morphism do not share a ring")
     witnesses = []
-    for g in basis.generators:
-        pulled = g
+    if basis.generators:
+        images = tuple(
+            normal_form(MultiPoly.variable(phi.field, phi.num_vars, i), basis)
+            for i in range(phi.num_vars)
+        )
         for _ in range(modulus):
-            pulled = pulled.substitute(phi.components)
-        nf = normal_form(pulled, basis)
-        if not nf.is_zero():
-            witnesses.append((g, nf))
+            images = tuple(
+                normal_form(c.substitute(images), basis) for c in phi.components
+            )
+        for g in basis.generators:
+            nf = normal_form(g.substitute(images), basis)
+            if not nf.is_zero():
+                witnesses.append((g, nf))
     return PeriodicityCertificate(basis, modulus, not witnesses, tuple(witnesses))
 
 
@@ -387,10 +396,14 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
             stride, offset, 0, empty, (), empty, DensityProfile(0, ())
         )
     gens = target.generators
+    # Over GF(p) many indices fold onto one stored point; test each once.
+    on_target = {}
     members = []
     for l in range(count):
-        pt = session.cache.point(stride * l + offset)
-        if all(g.evaluate(pt).is_zero() for g in gens):
+        i = session.cache.index(stride * l + offset)
+        if i not in on_target:
+            on_target[i] = all(g.evaluate(session.cache.point(i)).is_zero() for g in gens)
+        if on_target[i]:
             members.append(l)
     returns = ReturnSet(count, members)
     progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)

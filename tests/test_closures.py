@@ -13,9 +13,13 @@ from dmlab import (
     certify_invariant,
     closure_chain,
     ideal_dimension,
+    morphism_iterate,
+    normal_form,
     orbit_closure_ideal,
+    orbit_prefix,
     parse_polynomial,
     refine_case_split,
+    vanishing_ideal,
 )
 from dmlab.closures import (
     CASE_CLOSURE_EQUALS_TARGET,
@@ -186,6 +190,106 @@ def test_certify_validation():
     other = mk_morphism(["y", "x"], XY, Field.prime(7))
     with pytest.raises(ValueError):
         certify_invariant(basis, other, 1)
+
+
+def _reference_certify_invariant(basis, phi, modulus):
+    # The a-fold pullback: substitute phi into each generator a times,
+    # reduce once at the end.  Exact, but degree deg(phi)^a before the
+    # reduction, so only small cases are affordable.
+    witnesses = []
+    for g in basis.generators:
+        pulled = g
+        for _ in range(modulus):
+            pulled = pulled.substitute(phi.components)
+        nf = normal_form(pulled, basis)
+        if not nf.is_zero():
+            witnesses.append((g, nf))
+    return not witnesses, tuple(witnesses)
+
+
+def _random_coefficient(rng, field):
+    if field.has_generator:
+        num = [rng.randrange(2) for _ in range(rng.randrange(1, 3))]
+        den = [rng.randrange(2) for _ in range(rng.randrange(0, 2))] + [1]
+        return field.from_coefficients(num, den)
+    return field.from_int(rng.randrange(-3, 4))
+
+
+def _random_poly(rng, field, num_vars, degree):
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        mono = [0] * num_vars
+        for _ in range(rng.randrange(degree + 1)):
+            mono[rng.randrange(num_vars)] += 1
+        terms[tuple(mono)] = _random_coefficient(rng, field)
+    return MultiPoly.from_terms(field, num_vars, terms.items())
+
+
+def _random_point(rng, field, num_vars):
+    return tuple(_random_coefficient(rng, field) for _ in range(num_vars))
+
+
+def test_certify_matches_a_fold_pullback_on_random_cases():
+    rng = random.Random(2024)
+    fields = (Field.prime(101), QQ, Field.prime(2), F2T)
+    kinds = {"invariant": 0, "witnessed": 0}
+    for field in fields:
+        for _ in range(10):
+            num_vars = rng.randrange(1, 4)
+            order = MonomialOrder.grevlex(num_vars)
+            phi = Morphism(
+                [_random_poly(rng, field, num_vars, 2) for _ in range(num_vars)]
+            )
+            start = _random_point(rng, field, num_vars)
+            bases = (
+                vanishing_ideal(
+                    [_random_point(rng, field, num_vars) for _ in range(rng.randrange(1, 4))],
+                    order,
+                ),
+                vanishing_ideal(orbit_prefix(phi, start, rng.randrange(1, 5)), order),
+                buchberger(
+                    [_random_poly(rng, field, num_vars, 2) for _ in range(rng.randrange(1, 3))],
+                    order,
+                ),
+            )
+            for basis in bases:
+                for a in (1, 2, 3):
+                    cert = certify_invariant(basis, phi, a)
+                    expected = _reference_certify_invariant(basis, phi, a)
+                    assert (cert.invariant, cert.witnesses) == expected
+                    if basis.generators and not basis.is_unit_ideal:
+                        kinds["invariant" if cert.invariant else "witnessed"] += 1
+    assert kinds["invariant"] >= 20
+    assert kinds["witnessed"] >= 20
+
+
+def test_certify_work_is_linear_in_the_iterate_count(monkeypatch):
+    # phi^78(87, 93) lies on a 6-cycle of (x^2+y, x*y+1) over GF(101),
+    # so its ideal is phi^a-invariant exactly when 6 divides a.  Pulling
+    # a generator back through phi^60 would have degree 2^60.
+    field = Field.prime(101)
+    phi = mk_morphism(["x^2+y", "x*y+1"], XY, field)
+    point = morphism_iterate(phi, (field.from_int(87), field.from_int(93)), 78)
+    at_point = vanishing_ideal([point], ORDER2)
+    for a in range(1, 61):
+        assert certify_invariant(at_point, phi, a).invariant == (a % 6 == 0)
+    cycle = vanishing_ideal(orbit_prefix(phi, point, 6), ORDER2)
+    assert ideal_dimension(cycle) == 0
+    for a in range(1, 13):
+        assert certify_invariant(cycle, phi, a).invariant
+
+    degrees = []
+    original = MultiPoly.substitute
+
+    def record(self, images):
+        out = original(self, images)
+        degrees.append(out.total_degree())
+        return out
+
+    monkeypatch.setattr(MultiPoly, "substitute", record)
+    assert certify_invariant(at_point, phi, 6).invariant
+    assert degrees
+    assert max(degrees) <= 2
 
 
 def test_refine_swap_against_line():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +310,75 @@ def test_each_closure_is_sampled_once_per_run(monkeypatch):
     run_experiment(experiment_from_dict(ROTATION))
     assert seen
     assert len(seen) == len(set(seen))
+
+
+SUITE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "suite.json").read_text(
+        encoding="utf-8"
+    )
+)
+WORKLOADS = {w["name"]: w for w in SUITE["workloads"]}
+
+
+def write_workload(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(WORKLOADS[name]["experiment"]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", ["pullback-gf101", "cycle-gf101"])
+def test_golden_suite_reports(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", str(write_workload(tmp_path, name)), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == WORKLOADS[name]["report_sha256"]
+
+
+@pytest.mark.parametrize(
+    "a, b, invariant, digest",
+    [
+        # The line 5x + y = 25 through the 6-cycle is phi-invariant.
+        ("5", "78", True, "aac218a1ea19fa301ab5e34842301b597a33d862138eaed6395883e392d20bf1"),
+        # A degree-cap quartic through preperiodic points is not.
+        ("3", "42", False, "769201ffd8f8ad6e3ecc14cc76b666b692b01d6275d760636bbfc11a33d87ec4"),
+    ],
+)
+def test_golden_pullback_certificates(a, b, invariant, digest, tmp_path, capsys):
+    path = write_workload(tmp_path, "pullback-gf101")
+    assert main(["certify", str(path), "--a", a, "--b", b]) == 0
+    out = capsys.readouterr().out
+    certificate = json.loads(out)["certificate"]
+    assert certificate["invariant"] is invariant
+    assert bool(certificate["witnesses"]) is not invariant
+    assert sha256(out) == digest
+
+
+def test_subinstance_scan_tests_each_stored_point_once(monkeypatch):
+    import dmlab.closures
+    from dmlab import MultiPoly
+
+    spec = experiment_from_dict(WORKLOADS["pullback-gf101"]["experiment"])
+    calls = []
+    active = []
+    analyze = dmlab.closures._analyze_subinstance
+    evaluate = MultiPoly.evaluate
+
+    def record_call(session, target, stride, offset, depth):
+        active.append(0)
+        try:
+            return analyze(session, target, stride, offset, depth)
+        finally:
+            calls.append(active.pop())
+
+    def record_evaluate(self, point):
+        if active:
+            active[-1] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(dmlab.closures, "_analyze_subinstance", record_call)
+    monkeypatch.setattr(MultiPoly, "evaluate", record_evaluate)
+    run_experiment(spec)
+    # The orbit has preperiod 78 and period 6; a sub-instance scans
+    # about 833 indices but may only test the 84 stored points.
+    assert calls
+    assert max(calls) <= 84
