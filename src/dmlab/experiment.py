@@ -81,7 +81,7 @@ class StageError(ExperimentError):
 
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_FIELD_RE = re.compile(r"^GF\((\d+)\)(\(t\))?$")
+_FIELD_RE = re.compile(r"^GF\(([0-9]+)\)(\(t\))?$")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
 _ANALYSIS_KEYS = {

@@ -33,7 +33,7 @@ __all__ = ["ExprSyntaxError", "parse_polynomial", "MAX_EXPONENT"]
 MAX_EXPONENT = 2**20
 
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>\d+)|(?P<op>[-+*^()])"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>[0-9]+)|(?P<op>[-+*^()])"
 )
 _SPACE_RE = re.compile(r"\s*")
 

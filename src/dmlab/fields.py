@@ -7,9 +7,16 @@ pairs a descriptor with a canonical payload:
 
 * rationals: a reduced ``fractions.Fraction`` (positive denominator),
 * GF(p): an int residue in [0, p),
-* GF(p)(t): a pair (num, den) of GF(p)[t] coefficient tuples stored
-  low degree first, with den monic, gcd(num, den) = 1, and zero
-  represented as ((), (1,)).
+* GF(p)(t): a pair (num, den) of GF(p)[t] polynomials, each packed into
+  one Python int.  Coefficient i sits little-endian in bytes
+  [i*k, (i+1)*k), where k is the smallest of 1, 2 and 4 with
+  (p-1).bit_length() + 1 <= 8*k.  That leaves one spare bit per slot,
+  so two residues add without a carry into the next slot: addition is
+  one bignum add and a masked per-slot subtraction of p, and
+  multiplication is one bignum multiply (Kronecker substitution).  den
+  is monic, gcd(num, den) = 1, and zero is (0, 1);
+  :meth:`FieldValue.coefficients` reads the pair back as coefficient
+  tuples.
 
 Canonical payloads make equality structural, so values hash and compare
 bit-for-bit and can key dictionaries.  Mixing values from different
@@ -21,7 +28,9 @@ out of scope by design.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -73,10 +82,9 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[t] helpers.  Coefficient tuples, low degree first, no trailing zeros;
-# the zero polynomial is ().
-
-_ONE_POLY = (1,)
+# GF(p)[t] on coefficient sequences, low degree first, no trailing zeros;
+# the zero polynomial is ().  Division and gcd run on these; _PolyRing
+# unpacks to them and packs the results.
 
 
 def _fp_trim(coeffs) -> tuple:
@@ -84,37 +92,6 @@ def _fp_trim(coeffs) -> tuple:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _fp_add(a: tuple, b: tuple, p: int) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _fp_trim(out)
-
-
-def _fp_neg(a: tuple, p: int) -> tuple:
-    return tuple((p - c) % p for c in a)
-
-
-def _fp_sub(a: tuple, b: tuple, p: int) -> tuple:
-    return _fp_add(a, _fp_neg(b, p), p)
-
-
-def _fp_mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_trim(out)
 
 
 def _fp_divmod(a: tuple, b: tuple, p: int) -> tuple:
@@ -149,18 +126,6 @@ def _fp_gcd(a: tuple, b: tuple, p: int) -> tuple:
     return _fp_monic(a, p)
 
 
-def _fp_pow(a: tuple, e: int, p: int) -> tuple:
-    out = _ONE_POLY
-    base = a
-    while e:
-        if e & 1:
-            out = _fp_mul(out, base, p)
-        e >>= 1
-        if e:
-            base = _fp_mul(base, base, p)
-    return out
-
-
 def _fp_str(coeffs: tuple) -> str:
     if not coeffs:
         return "0"
@@ -177,22 +142,141 @@ def _fp_str(coeffs: tuple) -> str:
     return " + ".join(parts)
 
 
-def _rf_canonical(num: tuple, den: tuple, p: int) -> tuple:
-    # Reduce a fraction of GF(p)[t] polynomials to coprime/monic form.
-    if not den:
-        raise ZeroDivisionError("division by zero")
-    if not num:
-        return ((), _ONE_POLY)
-    if den != _ONE_POLY:
-        g = _fp_gcd(num, den, p)
-        if len(g) > 1:
-            num = _fp_divmod(num, g, p)[0]
-            den = _fp_divmod(den, g, p)[0]
-        if den[-1] != 1:
-            inv = pow(den[-1], p - 2, p)
-            num = tuple(c * inv % p for c in num)
-            den = tuple(c * inv % p for c in den)
-    return (num, den)
+# Array typecode of each item size; packed slots are read and written
+# through arrays of these.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _little(items: array) -> array:
+    # Packed slots are little-endian whatever the machine's byte order.
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+class _PolyRing:
+    """GF(p)[t] arithmetic on polynomials packed into Python ints."""
+
+    __slots__ = ("p", "width", "bits", "_typecode", "_high", "_offset", "_square", "_masks")
+
+    def __init__(self, p: int):
+        width = next(k for k in (1, 2, 4) if (p - 1).bit_length() + 1 <= 8 * k)
+        half = 1 << (8 * width - 1)
+        self.p = p
+        self.width = width
+        self.bits = 8 * width
+        self._typecode = _TYPECODES[width]
+        self._high = half.to_bytes(width, "little")
+        self._offset = (half - p).to_bytes(width, "little")
+        self._square = (p - 1) ** 2
+        self._masks = {}
+
+    def slots(self, a: int) -> int:
+        return -(-a.bit_length() // self.bits)
+
+    def pack(self, coeffs) -> int:
+        return int.from_bytes(_little(array(self._typecode, coeffs)).tobytes(), "little")
+
+    def unpack(self, a: int) -> list:
+        raw = a.to_bytes(self.slots(a) * self.width, "little")
+        return _little(array(self._typecode, raw)).tolist()
+
+    def _slot_masks(self, x: int) -> tuple:
+        # 2**(bits-1) - p and 2**(bits-1) in each of the first 2**j slots,
+        # 2**j the least power of two covering x.  Built once per j:
+        # building them per call would cost more than the fold.
+        size = 1 << (self.slots(x) - 1).bit_length()
+        masks = self._masks.get(size)
+        if masks is None:
+            masks = self._masks[size] = (
+                int.from_bytes(self._offset * size, "little"),
+                int.from_bytes(self._high * size, "little"),
+            )
+        return masks
+
+    def _fold(self, x: int) -> int:
+        # Every slot of x lies in [0, 2p).  Adding 2**(bits-1) - p to a
+        # slot sets its top bit, without a carry, exactly when the slot
+        # is at least p; p is then subtracted from those slots.
+        offset, high = self._slot_masks(x)
+        over = (x + offset) & high
+        return x - (over >> (self.bits - 1)) * self.p
+
+    def add(self, a: int, b: int) -> int:
+        return self._fold(a + b)
+
+    def neg(self, a: int) -> int:
+        # high - offset holds p in every slot.
+        offset, high = self._slot_masks(a)
+        return self._fold(high - offset - a)
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        la, lb = self.slots(a), self.slots(b)
+        # Bound on every coefficient of the exact integer product.
+        bound = min(la, lb) * self._square
+        if bound < 2 * self.p:
+            return self._fold(a * b)
+        # Kronecker substitution: widen the slots to the power-of-two byte
+        # count that holds the bound (never below width, as bound >= 2p),
+        # multiply once, then reduce each coefficient mod p.
+        need = -(-bound.bit_length() // 8)
+        wide = 1 << (need - 1).bit_length()
+        product = self._widen(a, la, wide) * self._widen(b, lb, wide)
+        raw = product.to_bytes((la + lb - 1) * wide, "little")
+        if wide in _TYPECODES:
+            coeffs = _little(array(_TYPECODES[wide], raw))
+        else:
+            coeffs = [
+                int.from_bytes(raw[i : i + wide], "little")
+                for i in range(0, len(raw), wide)
+            ]
+        p = self.p
+        return self.pack([c % p for c in coeffs])
+
+    def _widen(self, a: int, n: int, wide: int) -> int:
+        k = self.width
+        raw = a.to_bytes(n * k, "little")
+        out = bytearray(n * wide)
+        for j in range(k):
+            out[j::wide] = raw[j::k]
+        return int.from_bytes(out, "little")
+
+    def pow(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
+
+    def divmod(self, a: int, b: int) -> tuple:
+        quo, rem = _fp_divmod(self.unpack(a), self.unpack(b), self.p)
+        return self.pack(quo), self.pack(rem)
+
+    def gcd(self, a: int, b: int) -> int:
+        return self.pack(_fp_gcd(self.unpack(a), self.unpack(b), self.p))
+
+    def canonical(self, num: int, den: int) -> tuple:
+        # Reduce a fraction of polynomials to coprime/monic form.
+        if not den:
+            raise ZeroDivisionError("division by zero")
+        if not num:
+            return (0, 1)
+        if den != 1:
+            g = self.gcd(num, den)
+            if g >> self.bits:  # deg g >= 1
+                num = self.divmod(num, g)[0]
+                den = self.divmod(den, g)[0]
+            lead = den >> (self.bits * (self.slots(den) - 1))
+            if lead != 1:
+                inv = pow(lead, self.p - 2, self.p)
+                num = self.mul(num, inv)
+                den = self.mul(den, inv)
+        return (num, den)
 
 
 @dataclass(frozen=True)
@@ -201,6 +285,12 @@ class Field:
 
     kind: FieldKind
     characteristic: int
+    # GF(p)[t] arithmetic of a rational function field; None otherwise.
+    _polys: "_PolyRing | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind is FieldKind.RATIONAL_FUNCTIONS:
+            object.__setattr__(self, "_polys", _PolyRing(self.characteristic))
 
     @staticmethod
     def rationals() -> "Field":
@@ -242,7 +332,7 @@ class Field:
         r = n % self.characteristic
         if self.kind is FieldKind.PRIME:
             return FieldValue(self, r)
-        return FieldValue(self, ((r,) if r else (), _ONE_POLY))
+        return FieldValue(self, (r, 1))
 
     def from_fraction(self, q: Fraction) -> "FieldValue":
         if self.kind is not FieldKind.RATIONALS:
@@ -252,16 +342,16 @@ class Field:
     def t(self) -> "FieldValue":
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise ValueError(f"{self.label} has no transcendental generator")
-        return FieldValue(self, ((0, 1), _ONE_POLY))
+        return FieldValue(self, (1 << self._polys.bits, 1))
 
     def from_coefficients(self, num, den=(1,)) -> "FieldValue":
         """Build a GF(p)(t) value from raw coefficient sequences (low degree first)."""
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise ValueError(f"{self.label} values are not coefficient quotients")
-        p = self.characteristic
-        n = _fp_trim([c % p for c in num])
-        d = _fp_trim([c % p for c in den])
-        return FieldValue(self, _rf_canonical(n, d, p))
+        p, polys = self.characteristic, self._polys
+        n = polys.pack([c % p for c in num])
+        d = polys.pack([c % p for c in den])
+        return FieldValue(self, polys.canonical(n, d))
 
     def __str__(self) -> str:
         return self.label
@@ -289,7 +379,7 @@ class FieldValue:
     def is_one(self) -> bool:
         k = self.field.kind
         if k is FieldKind.RATIONAL_FUNCTIONS:
-            return self.payload == (_ONE_POLY, _ONE_POLY)
+            return self.payload == (1, 1)
         return self.payload == 1
 
     def __bool__(self) -> bool:
@@ -300,25 +390,26 @@ class FieldValue:
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return FieldValue(self.field, self.payload + other.payload)
-        p = self.field.characteristic
         if k is FieldKind.PRIME:
+            p = self.field.characteristic
             return FieldValue(self.field, (self.payload + other.payload) % p)
+        polys = self.field._polys
         n1, d1 = self.payload
         n2, d2 = other.payload
-        if d1 == _ONE_POLY and d2 == _ONE_POLY:
-            return FieldValue(self.field, (_fp_add(n1, n2, p), _ONE_POLY))
-        num = _fp_add(_fp_mul(n1, d2, p), _fp_mul(n2, d1, p), p)
-        return FieldValue(self.field, _rf_canonical(num, _fp_mul(d1, d2, p), p))
+        if d1 == 1 and d2 == 1:
+            return FieldValue(self.field, (polys.add(n1, n2), 1))
+        num = polys.add(polys.mul(n1, d2), polys.mul(n2, d1))
+        return FieldValue(self.field, polys.canonical(num, polys.mul(d1, d2)))
 
     def __neg__(self) -> "FieldValue":
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return FieldValue(self.field, -self.payload)
-        p = self.field.characteristic
         if k is FieldKind.PRIME:
+            p = self.field.characteristic
             return FieldValue(self.field, (p - self.payload) % p)
         num, den = self.payload
-        return FieldValue(self.field, (_fp_neg(num, p), den))
+        return FieldValue(self.field, (self.field._polys.neg(num), den))
 
     def __sub__(self, other) -> "FieldValue":
         return self + (-other)
@@ -328,16 +419,17 @@ class FieldValue:
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return FieldValue(self.field, self.payload * other.payload)
-        p = self.field.characteristic
         if k is FieldKind.PRIME:
+            p = self.field.characteristic
             return FieldValue(self.field, self.payload * other.payload % p)
+        polys = self.field._polys
         n1, d1 = self.payload
         n2, d2 = other.payload
-        if d1 == _ONE_POLY and d2 == _ONE_POLY:
-            return FieldValue(self.field, (_fp_mul(n1, n2, p), _ONE_POLY))
+        if d1 == 1 and d2 == 1:
+            return FieldValue(self.field, (polys.mul(n1, n2), 1))
         return FieldValue(
             self.field,
-            _rf_canonical(_fp_mul(n1, n2, p), _fp_mul(d1, d2, p), p),
+            polys.canonical(polys.mul(n1, n2), polys.mul(d1, d2)),
         )
 
     def inverse(self) -> "FieldValue":
@@ -346,11 +438,11 @@ class FieldValue:
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return FieldValue(self.field, 1 / self.payload)
-        p = self.field.characteristic
         if k is FieldKind.PRIME:
+            p = self.field.characteristic
             return FieldValue(self.field, pow(self.payload, p - 2, p))
         num, den = self.payload
-        return FieldValue(self.field, _rf_canonical(den, num, p))
+        return FieldValue(self.field, self.field._polys.canonical(den, num))
 
     def __truediv__(self, other) -> "FieldValue":
         self._check(other)
@@ -366,13 +458,13 @@ class FieldValue:
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return FieldValue(self.field, self.payload**e)
-        p = self.field.characteristic
         if k is FieldKind.PRIME:
-            return FieldValue(self.field, pow(self.payload, e, p))
-        num, den = self.payload
+            return FieldValue(self.field, pow(self.payload, e, self.field.characteristic))
         if e == 0:
             return self.field.one()
-        return FieldValue(self.field, (_fp_pow(num, e, p), _fp_pow(den, e, p)))
+        polys = self.field._polys
+        num, den = self.payload
+        return FieldValue(self.field, (polys.pow(num, e), polys.pow(den, e)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldValue):
@@ -382,15 +474,28 @@ class FieldValue:
     def __hash__(self) -> int:
         return hash((self.field, self.payload))
 
+    def coefficients(self) -> tuple:
+        """Return a GF(p)(t) value as (num, den) coefficient tuples.
+
+        Coefficients run low degree first, in canonical form (den monic,
+        gcd(num, den) = 1, zero as ((), (1,))).  This is the inverse of
+        :meth:`Field.from_coefficients`.
+        """
+        if self.field.kind is not FieldKind.RATIONAL_FUNCTIONS:
+            raise ValueError(f"{self.field.label} values are not coefficient quotients")
+        polys = self.field._polys
+        num, den = self.payload
+        return tuple(polys.unpack(num)), tuple(polys.unpack(den))
+
     def __str__(self) -> str:
         k = self.field.kind
         if k is FieldKind.RATIONALS:
             return str(self.payload)
         if k is FieldKind.PRIME:
             return str(self.payload)
-        num, den = self.payload
+        num, den = self.coefficients()
         num_s = _fp_str(num)
-        if den == _ONE_POLY:
+        if den == (1,):
             return num_s
         den_s = _fp_str(den)
         if "+" in num_s or "*" in num_s:

@@ -54,6 +54,9 @@ def test_field_label_checks():
     rejects({**base_doc(), "field": "GF(seven)"}, "field must be")
     rejects({**base_doc(), "field": 7}, "field must be a string")
     rejects({**base_doc(), "field": "GF(4)"}, "must be a prime")
+    # Arabic-Indic seven is a Unicode digit, not an ASCII one.
+    rejects({**base_doc(), "field": "GF(\u0667)"}, "field must be")
+    rejects({**base_doc(), "field": "GF(\u0667)(t)"}, "field must be")
 
 
 def test_variable_checks():
@@ -326,7 +329,7 @@ def write_workload(tmp_path, name):
     return path
 
 
-@pytest.mark.parametrize("name", ["pullback-gf101", "cycle-gf101"])
+@pytest.mark.parametrize("name", ["pullback-gf101", "cycle-gf101", "tower-gf2t"])
 def test_golden_suite_reports(name, tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", str(write_workload(tmp_path, name)), "--out", str(out)]) == 0

@@ -123,6 +123,14 @@ def test_unexpected_character():
     assert e.position == 1
 
 
+def test_numbers_are_ascii_digits_only():
+    # Arabic-Indic two and three are Unicode digits but not numbers here.
+    e = err("x^\u0662 + \u0663", ("x",), F7)
+    assert e.detail == "unexpected character '\u0662'"
+    assert e.position == 2
+    assert err("\u0663*x", ("x",), F7).position == 0
+
+
 def test_error_message_carries_offset():
     e = err("x + z")
     assert str(e) == "unknown identifier 'z' (offset 4)"

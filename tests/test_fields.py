@@ -32,14 +32,14 @@ def test_prime_validation():
 def test_generator_square():
     t = F2T.t()
     assert str(t * t) == "t^2"
-    assert (t * t).payload == ((0, 0, 1), (1,))
+    assert (t * t).coefficients() == ((0, 0, 1), (1,))
 
 
 def test_char_two_negation():
     one = F2T.one()
     t = F2T.t()
     assert one - t == one + t
-    assert (one - t).payload == ((1, 1), (1,))
+    assert (one - t).coefficients() == ((1, 1), (1,))
 
 
 def test_rational_sum():
@@ -60,10 +60,10 @@ def test_prime_inverse_against_exhaustive_search():
 def test_quotient_canonicalization():
     # (t^2 + t) / t reduces to t + 1
     v = F2T.from_coefficients((0, 1, 1), (0, 1))
-    assert v.payload == ((1, 1), (1,))
+    assert v.coefficients() == ((1, 1), (1,))
     assert str(v) == "t + 1"
     inv = v.inverse()
-    assert inv.payload == ((1,), (1, 1))
+    assert inv.coefficients() == ((1,), (1, 1))
     assert str(inv) == "1/(t + 1)"
     assert (v * inv).is_one()
 
@@ -71,7 +71,7 @@ def test_quotient_canonicalization():
 def test_denominator_made_monic():
     # (1) / (2t) over GF(5): monic denominator t, numerator rescaled
     v = F5T.from_coefficients((1,), (0, 2))
-    num, den = v.payload
+    num, den = v.coefficients()
     assert den[-1] == 1
     assert den == (0, 1)
     assert num == (3,)  # 1/2 = 3 mod 5
@@ -81,7 +81,7 @@ def test_integer_embedding():
     assert F2.from_int(-1).payload == 1
     assert QQ.from_int(7).payload == Fraction(7)
     assert F7.from_int(10).payload == 3
-    assert F5T.from_int(7).payload == ((2,), (1,))
+    assert F5T.from_int(7).coefficients() == ((2,), (1,))
     assert F5T.from_int(5).is_zero()
 
 
@@ -129,8 +129,8 @@ def _random_value(rng, field):
 
 
 def _rf_eval(value, s, p):
-    # independent oracle: evaluate the payload quotient at t = s with ints
-    num, den = value.payload
+    # independent oracle: evaluate the coefficient quotient at t = s with ints
+    num, den = value.coefficients()
     nv = sum(c * pow(s, i, p) for i, c in enumerate(num)) % p
     dv = sum(c * pow(s, i, p) for i, c in enumerate(den)) % p
     if dv == 0:
@@ -182,7 +182,7 @@ def test_canonical_payloads_random():
         a = _random_value(rng, F5T)
         b = _random_value(rng, F5T)
         out = rng.choice([a + b, a * b, a - b])
-        num, den = out.payload
+        num, den = out.coefficients()
         assert den and den[-1] == 1
         if not num:
             assert den == (1,)
@@ -218,3 +218,150 @@ def test_hash_consistency():
     b = F5T.from_coefficients((1, 1))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_coefficients_round_trip_and_field_checks():
+    v = F5T.from_coefficients((4, 0, 3), (2, 0, 0, 1))
+    assert v.coefficients() == ((4, 0, 3), (2, 0, 0, 1))
+    assert F5T.from_coefficients(*v.coefficients()) == v
+    assert F2T.zero().coefficients() == ((), (1,))
+    assert F2T.t().coefficients() == ((0, 1), (1,))
+    for value in (QQ.one(), F7.one()):
+        with pytest.raises(ValueError):
+            value.coefficients()
+
+
+# The seed's schoolbook arithmetic on coefficient tuples (low degree first,
+# no trailing zeros), kept as the reference for the packed polynomials.
+
+
+def _reference_fp_trim(coeffs):
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _reference_fp_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _reference_fp_trim(out)
+
+
+def _reference_fp_neg(a, p):
+    return tuple((p - c) % p for c in a)
+
+
+def _reference_fp_sub(a, b, p):
+    return _reference_fp_add(a, _reference_fp_neg(b, p), p)
+
+
+def _reference_fp_mul(a, b, p):
+    if not a or not b:
+        return ()
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = (out[i + j] + ca * cb) % p
+    return _reference_fp_trim(out)
+
+
+def _reference_fp_divmod(a, b, p):
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    if len(a) < len(b):
+        return (), a
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], p - 2, p)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1]
+        if c:
+            f = c * inv_lead % p
+            quo[k] = f
+            for i, cb in enumerate(b):
+                if cb:
+                    rem[k + i] = (rem[k + i] - f * cb) % p
+    return _reference_fp_trim(quo), _reference_fp_trim(rem)
+
+
+def _reference_fp_monic(a, p):
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _reference_fp_gcd(a, b, p):
+    while b:
+        a, b = b, _reference_fp_divmod(a, b, p)[1]
+    return _reference_fp_monic(a, p)
+
+
+def _reference_fp_pow(a, e, p):
+    out = (1,)
+    base = a
+    while e:
+        if e & 1:
+            out = _reference_fp_mul(out, base, p)
+        e >>= 1
+        if e:
+            base = _reference_fp_mul(base, base, p)
+    return out
+
+
+# 1-, 2- and 4-byte slots; p = 2 and 3 take the small-product multiply, and
+# products over GF(2147483647) need more than 8 bytes per Kronecker slot.
+PACKING_PRIMES = (2, 3, 5, 127, 131, 257, 32771, 65537, 2147483647)
+
+
+def _random_poly(rng, p, length):
+    kind = rng.randrange(4)
+    if kind == 0:
+        coeffs = [p - 1] * length  # largest exact product coefficients
+    elif kind == 1:
+        coeffs = [rng.choice((0, 0, 0, 1, p - 1)) for _ in range(length)]
+    else:
+        coeffs = [rng.randrange(p) for _ in range(length)]
+    return _reference_fp_trim(coeffs)
+
+
+def _check_packed_against_reference(field, a, b, e):
+    p = field.characteristic
+    polys = field._polys
+    va, vb = field.from_coefficients(a), field.from_coefficients(b)
+    assert va.coefficients() == (a, (1,))
+    assert field.from_coefficients(*va.coefficients()) == va
+    assert (va + vb).coefficients() == (_reference_fp_add(a, b, p), (1,))
+    assert (va - vb).coefficients() == (_reference_fp_sub(a, b, p), (1,))
+    assert (-va).coefficients() == (_reference_fp_neg(a, p), (1,))
+    assert (va * vb).coefficients() == (_reference_fp_mul(a, b, p), (1,))
+    assert (va**e).coefficients() == (_reference_fp_pow(a, e, p), (1,))
+    pa, pb = polys.pack(a), polys.pack(b)
+    gcd = tuple(polys.unpack(polys.gcd(pa, pb)))
+    assert gcd == _reference_fp_gcd(a, b, p)
+    if b:
+        quo, rem = (tuple(polys.unpack(c)) for c in polys.divmod(pa, pb))
+        assert (quo, rem) == _reference_fp_divmod(a, b, p)
+
+
+def test_packed_polynomials_match_the_schoolbook_reference():
+    rng = random.Random(0x9ACC)
+    for p in PACKING_PRIMES:
+        field = Field.rational_functions(p)
+        for _ in range(360):
+            a = _random_poly(rng, p, rng.randint(0, 40))
+            b = _random_poly(rng, p, rng.randint(0, 40))
+            _check_packed_against_reference(field, a, b, rng.randint(0, 4))
+        # Long operands: a Kronecker product with thousands of slots.
+        long = _random_poly(rng, p, 2000 + rng.randrange(100))
+        short = _random_poly(rng, p, rng.randint(1, 12))
+        _check_packed_against_reference(field, long, short, 1)
+        _check_packed_against_reference(field, short, long, 3)
