@@ -1,14 +1,15 @@
 """Zariski closures of sampled sub-orbits and periodicity certificates.
 
 For a progression of iterate indices a*k + j, the closure ideal is
-approximated from below: take the vanishing ideal of the first m
-sampled points, discard generators whose total degree exceeds a cap
-(hypersurfaces of unbounded degree say nothing stable about an
-infinite orbit), regenerate a reduced basis, and double m until two
-consecutive bases agree or the sample budget runs out.  The final
-basis always vanishes on every sampled point; the ``stabilized`` flag
-records whether the doubling settled, and every downstream claim that
-leans on an unstabilized closure carries a flag saying so.
+approximated from below: take the ideal generated by the polynomials
+of total degree at most a cap that vanish on the first m sampled
+points (hypersurfaces of unbounded degree say nothing stable about an
+infinite orbit), and double m until two consecutive bases agree or the
+sample budget runs out.  The Buchberger-Moller walk stops at the cap,
+so no generator above it is ever computed.  The final basis always
+vanishes on every sampled point; the ``stabilized`` flag records
+whether the doubling settled, and every downstream claim that leans on
+an unstabilized closure carries a flag saying so.
 
 Every entry point takes a :class:`Session`: the run's morphism, start
 point and horizon, its sampling settings, and a per-run memo.  A
@@ -38,7 +39,6 @@ from .density import (
 )
 from .ideals import (
     ReducedGroebnerBasis,
-    buchberger,
     ideal_dimension,
     ideal_equal,
     ideal_sum,
@@ -228,7 +228,8 @@ def _check_progression(modulus: int, offset: int) -> None:
 
 
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
-    """Memoized sampled closure of {phi^(stride*k + offset)(start)}."""
+    """Memoized sampled closure of {phi^(stride*k + offset)(start)};
+    each sample's Buchberger-Moller walk stops at ``session.degree_cap``."""
     entry = session.memo.get((stride, offset))
     if entry is not None:
         return entry
@@ -237,14 +238,7 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     previous = None
     while True:
         points = [session.cache.point(stride * k + offset) for k in range(samples)]
-        raw = vanishing_ideal(points, order)
-        capped = [g for g in raw.generators if g.total_degree() <= session.degree_cap]
-        if len(capped) == len(raw.generators):
-            basis = raw
-        elif capped:
-            basis = buchberger(capped, order)
-        else:
-            basis = ReducedGroebnerBasis(order, (), session.phi.num_vars, session.phi.field)
+        basis = vanishing_ideal(points, order, session.degree_cap)
         stabilized = previous is not None and ideal_equal(basis, previous)
         if stabilized or samples >= session.sample_budget:
             break

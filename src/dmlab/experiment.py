@@ -80,8 +80,8 @@ class StageError(ExperimentError):
     """An analysis stage failed; the message names the stage."""
 
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_FIELD_RE = re.compile(r"^GF\(([0-9]+)\)(\(t\))?$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_FIELD_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
 _ANALYSIS_KEYS = {
@@ -152,7 +152,7 @@ def _parse_field(label) -> Field:
         raise SchemaError("field must be a string")
     if label == "QQ":
         return Field.rationals()
-    m = _FIELD_RE.match(label)
+    m = _FIELD_RE.fullmatch(label)
     if not m:
         raise SchemaError(
             f"field must be 'QQ', 'GF(p)' or 'GF(p)(t)', got {label!r}"
@@ -180,7 +180,7 @@ def experiment_from_dict(doc) -> ExperimentSpec:
     if not var_names:
         raise SchemaError("vars must be nonempty")
     for name in var_names:
-        if not _IDENT_RE.match(name):
+        if not _IDENT_RE.fullmatch(name):
             raise SchemaError(f"variable name {name!r} is not an identifier")
         if name == "t":
             raise SchemaError("reserved identifier 't' cannot be a variable")

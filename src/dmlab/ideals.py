@@ -1,7 +1,11 @@
 """Ideal computations in the polynomial ring: reduced Groebner bases
 via Buchberger's algorithm, normal forms, Krull dimension from the
 leading-term staircase, and vanishing ideals of finite point sets via
-the Buchberger-Moller evaluation method.
+the Buchberger-Moller evaluation method.  Under a degree-compatible
+order that walk meets its candidate monomials in increasing total
+degree, so it can stop at a degree cap: the result is the ideal
+generated by the vanishing polynomials of degree at most the cap, and
+no monomial above the cap is ever evaluated.
 
 Every basis handed out is the reduced Groebner basis for its order:
 monic generators, no term of one generator divisible by the leading
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 from .fields import Field, FieldValue
 from .multipoly import (
+    GREVLEX,
     MonomialOrder,
     MultiPoly,
     mono_div,
@@ -295,7 +300,9 @@ class PointSet:
         return len(self.points)
 
 
-def vanishing_ideal(points, order: MonomialOrder) -> ReducedGroebnerBasis:
+def vanishing_ideal(
+    points, order: MonomialOrder, max_degree: int | None = None
+) -> ReducedGroebnerBasis:
     """Reduced basis of all polynomials vanishing on the given points.
 
     Buchberger-Moller: walk candidate monomials in increasing order,
@@ -307,7 +314,24 @@ def vanishing_ideal(points, order: MonomialOrder) -> ReducedGroebnerBasis:
     monomials, so the output is reduced without further work.  The
     standard monomial count always equals the number of distinct
     points.
+
+    With ``max_degree`` (grevlex only) the result is instead the
+    reduced basis of the ideal generated by every polynomial of total
+    degree at most ``max_degree`` that vanishes on the points.  Grevlex
+    pops every candidate of degree d before any of degree d + 1, and
+    each generator's leading monomial is its highest-degree term, so
+    the generators emitted before the walk first meets a candidate
+    above the cap that no found leading monomial divides are exactly
+    the full basis's generators of degree at most the cap.  The walk
+    stops there and re-reduces them with :func:`buchberger` (none at
+    all give the zero ideal); when it never gets that far, the emitted
+    basis is the full one.
     """
+    if max_degree is not None:
+        if order.kind != GREVLEX:
+            raise ValueError("a degree cap needs a grevlex order")
+        if max_degree < 0:
+            raise ValueError("degree cap must be non-negative")
     if not isinstance(points, PointSet):
         points = PointSet.of(points)
     if order.num_vars != points.num_vars:
@@ -351,6 +375,12 @@ def vanishing_ideal(points, order: MonomialOrder) -> ReducedGroebnerBasis:
         seen.add(mono)
         if any(mono_divides(lm, mono) for lm in gen_leads):
             continue
+        if max_degree is not None and sum(mono) > max_degree:
+            # Every later candidate has at least this degree, so the
+            # generators above the cap stay unfound; re-reduce the rest.
+            if not gens:
+                return ReducedGroebnerBasis(order, (), n, field)
+            return buchberger(gens, order)
         vec = eval_mono(mono)
         combo = {mono: one}
         for pivot, rvec, rcombo in rows:

@@ -4,6 +4,7 @@ import pytest
 
 from dmlab import (
     Field,
+    FieldValue,
     Morphism,
     MonomialOrder,
     MultiPoly,
@@ -411,3 +412,56 @@ def test_random_chain_generators_vanish_on_samples():
                 for k in range(entry.samples_used):
                     point = cache.point(modulus * k + entry.offset)
                     assert g.evaluate(point).is_zero()
+
+
+def _reference_capped_ideal(points, order, cap):
+    # The closure's old filter: the full vanishing ideal, then only the
+    # generators of degree at most the cap, re-reduced.  Also says
+    # whether the cap dropped a generator.
+    raw = vanishing_ideal(points, order)
+    capped = [g for g in raw.generators if g.total_degree() <= cap]
+    if len(capped) == len(raw.generators):
+        return raw, False
+    if capped:
+        return buchberger(capped, order), True
+    return ReducedGroebnerBasis(order, (), raw.num_vars, raw.field), True
+
+
+def test_truncated_walk_matches_the_capped_filter_on_random_cases():
+    rng = random.Random(0xCA9)
+    fields = (Field.prime(101), Field.prime(7), Field.prime(2), QQ, F2T)
+    truncated = 0
+    for case in range(1000):
+        field = fields[case % len(fields)]
+        num_vars = rng.randint(1, 3)
+        priority = list(range(num_vars))
+        rng.shuffle(priority)
+        order = MonomialOrder.grevlex(num_vars, priority)
+        # Fewer points in more variables keep the full walk affordable.
+        points = []
+        for _ in range(rng.randint(1, (20, 14, 10)[num_vars - 1])):
+            if points and rng.random() < 0.2:
+                points.append(rng.choice(points))
+            else:
+                points.append(_random_point(rng, field, num_vars))
+        cap = rng.randint(1, 4)
+        expected, dropped = _reference_capped_ideal(points, order, cap)
+        assert vanishing_ideal(points, order, cap).generators == expected.generators
+        truncated += dropped
+    assert truncated >= 200
+
+
+def test_truncated_walk_evaluates_no_monomial_above_the_cap(monkeypatch):
+    points = [(QQ.from_int(k),) for k in range(32)]
+    exponents = []
+    original = FieldValue.__pow__
+
+    def record(self, e):
+        exponents.append(e)
+        return original(self, e)
+
+    monkeypatch.setattr(FieldValue, "__pow__", record)
+    basis = vanishing_ideal(points, MonomialOrder.grevlex(1), max_degree=2)
+    assert basis.is_zero_ideal
+    assert exponents
+    assert max(exponents) <= 2

@@ -57,12 +57,16 @@ def test_field_label_checks():
     # Arabic-Indic seven is a Unicode digit, not an ASCII one.
     rejects({**base_doc(), "field": "GF(\u0667)"}, "field must be")
     rejects({**base_doc(), "field": "GF(\u0667)(t)"}, "field must be")
+    # A trailing newline is not part of a label.
+    rejects({**base_doc(), "field": "GF(7)\n"}, "field must be")
+    rejects({**base_doc(), "field": "GF(7)(t)\n"}, "field must be")
 
 
 def test_variable_checks():
     rejects({**base_doc(), "vars": ["x", "t"], }, "reserved identifier 't'")
     rejects({**base_doc(), "vars": ["x", "x"], }, "must be distinct")
     rejects({**base_doc(), "vars": ["2x", "y"], }, "not an identifier")
+    rejects({**base_doc(), "vars": ["x\n", "y"], }, "not an identifier")
     rejects({**base_doc(), "vars": []}, "vars must be nonempty")
     rejects({**base_doc(), "vars": "xy"}, "vars must be a list of strings")
 
@@ -305,9 +309,9 @@ def test_each_closure_is_sampled_once_per_run(monkeypatch):
     seen = []
     original = dmlab.closures.vanishing_ideal
 
-    def record(points, order):
+    def record(points, order, *rest):
         seen.append(tuple(points))
-        return original(points, order)
+        return original(points, order, *rest)
 
     monkeypatch.setattr(dmlab.closures, "vanishing_ideal", record)
     run_experiment(experiment_from_dict(ROTATION))
@@ -329,7 +333,7 @@ def write_workload(tmp_path, name):
     return path
 
 
-@pytest.mark.parametrize("name", ["pullback-gf101", "cycle-gf101", "tower-gf2t"])
+@pytest.mark.parametrize("name", list(WORKLOADS))
 def test_golden_suite_reports(name, tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", str(write_workload(tmp_path, name)), "--out", str(out)]) == 0

@@ -247,6 +247,14 @@ def test_empty_point_set_rejected():
         PointSet.of([])
 
 
+def test_degree_cap_needs_grevlex_and_a_non_negative_degree():
+    pts = [pt(QQ, 0, 0), pt(QQ, 1, 1)]
+    with pytest.raises(ValueError, match="grevlex"):
+        vanishing_ideal(pts, MonomialOrder.lex(2), max_degree=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        vanishing_ideal(pts, MonomialOrder.grevlex(2), max_degree=-1)
+
+
 def _staircase_count(gb):
     # independent oracle: count monomials outside the leading-term
     # staircase by breadth-first walk (finite for zero-dimensional ideals)
