@@ -25,6 +25,10 @@ iterate, composing phi a times modulo I(W), so for finite W the work
 is linear in a.  :func:`refine_case_split` turns chain-versus-target
 dimension comparisons into either certified whole progressions, derived
 sub-instances analyzed recursively, or honestly flagged fallbacks.
+
+The run itself is the root :class:`SubInstance` (stride 1, offset 0),
+whose progressions are :class:`SubProgression` records in their own
+orbit frame, so a report treats every depth of the recursion alike.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 
 from .density import (
     DensityProfile,
+    Progression,
     ceil_sqrt,
     decompose_return_set,
     detect_progressions,
@@ -153,10 +158,11 @@ class CaseSplitFragment:
 
 @dataclass(frozen=True)
 class SubInstance:
-    """Derived analysis along one offset class, in its own index space.
+    """Analysis along one offset class, in its own index space.
 
     Instance index l corresponds to orbit index stride * l + offset;
     the return set, progressions and residual all live in l-space.
+    The run is the root instance, with stride 1 and offset 0.
     """
 
     stride: int
@@ -170,7 +176,12 @@ class SubInstance:
 
 @dataclass(frozen=True)
 class SubProgression:
-    """Certified progression of a sub-instance, with its orbit frame."""
+    """Progression of an instance, with its orbit frame.
+
+    ``modulus`` and ``offset`` live in the instance's index space and
+    ``orbit_modulus``/``orbit_offset`` in the orbit's; at the root
+    instance the two frames coincide.
+    """
 
     modulus: int
     offset: int
@@ -220,13 +231,6 @@ class Session:
         object.__setattr__(self, "memo", {})
 
 
-def _check_progression(modulus: int, offset: int) -> None:
-    if modulus < 1:
-        raise ValueError("progression modulus must be positive")
-    if offset < 0:
-        raise ValueError("progression offset must be non-negative")
-
-
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     """Memoized sampled closure of {phi^(stride*k + offset)(start)};
     each sample's Buchberger-Moller walk stops at ``session.degree_cap``."""
@@ -258,7 +262,7 @@ def orbit_closure_ideal(session: Session, modulus: int, offset: int):
     evidence, not proof, that it equals the ideal of the full
     sub-orbit closure.
     """
-    _check_progression(modulus, offset)
+    Progression(modulus, offset)  # validates the frame
     entry = _closure(session, modulus, offset)
     return entry.ideal, entry.stabilized
 
@@ -275,7 +279,7 @@ def closure_chain(session: Session, modulus: int, base_offset: int) -> ClosureCh
     next, so dimensions cannot increase; check
     ``dimension_nonincreasing`` to see whether the samples honor that.
     """
-    _check_progression(modulus, base_offset)
+    Progression(modulus, base_offset)  # validates the frame
     return _chain(session, modulus, range(base_offset, base_offset + modulus))
 
 
@@ -379,11 +383,7 @@ def _case_split(session, target, chain, depth) -> CaseSplitFragment:
 def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
     # Instance index l maps to orbit index stride * l + offset; the
     # derived horizon is the number of such indices below the original.
-    horizon = session.horizon
-    if offset >= horizon:
-        count = 0
-    else:
-        count = (horizon - 1 - offset) // stride + 1
+    count = Progression(stride, offset).count_below(session.horizon)
     if count == 0:
         empty = ReturnSet(0, ())
         return SubInstance(
@@ -403,24 +403,14 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
     progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)
     subs = []
     for prog in progressions:
-        orbit_modulus = stride * prog.modulus
-        orbit_offsets = [
-            stride * j + offset for j in range(prog.offset, prog.offset + prog.modulus)
-        ]
-        sub_chain = _chain(session, orbit_modulus, orbit_offsets)
-        certificate = certify_invariant(
-            sub_chain.entries[0].ideal, session.phi, orbit_modulus
-        )
-        fragment = _case_split(session, target, sub_chain, depth)
+        # The class prog.modulus * k + prog.offset in orbit indices.
+        modulus, start = stride * prog.modulus, stride * prog.offset + offset
+        chain = _chain(session, modulus, range(start, start + modulus, stride))
+        certificate = certify_invariant(chain.entries[0].ideal, session.phi, modulus)
+        fragment = _case_split(session, target, chain, depth)
         subs.append(
             SubProgression(
-                prog.modulus,
-                prog.offset,
-                orbit_modulus,
-                stride * prog.offset + offset,
-                sub_chain,
-                certificate,
-                fragment,
+                prog.modulus, prog.offset, modulus, start, chain, certificate, fragment
             )
         )
     decomposition = decompose_return_set(returns, progressions)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,12 +35,12 @@ from .closures import (
     PeriodicityCertificate,
     Session,
     SubInstance,
+    SubProgression,
     certify_invariant,
     closure_chain,
     refine_case_split,
 )
 from .density import (
-    Decomposition,
     DensityProfile,
     ceil_sqrt,
     decompose_return_set,
@@ -291,15 +292,6 @@ def load_experiment(path) -> ExperimentSpec:
 # Pipeline
 
 
-@dataclass(frozen=True)
-class _ProgressionAnalysis:
-    modulus: int
-    offset: int
-    chain: ClosureChain
-    certificate: PeriodicityCertificate
-    case_split: CaseSplitFragment
-
-
 class ReportDocument:
     """Finished analysis: JSON payload plus the exact objects behind it."""
 
@@ -325,17 +317,14 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, Exception) and not isinstance(exc, ExperimentError):
-                raise StageError(f"{name} stage: {exc}") from exc
-            return False
-
-    return _StageGuard()
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except Exception as exc:
+        raise StageError(f"{name} stage: {exc}") from exc
 
 
 def _session(spec: ExperimentSpec) -> Session:
@@ -371,7 +360,7 @@ def _certified_chain(session: Session, modulus: int, offset: int):
 
 
 def run_experiment(spec: ExperimentSpec) -> ReportDocument:
-    """Run the full pipeline and assemble the deterministic report."""
+    """Run the full pipeline as the root instance and assemble the report."""
     params = spec.analysis
     session = _session(spec)
     returns, profile = _scan(spec, session.cache)
@@ -383,20 +372,17 @@ def run_experiment(spec: ExperimentSpec) -> ReportDocument:
         target_basis = buchberger(spec.target_generators, spec.order)
         analyses = []
         for prog in progressions:
-            chain, certificate = _certified_chain(session, prog.modulus, prog.offset)
+            m, o = prog.modulus, prog.offset
+            chain, certificate = _certified_chain(session, m, o)
             fragment = refine_case_split(session, target_basis, chain)
-            analyses.append(
-                _ProgressionAnalysis(
-                    prog.modulus, prog.offset, chain, certificate, fragment
-                )
-            )
+            # At the root the orbit frame is the progression's own.
+            analyses.append(SubProgression(m, o, m, o, chain, certificate, fragment))
     with _stage("decomposition"):
-        decomposition = decompose_return_set(
-            returns, progressions, params.window_lengths
-        )
-
-    payload = _build_payload(spec, returns, profile, analyses, decomposition)
-    return ReportDocument(payload, returns, profile, decomposition)
+        dec = decompose_return_set(returns, progressions, params.window_lengths)
+    root = SubInstance(
+        1, 0, spec.horizon, returns, tuple(analyses), dec.residual, dec.residual_profile
+    )
+    return ReportDocument(_build_payload(spec, profile, root), returns, profile, dec)
 
 
 def density_report(spec: ExperimentSpec) -> ReportDocument:
@@ -501,6 +487,26 @@ def _certificate_json(cert: PeriodicityCertificate, spec: ExperimentSpec) -> dic
     }
 
 
+def _progression_json(p: SubProgression, frame: dict, spec: ExperimentSpec) -> dict:
+    """One progression at any depth; ``frame`` holds the caller's index keys."""
+    return {
+        "modulus": str(p.modulus),
+        "offset": str(p.offset),
+        **frame,
+        "closure_chain": _chain_json(p.chain, spec),
+        "certificate": _certificate_json(p.certificate, spec),
+        "case_split": _fragment_json(p.case_split, spec),
+    }
+
+
+def _residual_json(instance: SubInstance) -> dict:
+    return {
+        "residual_count": str(len(instance.residual)),
+        "residual_indices": _ints(instance.residual.indices),
+        "residual_profile": _profile_json(instance.residual_profile),
+    }
+
+
 def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
     return {
         "stride": str(sub.stride),
@@ -509,20 +515,17 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
         "return_count": str(len(sub.returns)),
         "return_indices": _ints(sub.returns.indices),
         "progressions": [
-            {
-                "modulus": str(p.modulus),
-                "offset": str(p.offset),
-                "orbit_modulus": str(p.orbit_modulus),
-                "orbit_offset": str(p.orbit_offset),
-                "closure_chain": _chain_json(p.chain, spec),
-                "certificate": _certificate_json(p.certificate, spec),
-                "case_split": _fragment_json(p.case_split, spec),
-            }
+            _progression_json(
+                p,
+                {
+                    "orbit_modulus": str(p.orbit_modulus),
+                    "orbit_offset": str(p.orbit_offset),
+                },
+                spec,
+            )
             for p in sub.progressions
         ],
-        "residual_count": str(len(sub.residual)),
-        "residual_indices": _ints(sub.residual.indices),
-        "residual_profile": _profile_json(sub.residual_profile),
+        **_residual_json(sub),
     }
 
 
@@ -546,34 +549,27 @@ def _fragment_json(fragment: CaseSplitFragment, spec: ExperimentSpec) -> dict:
     }
 
 
-def _collect_diagnostics(analyses) -> list:
+def _collect_diagnostics(progressions, prefix: str = "") -> list:
+    """Notes for every progression, derived ones after their parent's."""
     notes = []
-
-    def walk_fragment(fragment, context):
-        for flag in fragment.flags:
-            notes.append(f"{context}: {flag}")
-        for case in fragment.offsets:
-            if case.child is not None:
-                for p in case.child.progressions:
-                    sub_ctx = (
-                        f"{context}, derived offset {case.offset}, "
-                        f"progression ({p.modulus}, {p.offset})"
-                    )
-                    if not p.certificate.invariant:
-                        notes.append(f"{sub_ctx}: periodicity certificate failed")
-                    walk_fragment(p.case_split, sub_ctx)
-
-    for a in analyses:
-        context = f"progression ({a.modulus}, {a.offset})"
-        if not a.certificate.invariant:
+    for p in progressions:
+        context = f"{prefix}progression ({p.modulus}, {p.offset})"
+        if not p.certificate.invariant:
             notes.append(f"{context}: periodicity certificate failed")
-        walk_fragment(a.case_split, context)
+        notes.extend(f"{context}: {flag}" for flag in p.case_split.flags)
+        for case in p.case_split.offsets:
+            if case.child is not None:
+                notes.extend(
+                    _collect_diagnostics(
+                        case.child.progressions,
+                        f"{context}, derived offset {case.offset}, ",
+                    )
+                )
     return notes
 
 
-def _build_payload(spec, returns, profile, analyses, decomposition: Decomposition):
+def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInstance):
     params = spec.analysis
-    covered = decomposition.covered()
     header = _experiment_json(spec)
     header["analysis"] = {
         "a_max": str(params.a_max),
@@ -585,33 +581,31 @@ def _build_payload(spec, returns, profile, analyses, decomposition: Decompositio
         "depth_limit": str(params.depth_limit),
         "window_lengths": _ints(params.window_lengths),
     }
-    payload = {
+    return {
         "experiment": header,
-        "return_set": _return_set_json(returns),
+        "return_set": _return_set_json(root.returns),
         "density_profile": _profile_json(profile),
         "progressions": [
-            {
-                "modulus": str(a.modulus),
-                "offset": str(a.offset),
-                "members_below_horizon": str(
-                    len(range(a.offset, spec.horizon, a.modulus))
-                ),
-                "closure_chain": _chain_json(a.chain, spec),
-                "certificate": _certificate_json(a.certificate, spec),
-                "case_split": _fragment_json(a.case_split, spec),
-            }
-            for a in analyses
+            _progression_json(
+                p,
+                {
+                    "members_below_horizon": str(
+                        len(range(p.offset, root.horizon, p.modulus))
+                    )
+                },
+                spec,
+            )
+            for p in root.progressions
         ],
         "decomposition": {
             "progressions": [
                 {"modulus": str(p.modulus), "offset": str(p.offset)}
-                for p in decomposition.progressions
+                for p in root.progressions
             ],
-            "covered_count": str(len(covered)),
-            "residual_count": str(len(decomposition.residual)),
-            "residual_indices": _ints(decomposition.residual.indices),
-            "residual_profile": _profile_json(decomposition.residual_profile),
+            # decompose_return_set checked every member, so the covered
+            # indices are exactly the returns outside the residual.
+            "covered_count": str(len(root.returns) - len(root.residual)),
+            **_residual_json(root),
         },
-        "diagnostics": _collect_diagnostics(analyses),
+        "diagnostics": _collect_diagnostics(root.progressions),
     }
-    return payload

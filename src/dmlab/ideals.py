@@ -306,9 +306,9 @@ def vanishing_ideal(
     """Reduced basis of all polynomials vanishing on the given points.
 
     Buchberger-Moller: walk candidate monomials in increasing order,
-    track their evaluation vectors in reduced row echelon form, and
-    emit a generator whenever a candidate's vector is dependent on the
-    vectors of the standard monomials found so far.  The recorded
+    track their evaluation vectors in row echelon form, and emit a
+    generator whenever a candidate's vector is dependent on the vectors
+    of the standard monomials found so far.  The recorded
     elimination combination is the generator, already monic with the
     candidate as leading term and a tail supported on earlier standard
     monomials, so the output is reduced without further work.  The
@@ -360,8 +360,10 @@ def vanishing_ideal(
             out.append(v)
         return out
 
-    rows: list = []  # (pivot index, vector with pivot 1, combination dict)
-    standard: list = []
+    # (pivot index, vector with pivot 1, combination dict); each row is
+    # zero at every earlier row's pivot, so one pass in insertion order
+    # reduces a new vector to zero exactly when it is dependent.
+    rows: list = []
     gens: list = []
     gen_leads: list = []
     todo = {(0,) * n}
@@ -404,23 +406,7 @@ def vanishing_ideal(
             inv = vec[pivot].inverse()
             vec = [v * inv for v in vec]
             combo = {m: c * inv for m, c in combo.items()}
-            # keep rows mutually reduced so one pass decides dependence
-            for k, (opiv, ovec, ocombo) in enumerate(rows):
-                c = ovec[pivot]
-                if c.is_zero():
-                    continue
-                nvec = [a - c * b for a, b in zip(ovec, vec)]
-                ncombo = dict(ocombo)
-                for m, cf in combo.items():
-                    cur = ncombo.get(m, zero)
-                    s = cur - c * cf
-                    if s.is_zero():
-                        ncombo.pop(m, None)
-                    else:
-                        ncombo[m] = s
-                rows[k] = (opiv, nvec, ncombo)
             rows.append((pivot, vec, combo))
-            standard.append(mono)
             for i in range(n):
                 step = tuple(e + (1 if k == i else 0) for k, e in enumerate(mono))
                 if step not in seen:

@@ -20,7 +20,6 @@ from .fields import Field, FieldKind, FieldMismatchError, FieldValue
 __all__ = [
     "MonomialOrder",
     "MultiPoly",
-    "mono_degree",
     "mono_div",
     "mono_divides",
     "mono_lcm",
@@ -46,10 +45,6 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
 
 
 @dataclass(frozen=True)

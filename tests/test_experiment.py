@@ -342,6 +342,43 @@ def test_golden_suite_reports(name, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "doc, notes, digest",
+    [
+        # The closure {x = 0} lies inside V, but its ideal differs from V's.
+        (
+            {"field": "QQ", "vars": ["x", "y"], "phi": ["x", "y+1"],
+             "alpha": ["0", "0"], "V": ["x*y"], "N": 40},
+            1,
+            "6d2c3e5577432fa866566da2cb5519b3913c4291f44e65c846d071cce1bb0e1a",
+        ),
+        # Every note comes from a derived instance whose depth ran out.
+        (
+            {"field": "GF(5)", "vars": ["x", "y"], "phi": ["x+y", "x*y+1"],
+             "alpha": ["4", "3"], "V": ["y-x"], "N": 200,
+             "analysis": {"depth_limit": 1}},
+            26,
+            "61f8147c91cfeffdbfbd21285f3e30eb0d52342ab27fee422eb16a5dad0776fe",
+        ),
+        # Certificates fail at the top level and inside a derived instance.
+        (
+            {"field": "GF(11)", "vars": ["x", "y"], "phi": ["y^2", "x"],
+             "alpha": ["0", "1"], "V": ["y*(y-1)"], "N": 24,
+             "analysis": {"initial_samples": 2, "sample_budget": 2, "degree_cap": 1}},
+            5,
+            "4767284ea81c6c82b8b501de4f6ee2f2391a41d23f742813978934c571faa924",
+        ),
+    ],
+)
+def test_golden_diagnostic_reports(doc, notes, digest, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["diagnostics"]) == notes
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "a, b, invariant, digest",
     [
         # The line 5x + y = 25 through the 6-cycle is phi-invariant.
