@@ -389,17 +389,7 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
         return SubInstance(
             stride, offset, 0, empty, (), empty, DensityProfile(0, ())
         )
-    gens = target.generators
-    # Over GF(p) many indices fold onto one stored point; test each once.
-    on_target = {}
-    members = []
-    for l in range(count):
-        i = session.cache.index(stride * l + offset)
-        if i not in on_target:
-            on_target[i] = all(g.evaluate(session.cache.point(i)).is_zero() for g in gens)
-        if on_target[i]:
-            members.append(l)
-    returns = ReturnSet(count, members)
+    returns = session.cache.scan(target.generators, count, stride, offset)
     progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)
     subs = []
     for prog in progressions:

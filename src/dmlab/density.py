@@ -120,16 +120,9 @@ def default_window_schedule(n: int) -> tuple:
     return tuple(sorted(lengths))
 
 
-def _member_flags(s: ReturnSet) -> bytearray:
-    flags = bytearray(s.horizon)
-    for n in s.indices:
-        flags[n] = 1
-    return flags
-
-
 def _prefix_counts(s: ReturnSet) -> list:
     # prefix[i] = |S ∩ [0, i)|, so a window [k, k+L) holds prefix[k+L] - prefix[k]
-    return list(accumulate(_member_flags(s), initial=0))
+    return list(accumulate(s.flags, initial=0))
 
 
 def _window_max(prefix: list, length: int) -> Fraction:
@@ -174,10 +167,11 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
         raise ValueError("member minimum must be at least 2")
     if not 0 <= tail_start < s.horizon:
         raise ValueError("tail offset must lie in [0, horizon)")
-    n = s.horizon
-    flags = _member_flags(s)
+    n, flags = s.horizon, s.flags
     kept: list = []
     for a in range(1, a_max + 1):
+        if len(range(tail_start, n, a)) < m_min:
+            break  # larger moduli have no more members
         for b in range(tail_start, tail_start + a):
             if len(range(b, n, a)) < m_min:
                 break  # later offsets have no more members
@@ -196,15 +190,14 @@ def decompose_return_set(s: ReturnSet, progressions, lengths=None) -> Decomposit
     offset to the horizon must all belong); the residual is S minus
     the union, profiled with :func:`density_profile`.
     """
-    flags = _member_flags(s)
-    covered = bytearray(s.horizon)
+    flags, covered = s.flags, bytearray(s.horizon)
     for p in progressions:
         if not isinstance(p, Progression):
             raise TypeError("expected Progression")
-        for m in p.members_below(s.horizon):
-            if not flags[m]:
-                raise ValueError("progression not contained in return set")
-            covered[m] = 1
+        members = flags[p.offset :: p.modulus]
+        if 0 in members:
+            raise ValueError("progression not contained in return set")
+        covered[p.offset :: p.modulus] = members  # all ones, just checked
     residual_indices = [i for i in s.indices if not covered[i]]
     residual = ReturnSet(s.horizon, residual_indices)
     profile = density_profile(residual, lengths)

@@ -306,8 +306,8 @@ class ReportDocument:
 
     def returns_csv(self) -> str:
         lines = ["n,in_V"]
-        for n in range(self.returns.horizon):
-            lines.append(f"{n},{1 if n in self.returns else 0}")
+        for n, flag in enumerate(self.returns.flags):
+            lines.append(f"{n},{flag}")
         return "\n".join(lines) + "\n"
 
     def density_csv(self) -> str:

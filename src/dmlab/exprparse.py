@@ -14,6 +14,8 @@ generator of the field.  Juxtaposition is never multiplication: ``2 x``
 is a syntax error, products need ``*``.  Exponents are literal
 non-negative integers with a hard cap, since astronomically large
 exponents would make dense expansion meaningless at this scale.
+Parentheses nest at most ``MAX_NESTING`` deep, which keeps the
+recursive descent well inside the interpreter's stack.
 
 Rendering (:meth:`~dmlab.multipoly.MultiPoly.render`) and parsing are
 mutually inverse on parsed polynomials.  Rendered Groebner output over
@@ -28,9 +30,10 @@ import re
 from .fields import Field, FieldKind
 from .multipoly import MultiPoly
 
-__all__ = ["ExprSyntaxError", "parse_polynomial", "MAX_EXPONENT"]
+__all__ = ["ExprSyntaxError", "parse_polynomial", "MAX_EXPONENT", "MAX_NESTING"]
 
 MAX_EXPONENT = 2**20
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>[0-9]+)|(?P<op>[-+*^()])"
@@ -70,6 +73,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0  # open parentheses around the current token
         self.field = field
         self.num_vars = len(var_names)
         self.vars = {name: i for i, name in enumerate(var_names)}
@@ -147,11 +151,15 @@ class _Parser:
         if kind == "number":
             return MultiPoly.from_int(self.field, self.num_vars, int(text))
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError("parentheses nested too deeply", pos)
+            self.depth += 1
             poly = self.expr()
             ckind, ctext, cpos = self.peek()
             if ckind != "op" or ctext != ")":
                 raise ExprSyntaxError("expected ')'", cpos)
             self.advance()
+            self.depth -= 1
             return poly
         detail = "unexpected end of input" if kind == "end" else f"unexpected token {text!r}"
         raise ExprSyntaxError(detail, pos)

@@ -12,13 +12,19 @@ stops at the first repeated point: only preperiod + period iterates
 are computed and stored, and later indices fold into the cycle.
 :func:`detect_cycle` finds the preperiod and cycle length over a
 finite field with Brent's algorithm, and :func:`return_set` collects
-the iterate indices landing on a target subvariety, testing each
-stored point once.
+the iterate indices landing on a target subvariety.
+
+One scan, :meth:`OrbitCache.scan`, produces every return set: the
+run's, and each derived instance's, whose index l stands for orbit
+index stride * l + offset.  It tests each stored point once.  A
+:class:`ReturnSet` holds its members as a 0/1 membership table,
+``flags``, which the density layer and the CSV export read directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .fields import FieldKind
 from .ideals import ReducedGroebnerBasis
@@ -153,6 +159,19 @@ class OrbitCache:
         pts = self._points
         return pts[:n] + [pts[self.index(i)] for i in range(len(pts), n)]
 
+    def scan(self, gens, count: int, stride: int, offset: int) -> ReturnSet:
+        """Indices l < count with phi^(stride * l + offset)(start) on the
+        subvariety cut out by ``gens``, testing each stored point once."""
+        on_target = {}  # stored index -> lies on the target; met out of order
+        hits = []
+        for l in range(count):
+            i = self.index(stride * l + offset)
+            if i not in on_target:
+                on_target[i] = all(g.evaluate(self._points[i]).is_zero() for g in gens)
+            if on_target[i]:
+                hits.append(l)
+        return ReturnSet(count, hits)
+
 
 @dataclass(frozen=True)
 class CycleStructure:
@@ -195,22 +214,31 @@ def detect_cycle(phi: Morphism, point) -> CycleStructure:
 
 
 class ReturnSet:
-    """Sorted iterate indices below a horizon, with membership lookup."""
+    """Iterate indices below a horizon, as a membership table.
 
-    __slots__ = ("horizon", "indices", "_members")
+    ``flags`` is immutable bytes of length ``horizon`` with
+    ``flags[n] == 1`` exactly when n is a member; ``indices`` lists the
+    members in ascending order.  Every return set, the run's and each
+    derived frame's, comes from the one orbit scan in this module.
+    """
+
+    __slots__ = ("horizon", "indices", "flags")
 
     def __init__(self, horizon: int, indices):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        idx = tuple(sorted(set(indices)))
-        if idx and not (0 <= idx[0] and idx[-1] < horizon):
+        members = set(indices)
+        if members and not (0 <= min(members) and max(members) < horizon):
             raise ValueError("indices must lie in [0, horizon)")
+        flags = bytearray(horizon)
+        for n in members:
+            flags[n] = 1
         self.horizon = horizon
-        self.indices = idx
-        self._members = frozenset(idx)
+        self.flags = bytes(flags)
+        self.indices = tuple(compress(range(horizon), self.flags))
 
     def __contains__(self, n: int) -> bool:
-        return n in self._members
+        return 0 <= n < self.horizon and self.flags[n] == 1
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -251,22 +279,15 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
     The target is a Groebner basis or an iterable of polynomials; a
     point is on the subvariety when every generator evaluates to zero.
     An empty generator list cuts out the whole space, so every index
-    returns.
+    returns.  A given cache must belong to this map and start.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     gens = _target_generators(target)
     if cache is None:
         cache = OrbitCache(phi, start)
+    elif cache.phi is not phi:
+        raise ValueError("cache was built for a different morphism")
     elif cache.start != tuple(start):
         raise ValueError("cache was built for a different starting point")
-    on_target = []  # on_target[i]: stored point i lies on the target
-    hits = []
-    for n in range(horizon):
-        i = cache.index(n)
-        if i == len(on_target):  # stored indices are first met in order
-            pt = cache.point(i)
-            on_target.append(all(g.evaluate(pt).is_zero() for g in gens))
-        if on_target[i]:
-            hits.append(n)
-    return ReturnSet(horizon, hits)
+    return cache.scan(gens, horizon, 1, 0)

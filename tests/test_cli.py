@@ -95,6 +95,22 @@ def test_schema_violation(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+def test_deeply_nested_expression_is_an_input_error(tmp_path, capsys):
+    doc = {
+        "field": "QQ",
+        "vars": ["x"],
+        "phi": ["(" * 1500 + "x" + ")" * 1500],
+        "alpha": ["1"],
+        "V": ["x-1"],
+        "N": 5,
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "nested too deeply" in err
+
+
 def test_usage_errors(swap_file, capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,16 @@ def test_detect_suppresses_refinements():
     members = sorted(set(range(0, 200, 2)) | set(range(0, 200, 3)))
     s = rs(200, members)
     assert detect_progressions(s, 6) == [Progression(2, 0), Progression(3, 0)]
+
+
+def test_detect_huge_modulus_bound_stops_early():
+    # a_max only bounds the scan; moduli past (N - tail_start) / (m_min - 1)
+    # cannot hold m_min members, so the loop must stop there
+    s = rs(50, sorted(set(range(0, 50, 3)) | set(range(1, 50, 7)) | {2, 44}))
+    start = time.perf_counter()
+    assert detect_progressions(s, 10**7) == detect_progressions(s, 50)
+    assert detect_progressions(s, 10**7, tail_start=20) == detect_progressions(s, 50, tail_start=20)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_detect_validation():

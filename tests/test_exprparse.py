@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dmlab import Field, MultiPoly, parse_polynomial
-from dmlab.exprparse import MAX_EXPONENT, ExprSyntaxError
+from dmlab.exprparse import MAX_EXPONENT, MAX_NESTING, ExprSyntaxError
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -90,6 +90,18 @@ def test_exponent_limits():
     e = err(f"x^{MAX_EXPONENT + 1}", var_names=("x",))
     assert e.detail == "exponent overflow"
     assert e.position == 2
+
+
+def test_nesting_limit():
+    x = MultiPoly.variable(QQ, 1, 0)
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, ("x",), QQ) == x
+    e = err("(" + deep + ")", var_names=("x",))
+    assert e.detail == "parentheses nested too deeply"
+    assert e.position == MAX_NESTING  # the offending '('
+    # depth is nesting, not the count of parentheses
+    flat = "+".join(["(x)"] * (MAX_NESTING + 1))
+    assert parse_polynomial(flat, ("x",), QQ) == MultiPoly.from_int(QQ, 1, MAX_NESTING + 1) * x
 
 
 def test_exponent_must_be_an_integer_literal():

@@ -19,10 +19,12 @@ def test_field_labels():
 
 
 def test_prime_validation():
-    for bad in (0, 1, 4, 6, 9, 2**31, 2**31 + 11, -7):
+    # 2047, 1373653 and 25326001 are strong pseudoprimes to small bases,
+    # and 2146654199 = 46327 * 46337 sits near the cap with no small factor
+    for bad in (0, 1, 4, 6, 9, 2047, 1373653, 25326001, 2146654199, 2**31, 2**31 + 11, -7):
         with pytest.raises(ValueError):
             Field.prime(bad)
-    # Miller-Rabin base edge cases and a large prime below the cap
+    # small primes and the largest prime below the cap
     for good in (2, 3, 61, 7919, 2147483647):
         assert Field.prime(good).characteristic == good
     with pytest.raises(ValueError):

@@ -196,6 +196,15 @@ def test_return_set_validation():
     cache = OrbitCache(phi, (QQ.from_int(1),))
     with pytest.raises(ValueError, match="different starting point"):
         return_set(phi, (QQ.from_int(0),), [], 5, cache)
+    # a cache of x+1 handed to x+2 would answer for x+1: (1, 8), not (4, 11)
+    F7 = Field.prime(7)
+    phi1 = mk_morphism(["x+1"], ("x",), F7)
+    phi2 = mk_morphism(["x+2"], ("x",), F7)
+    start = (F7.from_int(0),)
+    target = [parse_polynomial("x-1", ("x",), F7)]
+    assert return_set(phi2, start, target, 14).indices == (4, 11)
+    with pytest.raises(ValueError, match="different morphism"):
+        return_set(phi2, start, target, 14, OrbitCache(phi1, start))
 
 
 def test_return_set_type():
@@ -209,3 +218,59 @@ def test_return_set_type():
     assert ReturnSet(0, []).indices == ()
     assert ReturnSet(10, [1, 3, 7]) == s
     assert ReturnSet(11, [1, 3, 7]) != s
+    assert s.flags == bytes([0, 1, 0, 1, 0, 0, 0, 1, 0, 0])
+    assert [n for n in range(10) if n in s] == [1, 3, 7]
+    # negative n must not wrap around to the end of the table
+    edge = ReturnSet(5, [4, 0, 4, 0])
+    assert edge.indices == (0, 4)
+    assert -1 not in edge and -5 not in edge and 5 not in edge
+    assert 0 in edge and 4 in edge
+
+
+def _scan_oracle(phi, start, gens, count, stride, offset):
+    orbit = orbit_prefix(phi, start, stride * (count - 1) + offset + 1)
+    return tuple(
+        l
+        for l in range(count)
+        if all(g.evaluate(orbit[stride * l + offset]).is_zero() for g in gens)
+    )
+
+
+def test_scan_against_orbit_prefix_over_prime_fields():
+    rng = random.Random(0x5CA4)
+    for _ in range(60):
+        p = rng.choice([5, 7, 11, 13])
+        field = Field.prime(p)
+        num_vars = rng.randint(1, 2)
+        phi = Morphism([_random_fp_poly(rng, field, num_vars) for _ in range(num_vars)])
+        start = tuple(field.from_int(rng.randrange(p)) for _ in range(num_vars))
+        cycle = _brute_cycle(phi, start)
+        mu, lam = cycle.preperiod, cycle.period
+        orbit = orbit_prefix(phi, start, mu + lam)
+        # one target through a chosen orbit point, so some scans hit
+        x0 = MultiPoly.variable(field, num_vars, 0)
+        hit = MultiPoly.constant(field, num_vars, rng.choice(orbit)[0])
+        targets = ([x0 - hit], [_random_fp_poly(rng, field, num_vars)])
+        cache = OrbitCache(phi, start)  # shared by every scan, as in a run
+        offsets = {0, max(mu - 1, 0), mu, mu + lam + 1, rng.randrange(3 * (mu + lam))}
+        strides = {1, lam, 2 * lam, lam + 1, rng.randint(1, 2 * lam + 1)}
+        for offset in sorted(offsets):
+            for stride in sorted(strides):
+                count = rng.randint(1, 40)
+                for gens in targets:
+                    got = cache.scan(gens, count, stride, offset)
+                    assert got.horizon == count
+                    assert got.indices == _scan_oracle(phi, start, gens, count, stride, offset)
+
+
+def test_scan_against_orbit_prefix_over_rationals():
+    names = ("x", "y")
+    phi = mk_morphism(["3-x", "y+1"], names, QQ)
+    start = (QQ.from_int(1), QQ.from_int(0))  # x: 1, 2, 1, 2, ...; y = n
+    gens = [parse_polynomial("x*y-2*y", names, QQ)]  # y = 0 or x = 2
+    cache = OrbitCache(phi, start)
+    for stride, offset, count in ((1, 0, 12), (3, 2, 9), (2, 1, 6), (4, 0, 5), (5, 7, 4)):
+        got = cache.scan(gens, count, stride, offset)
+        assert got.indices == _scan_oracle(phi, start, gens, count, stride, offset)
+    assert cache.scan(gens, 12, 1, 0).indices == (0, 1, 3, 5, 7, 9, 11)
+    assert cache.cycle is None
