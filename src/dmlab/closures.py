@@ -27,8 +27,9 @@ dimension comparisons into either certified whole progressions, derived
 sub-instances analyzed recursively, or honestly flagged fallbacks.
 
 The run itself is the root :class:`SubInstance` (stride 1, offset 0),
-whose progressions are :class:`SubProgression` records in their own
-orbit frame, so a report treats every depth of the recursion alike.
+whose progressions are :class:`SubProgression` records like those of
+any derived instance, so a report treats every depth of the recursion
+alike.
 """
 
 from __future__ import annotations
@@ -110,24 +111,17 @@ class ClosureChain:
         dims = [e.dimension for e in self.entries]
         return all(a >= b for a, b in zip(dims, dims[1:]))
 
-    def entry_for(self, offset: int) -> ClosureEntry:
-        for e in self.entries:
-            if e.offset == offset:
-                return e
-        raise KeyError(f"no chain entry at offset {offset}")
-
 
 @dataclass(frozen=True)
 class PeriodicityCertificate:
     """Outcome of the self-map containment check for one subvariety.
 
-    ``invariant`` is True exactly when every generator composed with
-    the ``modulus``-th iterate reduces to zero against the basis;
-    ``witnesses`` pairs each failing generator with its nonzero normal
-    form.
+    ``invariant`` is True exactly when every generator of the checked
+    basis, composed with the ``modulus``-th iterate, reduces to zero
+    against it; ``witnesses`` pairs each failing generator with its
+    nonzero normal form.
     """
 
-    basis: ReducedGroebnerBasis
     modulus: int
     invariant: bool
     witnesses: tuple
@@ -162,12 +156,13 @@ class SubInstance:
 
     Instance index l corresponds to orbit index stride * l + offset;
     the return set, progressions and residual all live in l-space.
-    The run is the root instance, with stride 1 and offset 0.
+    The instance's horizon is ``returns.horizon``, the number of such
+    indices below the run's.  The run is the root instance, with
+    stride 1 and offset 0.
     """
 
     stride: int
     offset: int
-    horizon: int
     returns: ReturnSet
     progressions: tuple
     residual: ReturnSet
@@ -176,17 +171,15 @@ class SubInstance:
 
 @dataclass(frozen=True)
 class SubProgression:
-    """Progression of an instance, with its orbit frame.
+    """Progression of an instance, with its closure chain.
 
-    ``modulus`` and ``offset`` live in the instance's index space and
-    ``orbit_modulus``/``orbit_offset`` in the orbit's; at the root
+    ``modulus`` and ``offset`` live in the instance's index space.  The
+    orbit frame is the chain's modulus and first offset; at the root
     instance the two frames coincide.
     """
 
     modulus: int
     offset: int
-    orbit_modulus: int
-    orbit_offset: int
     chain: ClosureChain
     certificate: PeriodicityCertificate
     case_split: CaseSplitFragment
@@ -317,7 +310,7 @@ def certify_invariant(
             nf = normal_form(g.substitute(images), basis)
             if not nf.is_zero():
                 witnesses.append((g, nf))
-    return PeriodicityCertificate(basis, modulus, not witnesses, tuple(witnesses))
+    return PeriodicityCertificate(modulus, not witnesses, tuple(witnesses))
 
 
 def refine_case_split(
@@ -386,9 +379,7 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
     count = Progression(stride, offset).count_below(session.horizon)
     if count == 0:
         empty = ReturnSet(0, ())
-        return SubInstance(
-            stride, offset, 0, empty, (), empty, DensityProfile(0, ())
-        )
+        return SubInstance(stride, offset, empty, (), empty, DensityProfile(0, ()))
     returns = session.cache.scan(target.generators, count, stride, offset)
     progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)
     subs = []
@@ -398,18 +389,6 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
         chain = _chain(session, modulus, range(start, start + modulus, stride))
         certificate = certify_invariant(chain.entries[0].ideal, session.phi, modulus)
         fragment = _case_split(session, target, chain, depth)
-        subs.append(
-            SubProgression(
-                prog.modulus, prog.offset, modulus, start, chain, certificate, fragment
-            )
-        )
-    decomposition = decompose_return_set(returns, progressions)
-    return SubInstance(
-        stride,
-        offset,
-        count,
-        returns,
-        tuple(subs),
-        decomposition.residual,
-        decomposition.residual_profile,
-    )
+        subs.append(SubProgression(prog.modulus, prog.offset, chain, certificate, fragment))
+    dec = decompose_return_set(returns, progressions)
+    return SubInstance(stride, offset, returns, tuple(subs), dec.residual, dec.residual_profile)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import isqrt
 from operator import sub
 
@@ -190,15 +190,14 @@ def decompose_return_set(s: ReturnSet, progressions, lengths=None) -> Decomposit
     offset to the horizon must all belong); the residual is S minus
     the union, profiled with :func:`density_profile`.
     """
-    flags, covered = s.flags, bytearray(s.horizon)
+    rest = bytearray(s.flags)
     for p in progressions:
         if not isinstance(p, Progression):
             raise TypeError("expected Progression")
-        members = flags[p.offset :: p.modulus]
+        members = s.flags[p.offset :: p.modulus]
         if 0 in members:
             raise ValueError("progression not contained in return set")
-        covered[p.offset :: p.modulus] = members  # all ones, just checked
-    residual_indices = [i for i in s.indices if not covered[i]]
-    residual = ReturnSet(s.horizon, residual_indices)
+        rest[p.offset :: p.modulus] = bytes(len(members))
+    residual = ReturnSet(s.horizon, compress(range(s.horizon), rest))
     profile = density_profile(residual, lengths)
     return Decomposition(tuple(progressions), residual, profile)

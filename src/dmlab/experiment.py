@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .closures import (
@@ -51,7 +51,6 @@ from .density import (
 from .exprparse import ExprSyntaxError, parse_polynomial
 from .fields import Field
 from .ideals import ReducedGroebnerBasis, buchberger
-from .multipoly import MonomialOrder
 from .orbits import Morphism, ReturnSet, return_set
 
 __all__ = [
@@ -85,16 +84,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FIELD_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
-_ANALYSIS_KEYS = {
-    "a_max",
-    "m_min",
-    "tail_start",
-    "degree_cap",
-    "initial_samples",
-    "sample_budget",
-    "depth_limit",
-    "window_lengths",
-}
 
 
 @dataclass(frozen=True)
@@ -131,7 +120,6 @@ class ExperimentSpec:
     target_generators: tuple
     horizon: int
     analysis: AnalysisParams
-    order: MonomialOrder
 
 
 def _require_int(value, name: str, minimum: int) -> int:
@@ -216,7 +204,6 @@ def experiment_from_dict(doc) -> ExperimentSpec:
     targets = [parse_named(s, f"V[{i}]") for i, s in enumerate(target_sources)]
 
     analysis = _parse_analysis(doc.get("analysis"), horizon)
-    order = MonomialOrder.grevlex(len(var_names))
     return ExperimentSpec(
         field,
         doc["field"],
@@ -229,7 +216,6 @@ def experiment_from_dict(doc) -> ExperimentSpec:
         tuple(targets),
         horizon,
         analysis,
-        order,
     )
 
 
@@ -238,7 +224,7 @@ def _parse_analysis(raw, horizon: int) -> AnalysisParams:
         raw = {}
     if not isinstance(raw, dict):
         raise SchemaError("analysis must be an object")
-    unknown = set(raw) - _ANALYSIS_KEYS
+    unknown = set(raw) - {f.name for f in fields(AnalysisParams)}
     if unknown:
         raise SchemaError(f"unknown analysis key {sorted(unknown)[0]!r}")
     a_max = _require_int(raw.get("a_max", ceil_sqrt(horizon)), "a_max", 1)
@@ -279,12 +265,17 @@ def _parse_analysis(raw, horizon: int) -> AnalysisParams:
 
 def load_experiment(path) -> ExperimentSpec:
     """Read and validate an experiment file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("not valid JSON: arrays or objects nested too deeply") from exc
     return experiment_from_dict(doc)
 
 
@@ -355,7 +346,7 @@ def _scan(spec: ExperimentSpec, cache=None):
 def _certified_chain(session: Session, modulus: int, offset: int):
     """Closure chain of one progression and its base offset's certificate."""
     chain = closure_chain(session, modulus, offset)
-    certificate = certify_invariant(chain.entry_for(offset).ideal, session.phi, modulus)
+    certificate = certify_invariant(chain.entries[0].ideal, session.phi, modulus)
     return chain, certificate
 
 
@@ -369,19 +360,16 @@ def run_experiment(spec: ExperimentSpec) -> ReportDocument:
             returns, params.a_max, params.m_min, params.tail_start
         )
     with _stage("closure-certification"):
-        target_basis = buchberger(spec.target_generators, spec.order)
+        target_basis = buchberger(spec.target_generators, session.order)
         analyses = []
         for prog in progressions:
             m, o = prog.modulus, prog.offset
             chain, certificate = _certified_chain(session, m, o)
             fragment = refine_case_split(session, target_basis, chain)
-            # At the root the orbit frame is the progression's own.
-            analyses.append(SubProgression(m, o, m, o, chain, certificate, fragment))
+            analyses.append(SubProgression(m, o, chain, certificate, fragment))
     with _stage("decomposition"):
         dec = decompose_return_set(returns, progressions, params.window_lengths)
-    root = SubInstance(
-        1, 0, spec.horizon, returns, tuple(analyses), dec.residual, dec.residual_profile
-    )
+    root = SubInstance(1, 0, returns, tuple(analyses), dec.residual, dec.residual_profile)
     return ReportDocument(_build_payload(spec, profile, root), returns, profile, dec)
 
 
@@ -479,8 +467,8 @@ def _certificate_json(cert: PeriodicityCertificate, spec: ExperimentSpec) -> dic
         "invariant": cert.invariant,
         "witnesses": [
             {
-                "generator": g.render(spec.var_names, spec.order),
-                "normal_form": nf.render(spec.var_names, spec.order),
+                "generator": g.render(spec.var_names),
+                "normal_form": nf.render(spec.var_names),
             }
             for g, nf in cert.witnesses
         ],
@@ -511,15 +499,15 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
     return {
         "stride": str(sub.stride),
         "offset": str(sub.offset),
-        "horizon": str(sub.horizon),
+        "horizon": str(sub.returns.horizon),
         "return_count": str(len(sub.returns)),
         "return_indices": _ints(sub.returns.indices),
         "progressions": [
             _progression_json(
                 p,
                 {
-                    "orbit_modulus": str(p.orbit_modulus),
-                    "orbit_offset": str(p.orbit_offset),
+                    "orbit_modulus": str(p.chain.modulus),
+                    "orbit_offset": str(p.chain.entries[0].offset),
                 },
                 spec,
             )
@@ -590,7 +578,7 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
                 p,
                 {
                     "members_below_horizon": str(
-                        len(range(p.offset, root.horizon, p.modulus))
+                        len(range(p.offset, root.returns.horizon, p.modulus))
                     )
                 },
                 spec,

@@ -372,8 +372,6 @@ def vanishing_ideal(
     while todo:
         mono = min(todo, key=order.key)
         todo.discard(mono)
-        if mono in seen:
-            continue
         seen.add(mono)
         if any(mono_divides(lm, mono) for lm in gen_leads):
             continue

@@ -17,8 +17,9 @@ the iterate indices landing on a target subvariety.
 One scan, :meth:`OrbitCache.scan`, produces every return set: the
 run's, and each derived instance's, whose index l stands for orbit
 index stride * l + offset.  It tests each stored point once.  A
-:class:`ReturnSet` holds its members as a 0/1 membership table,
-``flags``, which the density layer and the CSV export read directly.
+:class:`ReturnSet` stores only its horizon and a 0/1 membership table,
+``flags``, which the density layer and the CSV export read directly;
+its member indices are derived from the table where they are read.
 """
 
 from __future__ import annotations
@@ -216,13 +217,14 @@ def detect_cycle(phi: Morphism, point) -> CycleStructure:
 class ReturnSet:
     """Iterate indices below a horizon, as a membership table.
 
-    ``flags`` is immutable bytes of length ``horizon`` with
-    ``flags[n] == 1`` exactly when n is a member; ``indices`` lists the
-    members in ascending order.  Every return set, the run's and each
-    derived frame's, comes from the one orbit scan in this module.
+    ``flags`` is the only stored form: immutable bytes of length
+    ``horizon`` with ``flags[n] == 1`` exactly when n is a member.
+    ``indices``, the length and iteration derive the members from it in
+    ascending order.  Every return set, the run's and each derived
+    frame's, comes from the one orbit scan in this module.
     """
 
-    __slots__ = ("horizon", "indices", "flags")
+    __slots__ = ("horizon", "flags")
 
     def __init__(self, horizon: int, indices):
         if horizon < 0:
@@ -235,31 +237,35 @@ class ReturnSet:
             flags[n] = 1
         self.horizon = horizon
         self.flags = bytes(flags)
-        self.indices = tuple(compress(range(horizon), self.flags))
+
+    @property
+    def indices(self) -> tuple:
+        return tuple(self)
 
     def __contains__(self, n: int) -> bool:
         return 0 <= n < self.horizon and self.flags[n] == 1
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.flags.count(1)
 
     def __iter__(self):
-        return iter(self.indices)
+        return compress(range(self.horizon), self.flags)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReturnSet):
             return NotImplemented
-        return self.horizon == other.horizon and self.indices == other.indices
+        return self.flags == other.flags
 
     def __hash__(self) -> int:
-        return hash((self.horizon, self.indices))
+        return hash(self.flags)
 
     def __repr__(self) -> str:
-        if len(self.indices) <= 12:
-            body = ", ".join(map(str, self.indices))
+        members = self.indices
+        if len(members) <= 12:
+            body = ", ".join(map(str, members))
         else:
-            head = ", ".join(map(str, self.indices[:10]))
-            body = f"{head}, ... ({len(self.indices)} total)"
+            head = ", ".join(map(str, members[:10]))
+            body = f"{head}, ... ({len(members)} total)"
         return f"<returns below {self.horizon}: {{{body}}}>"
 
 

@@ -88,6 +88,22 @@ def test_invalid_json_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"field": "Q\xffQ"}')
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "not valid UTF-8" in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"field": "QQ", "vars": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "nested too deeply" in err
+
+
 def test_schema_violation(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"field": "QQ"}), encoding="utf-8")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dmlab import (
+    DensityProfile,
     Field,
     FieldValue,
     Morphism,
@@ -128,14 +129,6 @@ def test_closure_parameter_validation():
     # a budget below the default four initial samples
     with pytest.raises(ValueError):
         Session(phi, start, 20, sample_budget=2)
-
-
-def test_chain_entry_lookup():
-    phi, start = swap_fixture()
-    chain = closure_chain(Session(phi, start, 20), 2, 0)
-    assert chain.entry_for(1).offset == 1
-    with pytest.raises(KeyError):
-        chain.entry_for(5)
 
 
 def test_dimension_nonincreasing_on_hand_built_chains():
@@ -309,12 +302,12 @@ def test_refine_swap_against_line():
     assert even.case == CASE_DIMENSION_DROP
     assert (even.closure_dimension, even.intersection_dimension) == (0, 0)
     child = even.child
-    assert (child.stride, child.offset, child.horizon) == (2, 0, 10)
+    assert (child.stride, child.offset, child.returns.horizon) == (2, 0, 10)
     assert sorted(child.returns) == list(range(10))
     assert len(child.progressions) == 1
     sub = child.progressions[0]
     assert (sub.modulus, sub.offset) == (1, 0)
-    assert (sub.orbit_modulus, sub.orbit_offset) == (2, 0)
+    assert (sub.chain.modulus, sub.chain.entries[0].offset) == (2, 0)
     assert sub.certificate.invariant
     assert [c.case for c in sub.case_split.offsets] == [CASE_CLOSURE_EQUALS_TARGET]
     assert len(child.residual) == 0
@@ -325,6 +318,24 @@ def test_refine_swap_against_line():
     assert odd.intersection_dimension == -1
     assert len(odd.child.returns) == 0
     assert odd.child.progressions == ()
+
+
+def test_refine_chain_past_the_horizon():
+    # Offsets 20 and 21 lie at or past the horizon 20, so both derived
+    # instances have no indices at all.
+    phi, start = swap_fixture()
+    target = mk_basis(["x-1"], XY, QQ, ORDER2)
+    session = Session(phi, start, 20)
+    frag = refine_case_split(session, target, closure_chain(session, 2, 20))
+    assert [c.case for c in frag.offsets] == [CASE_DIMENSION_DROP] * 2
+    for case in frag.offsets:
+        child = case.child
+        assert (child.stride, child.offset) == (2, case.offset)
+        assert child.returns.horizon == 0
+        assert len(child.returns) == 0 and list(child.returns) == []
+        assert child.progressions == ()
+        assert child.residual.horizon == 0 and len(child.residual) == 0
+        assert child.residual_profile == DensityProfile(0, ())
 
 
 def test_refine_depth_exhausted():

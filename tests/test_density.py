@@ -292,6 +292,14 @@ def test_decompose_splits_and_verifies():
     assert dec.residual_profile.ratio_at(120) == Fraction(3, 120)
     with pytest.raises(ValueError, match="not contained"):
         decompose_return_set(s, [Progression(2, 1)], [24])
+    # overlapping progressions: 6k lies inside both 2k and 3k
+    members = sorted(set(range(0, 60, 2)) | set(range(0, 60, 3)) | {5, 35})
+    s = rs(60, members)
+    dec = decompose_return_set(s, [Progression(2, 0), Progression(3, 0)], [60])
+    assert dec.residual.indices == (5, 35)
+    assert dec.covered() == frozenset(range(0, 60, 2)) | frozenset(range(0, 60, 3))
+    assert set(members) == dec.covered() | set(dec.residual)
+    assert dec.residual_profile.ratio_at(60) == Fraction(2, 60)
 
 
 def test_decompose_empty_progressions():

@@ -9,7 +9,6 @@ from dmlab import (
     AnalysisParams,
     ExperimentError,
     Field,
-    MonomialOrder,
     SchemaError,
     StageError,
     experiment_from_dict,
@@ -144,7 +143,6 @@ def test_spec_carries_sources_and_order():
     assert spec.alpha_sources == ("1", "2")
     assert spec.target_sources == ("x-1",)
     assert spec.horizon == 20
-    assert spec.order == MonomialOrder.grevlex(2)
     assert spec.start == (Field.rationals().from_int(1), Field.rationals().from_int(2))
 
 

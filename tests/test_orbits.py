@@ -225,6 +225,14 @@ def test_return_set_type():
     assert edge.indices == (0, 4)
     assert -1 not in edge and -5 not in edge and 5 not in edge
     assert 0 in edge and 4 in edge
+    # equal tables hash alike, however the indices were given
+    assert hash(ReturnSet(10, [7, 1, 3, 1])) == hash(s)
+    assert len({s, ReturnSet(10, [7, 3, 1]), ReturnSet(10, [1, 7, 3, 3])}) == 1
+    assert len({s, ReturnSet(11, [1, 3, 7])}) == 2
+    # the derived views agree on an empty set and at both ends
+    empty = ReturnSet(6, [])
+    assert len(empty) == 0 and list(empty) == [] and empty.indices == ()
+    assert len(edge) == 2 and list(edge) == [0, 4] and edge.indices == (0, 4)
 
 
 def _scan_oracle(phi, start, gens, count, stride, offset):
