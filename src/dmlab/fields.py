@@ -18,6 +18,14 @@ pairs a descriptor with a canonical payload:
   :meth:`FieldValue.coefficients` reads the pair back as coefficient
   tuples.
 
+Each :class:`Field` builds one payload ring when it is constructed:
+``_RationalRing``, ``_PrimeRing`` or ``_FunctionRing``, module-level
+classes with ``add``, ``neg``, ``mul``, ``inverse`` and ``pow`` on raw
+payloads plus the ``zero`` and ``one`` payloads.  :class:`FieldValue`
+arithmetic only checks its operands and wraps the ring's result, and
+hot loops such as ``MultiPoly.evaluate`` call the ring directly and wrap
+once at the end.
+
 Canonical payloads make equality structural, so values hash and compare
 bit-for-bit and can key dictionaries.  Mixing values from different
 fields raises :class:`FieldMismatchError`; there is no implicit
@@ -259,18 +267,114 @@ class _PolyRing:
         return (num, den)
 
 
+class _RationalRing:
+    """QQ payloads: reduced Fractions."""
+
+    __slots__ = ()
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inverse(self, a):
+        return 1 / a
+
+    def pow(self, a, e: int):
+        return a**e
+
+
+class _PrimeRing:
+    """GF(p) payloads: int residues in [0, p)."""
+
+    __slots__ = ("p",)
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inverse(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    def pow(self, a, e: int):
+        return pow(a, e, self.p)
+
+
+class _FunctionRing:
+    """GF(p)(t) payloads: canonical (num, den) pairs of packed polynomials."""
+
+    __slots__ = ("polys",)
+    zero = (0, 1)
+    one = (1, 1)
+
+    def __init__(self, p: int):
+        self.polys = _PolyRing(p)
+
+    def add(self, a, b):
+        polys = self.polys
+        n1, d1 = a
+        n2, d2 = b
+        if d1 == 1 and d2 == 1:
+            return (polys.add(n1, n2), 1)
+        num = polys.add(polys.mul(n1, d2), polys.mul(n2, d1))
+        return polys.canonical(num, polys.mul(d1, d2))
+
+    def neg(self, a):
+        num, den = a
+        return (self.polys.neg(num), den)
+
+    def mul(self, a, b):
+        polys = self.polys
+        n1, d1 = a
+        n2, d2 = b
+        if d1 == 1 and d2 == 1:
+            return (polys.mul(n1, n2), 1)
+        return polys.canonical(polys.mul(n1, n2), polys.mul(d1, d2))
+
+    def inverse(self, a):
+        num, den = a
+        return self.polys.canonical(den, num)
+
+    def pow(self, a, e: int):
+        num, den = a
+        return (self.polys.pow(num, e), self.polys.pow(den, e))
+
+
 @dataclass(frozen=True)
 class Field:
     """Descriptor of a supported coefficient field."""
 
     kind: FieldKind
     characteristic: int
-    # GF(p)[t] arithmetic of a rational function field; None otherwise.
-    _polys: "_PolyRing | None" = field(default=None, init=False, repr=False, compare=False)
+    # Payload arithmetic of this field, built once.
+    _ring: "_RationalRing | _PrimeRing | _FunctionRing" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.kind is FieldKind.RATIONAL_FUNCTIONS:
-            object.__setattr__(self, "_polys", _PolyRing(self.characteristic))
+        if self.kind is FieldKind.RATIONALS:
+            ring = _RationalRing()
+        elif self.kind is FieldKind.PRIME:
+            ring = _PrimeRing(self.characteristic)
+        else:
+            ring = _FunctionRing(self.characteristic)
+        object.__setattr__(self, "_ring", ring)
 
     @staticmethod
     def rationals() -> "Field":
@@ -301,10 +405,10 @@ class Field:
         return self.kind is FieldKind.RATIONAL_FUNCTIONS
 
     def zero(self) -> "FieldValue":
-        return self.from_int(0)
+        return FieldValue(self, self._ring.zero)
 
     def one(self) -> "FieldValue":
-        return self.from_int(1)
+        return FieldValue(self, self._ring.one)
 
     def from_int(self, n: int) -> "FieldValue":
         if self.kind is FieldKind.RATIONALS:
@@ -322,13 +426,13 @@ class Field:
     def t(self) -> "FieldValue":
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise ValueError(f"{self.label} has no transcendental generator")
-        return FieldValue(self, (1 << self._polys.bits, 1))
+        return FieldValue(self, (1 << self._ring.polys.bits, 1))
 
     def from_coefficients(self, num, den=(1,)) -> "FieldValue":
         """Build a GF(p)(t) value from raw coefficient sequences (low degree first)."""
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise ValueError(f"{self.label} values are not coefficient quotients")
-        p, polys = self.characteristic, self._polys
+        p, polys = self.characteristic, self._ring.polys
         n = polys.pack([c % p for c in num])
         d = polys.pack([c % p for c in den])
         return FieldValue(self, polys.canonical(n, d))
@@ -347,7 +451,8 @@ class FieldValue:
         self.payload = payload
 
     def _check(self, other) -> None:
-        if not isinstance(other, FieldValue) or other.field != self.field:
+        f = self.field
+        if not isinstance(other, FieldValue) or (other.field is not f and other.field != f):
             raise FieldMismatchError("field mismatch")
 
     def is_zero(self) -> bool:
@@ -367,62 +472,27 @@ class FieldValue:
 
     def __add__(self, other) -> "FieldValue":
         self._check(other)
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return FieldValue(self.field, self.payload + other.payload)
-        if k is FieldKind.PRIME:
-            p = self.field.characteristic
-            return FieldValue(self.field, (self.payload + other.payload) % p)
-        polys = self.field._polys
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        if d1 == 1 and d2 == 1:
-            return FieldValue(self.field, (polys.add(n1, n2), 1))
-        num = polys.add(polys.mul(n1, d2), polys.mul(n2, d1))
-        return FieldValue(self.field, polys.canonical(num, polys.mul(d1, d2)))
+        f = self.field
+        return FieldValue(f, f._ring.add(self.payload, other.payload))
 
     def __neg__(self) -> "FieldValue":
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return FieldValue(self.field, -self.payload)
-        if k is FieldKind.PRIME:
-            p = self.field.characteristic
-            return FieldValue(self.field, (p - self.payload) % p)
-        num, den = self.payload
-        return FieldValue(self.field, (self.field._polys.neg(num), den))
+        f = self.field
+        return FieldValue(f, f._ring.neg(self.payload))
 
     def __sub__(self, other) -> "FieldValue":
+        self._check(other)
         return self + (-other)
 
     def __mul__(self, other) -> "FieldValue":
         self._check(other)
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return FieldValue(self.field, self.payload * other.payload)
-        if k is FieldKind.PRIME:
-            p = self.field.characteristic
-            return FieldValue(self.field, self.payload * other.payload % p)
-        polys = self.field._polys
-        n1, d1 = self.payload
-        n2, d2 = other.payload
-        if d1 == 1 and d2 == 1:
-            return FieldValue(self.field, (polys.mul(n1, n2), 1))
-        return FieldValue(
-            self.field,
-            polys.canonical(polys.mul(n1, n2), polys.mul(d1, d2)),
-        )
+        f = self.field
+        return FieldValue(f, f._ring.mul(self.payload, other.payload))
 
     def inverse(self) -> "FieldValue":
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return FieldValue(self.field, 1 / self.payload)
-        if k is FieldKind.PRIME:
-            p = self.field.characteristic
-            return FieldValue(self.field, pow(self.payload, p - 2, p))
-        num, den = self.payload
-        return FieldValue(self.field, self.field._polys.canonical(den, num))
+        f = self.field
+        return FieldValue(f, f._ring.inverse(self.payload))
 
     def __truediv__(self, other) -> "FieldValue":
         self._check(other)
@@ -435,16 +505,8 @@ class FieldValue:
             return self.inverse() ** (-e)
         if e == 1:
             return self
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return FieldValue(self.field, self.payload**e)
-        if k is FieldKind.PRIME:
-            return FieldValue(self.field, pow(self.payload, e, self.field.characteristic))
-        if e == 0:
-            return self.field.one()
-        polys = self.field._polys
-        num, den = self.payload
-        return FieldValue(self.field, (polys.pow(num, e), polys.pow(den, e)))
+        f = self.field
+        return FieldValue(f, f._ring.pow(self.payload, e))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldValue):
@@ -463,7 +525,7 @@ class FieldValue:
         """
         if self.field.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise ValueError(f"{self.field.label} values are not coefficient quotients")
-        polys = self.field._polys
+        polys = self.field._ring.polys
         num, den = self.payload
         return tuple(polys.unpack(num)), tuple(polys.unpack(den))
 

@@ -87,9 +87,14 @@ class MonomialOrder:
 
 
 class MultiPoly:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+    """Sparse polynomial: dict from exponent tuple to nonzero coefficient.
 
-    __slots__ = ("field", "num_vars", "terms")
+    ``terms`` is never changed after construction: the hash depends on
+    it, and :meth:`evaluate` builds a plan of the terms on first use and
+    keeps it.
+    """
+
+    __slots__ = ("field", "num_vars", "terms", "_plan")
 
     def __init__(self, field: Field, num_vars: int, terms: dict):
         if num_vars < 1:
@@ -97,6 +102,7 @@ class MultiPoly:
         self.field = field
         self.num_vars = num_vars
         self.terms = terms
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -282,27 +288,43 @@ class MultiPoly:
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, point) -> FieldValue:
-        """Value at a point, given as a sequence of field elements."""
+        """Value at a point, given as a sequence of field elements.
+
+        The sum runs on raw payloads through the field's ring and is
+        wrapped once.  Each term is planned once per polynomial as its
+        coefficient payload (None for one) and its (variable, exponent)
+        pairs with exponent > 0.
+        """
         point = tuple(point)
         if len(point) != self.num_vars:
             raise ValueError("point length does not match variable count")
+        f = self.field
         for v in point:
-            if not isinstance(v, FieldValue) or v.field != self.field:
+            if not isinstance(v, FieldValue) or (v.field is not f and v.field != f):
                 raise FieldMismatchError("field mismatch")
-        total = self.field.zero()
-        caches = [dict() for _ in range(self.num_vars)]
-        for mono, coeff in self.terms.items():
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = tuple(
+                (
+                    None if c.is_one() else c.payload,
+                    tuple((i, e) for i, e in enumerate(mono) if e),
+                )
+                for mono, c in self.terms.items()
+            )
+        ring = f._ring
+        add, mul = ring.add, ring.mul
+        # (variable, exponent) -> payload of the power, first powers given.
+        powers = {(i, 1): v.payload for i, v in enumerate(point)}
+        total = ring.zero
+        for coeff, factors in plan:
             v = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    cache = caches[i]
-                    pw = cache.get(e)
-                    if pw is None:
-                        pw = point[i] ** e
-                        cache[e] = pw
-                    v = pw if v.is_one() else v * pw
-            total = total + v
-        return total
+            for key in factors:
+                pw = powers.get(key)
+                if pw is None:
+                    pw = powers[key] = ring.pow(powers[key[0], 1], key[1])
+                v = pw if v is None else mul(v, pw)
+            total = add(total, ring.one if v is None else v)
+        return FieldValue(f, total)
 
     def substitute(self, images) -> "MultiPoly":
         """Compose with a variable-to-polynomial map in one pass.

@@ -1,0 +1,33 @@
+import pytest
+
+
+class CountingRing:
+    """Stands in for a field's payload ring and counts the operations run."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.ring, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls += 1
+            return attr(*args)
+
+        return counted
+
+
+@pytest.fixture
+def counted_field():
+    """Factory: a fresh copy of a field, and the counter of its payload arithmetic."""
+
+    def make(field):
+        copy = type(field)(field.kind, field.characteristic)
+        ring = CountingRing(copy._ring)
+        object.__setattr__(copy, "_ring", ring)
+        return copy, ring
+
+    return make

@@ -423,4 +423,5 @@ def test_subinstance_scan_tests_each_stored_point_once(monkeypatch):
     # The orbit has preperiod 78 and period 6; a sub-instance scans
     # about 833 indices but may only test the 84 stored points.
     assert calls
+    assert min(calls) >= 1
     assert max(calls) <= 84

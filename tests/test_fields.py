@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -106,6 +107,45 @@ def test_field_mismatch():
         QQ.t()
     with pytest.raises(ValueError):
         F7.from_fraction(Fraction(1, 2))
+
+
+def test_field_mismatch_raises_before_any_arithmetic(counted_field):
+    for field, other in ((QQ, F7), (F7, F2T), (F2T, F5T), (F5T, QQ)):
+        f, ring = counted_field(field)
+        g, other_ring = counted_field(other)
+        a, b = f.from_int(3), g.from_int(2)
+        with pytest.raises(FieldMismatchError, match="field mismatch"):
+            a + 3
+        with pytest.raises(FieldMismatchError, match="field mismatch"):
+            a * b
+        with pytest.raises(FieldMismatchError, match="field mismatch"):
+            a - b
+        with pytest.raises(FieldMismatchError, match="field mismatch"):
+            a / b
+        assert ring.calls == other_ring.calls == 0
+        assert (a - a).is_zero() and ring.calls == 2
+
+
+@pytest.mark.parametrize("field", [QQ, F7, Field.rational_functions(3)], ids=str)
+def test_pickle_round_trip(field):
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and hash(copy) == hash(field)
+    assert copy.label == field.label
+    if field.has_generator:
+        values = [field.t(), field.from_coefficients((1, 2), (2, 0, 1)), field.from_int(2)]
+    else:
+        values = [field.from_int(3), field.from_int(-5), field.one()]
+    for a in values:
+        for b in values:
+            a2, b2 = pickle.loads(pickle.dumps((a, b)))
+            assert a2 == a and hash(a2) == hash(a)
+            assert a2.field == field
+            assert a2 + b2 == a + b
+            assert a2 - b == a - b
+            assert a2 * b2 == a * b
+            assert a2**3 == a**3
+            assert a2.inverse() == a.inverse()
+            assert copy.one() + a2 == field.one() + a
 
 
 def test_value_strings():
@@ -337,7 +377,7 @@ def _random_poly(rng, p, length):
 
 def _check_packed_against_reference(field, a, b, e):
     p = field.characteristic
-    polys = field._polys
+    polys = field._ring.polys
     va, vb = field.from_coefficients(a), field.from_coefficients(b)
     assert va.coefficients() == (a, (1,))
     assert field.from_coefficients(*va.coefficients()) == va

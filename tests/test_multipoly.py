@@ -8,6 +8,7 @@ from dmlab import Field, FieldMismatchError, MonomialOrder, MultiPoly, parse_pol
 QQ = Field.rationals()
 F7 = Field.prime(7)
 F2T = Field.rational_functions(2)
+F3T = Field.rational_functions(3)
 
 XY = ("x", "y")
 
@@ -112,7 +113,7 @@ def test_evaluate():
 
 def test_substitute_matches_composition():
     rng = random.Random(0x5B57)
-    for field in (QQ, F7):
+    for field in (QQ, F7, F3T):
         for _ in range(50):
             f = _random_poly(rng, field)
             g0 = _random_poly(rng, field)
@@ -150,7 +151,12 @@ def test_render_constant_tail_unparenthesized():
 def _random_const(rng, field):
     if field is QQ:
         return field.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-    return field.from_int(rng.randrange(field.characteristic))
+    p = field.characteristic
+    if field.has_generator:
+        num = [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+        den = [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [rng.randrange(1, p)]
+        return field.from_coefficients(num, den)
+    return field.from_int(rng.randrange(p))
 
 
 def _random_poly(rng, field, num_vars=2, max_terms=5, max_exp=3):
@@ -193,3 +199,47 @@ def test_evaluation_is_ring_homomorphism():
         pt = (_random_const(rng, F7), _random_const(rng, F7))
         assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
         assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+def _reference_evaluate(f, point):
+    # The FieldValue-level evaluation that MultiPoly.evaluate replaced.
+    total = f.field.zero()
+    caches = [dict() for _ in range(f.num_vars)]
+    for mono, coeff in f.terms.items():
+        v = coeff
+        for i, e in enumerate(mono):
+            if e:
+                pw = caches[i].get(e)
+                if pw is None:
+                    pw = caches[i][e] = point[i] ** e
+                v = pw if v.is_one() else v * pw
+        total = total + v
+    return total
+
+
+def test_evaluate_matches_the_field_value_reference():
+    rng = random.Random(0xE7A1)
+    zeros = 0
+    for field in (QQ, F7, F3T):
+        one = field.one()
+        for _ in range(100):
+            f = _random_poly(rng, field, num_vars=3, max_terms=6, max_exp=4)
+            # constant terms and coefficient 1 on every draw
+            f = f + MultiPoly.from_terms(
+                field, 3, [((0, 0, 0), _random_const(rng, field)), ((rng.randint(0, 3), 2, 0), one)]
+            )
+            points = [tuple(_random_const(rng, field) for _ in range(3)) for _ in range(3)]
+            points.append((field.zero(), points[0][1], one))
+            # the same polynomial at several points reuses its plan
+            for pt in points:
+                got = f.evaluate(pt)
+                assert got == _reference_evaluate(f, pt)
+                assert type(got.payload) is type(_reference_evaluate(f, pt).payload)
+            # a polynomial made to vanish at the first point
+            g = f - MultiPoly.constant(field, 3, f.evaluate(points[0]))
+            for pt in points:
+                got = g.evaluate(pt)
+                assert got == _reference_evaluate(g, pt)
+                zeros += got.is_zero()
+        assert MultiPoly.zero(field, 3).evaluate(points[0]) == field.zero()
+    assert zeros >= 300

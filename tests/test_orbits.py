@@ -5,6 +5,7 @@ import pytest
 from dmlab import (
     CycleStructure,
     Field,
+    FieldMismatchError,
     Morphism,
     MultiPoly,
     OrbitCache,
@@ -20,6 +21,7 @@ from dmlab import (
 
 QQ = Field.rationals()
 F2T = Field.rational_functions(2)
+XY = ("x", "y")
 
 
 def mk_morphism(sources, names, field):
@@ -205,6 +207,24 @@ def test_return_set_validation():
     assert return_set(phi2, start, target, 14).indices == (4, 11)
     with pytest.raises(ValueError, match="different morphism"):
         return_set(phi2, start, target, 14, OrbitCache(phi1, start))
+
+
+def test_mismatched_points_and_targets_raise_before_any_arithmetic(counted_field):
+    F7, ring = counted_field(Field.prime(7))
+    F3T, other_ring = counted_field(Field.rational_functions(3))
+    phi = mk_morphism(["x*y+1", "x^2+y"], XY, F7)
+    target = [parse_polynomial("x-y", XY, F3T)]
+    start = (F7.one(), F7.from_int(2))
+    ring.calls = other_ring.calls = 0  # parsing did arithmetic
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        phi.apply((F7.one(), F3T.one()))
+    with pytest.raises(ValueError, match="point length"):
+        phi.apply((F7.one(),))
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        return_set(phi, start, target, 10)
+    assert ring.calls == other_ring.calls == 0
+    assert phi.apply(start) == (F7.from_int(3), F7.from_int(3))
+    assert ring.calls > 0
 
 
 def test_return_set_type():
