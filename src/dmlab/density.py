@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import isqrt
 from operator import sub
 
@@ -158,7 +158,10 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     a*k + b below the horizon lies in S and there are at least m_min
     members.  A candidate is suppressed when an already kept
     progression with dividing modulus and matching offset class covers
-    it, so the output has no redundant refinements.  Output is sorted
+    it, so the output has no redundant refinements: for each modulus a,
+    every kept progression whose modulus divides a marks the offsets it
+    covers in a coverage mask with one slice assignment, and only the
+    unmarked offsets are visited, in ascending order.  Output is sorted
     by (modulus, offset).
     """
     if a_max < 1:
@@ -172,14 +175,18 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     for a in range(1, a_max + 1):
         if len(range(tail_start, n, a)) < m_min:
             break  # larger moduli have no more members
-        for b in range(tail_start, tail_start + a):
+        covered = bytearray(a)  # covered[r]: offset tail_start + r is covered
+        for p in kept:
+            if a % p.modulus == 0:
+                covered[(p.offset - tail_start) % p.modulus :: p.modulus] = b"\1" * (a // p.modulus)
+        r = covered.find(0)
+        while r != -1:
+            b = tail_start + r
             if len(range(b, n, a)) < m_min:
                 break  # later offsets have no more members
-            if any(a % p.modulus == 0 and b % p.modulus == p.offset % p.modulus for p in kept):
-                continue
-            if 0 in flags[b::a]:
-                continue
-            kept.append(Progression(a, b))
+            if 0 not in flags[b::a]:
+                kept.append(Progression(a, b))
+            r = covered.find(0, r + 1)
     return kept
 
 
@@ -198,6 +205,6 @@ def decompose_return_set(s: ReturnSet, progressions, lengths=None) -> Decomposit
         if 0 in members:
             raise ValueError("progression not contained in return set")
         rest[p.offset :: p.modulus] = bytes(len(members))
-    residual = ReturnSet(s.horizon, compress(range(s.horizon), rest))
+    residual = ReturnSet.from_flags(rest)
     profile = density_profile(residual, lengths)
     return Decomposition(tuple(progressions), residual, profile)

@@ -16,16 +16,21 @@ the iterate indices landing on a target subvariety.
 
 One scan, :meth:`OrbitCache.scan`, produces every return set: the
 run's, and each derived instance's, whose index l stands for orbit
-index stride * l + offset.  It tests each stored point once.  A
-:class:`ReturnSet` stores only its horizon and a 0/1 membership table,
-``flags``, which the density layer and the CSV export read directly;
-its member indices are derived from the table where they are read.
+index stride * l + offset.  Over GF(p) it tests at most preperiod +
+period stored points, each once: past the preperiod, l and
+l + period / gcd(period, stride) land on the same cycle point, so the
+scan tests one period of l and writes the rest of the table by
+repeating that block.  A :class:`ReturnSet` stores only its horizon
+and a 0/1 membership table, ``flags``, which the density layer and the
+CSV export read directly; its member indices are derived from the
+table where they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 
 from .fields import FieldKind
 from .ideals import ReducedGroebnerBasis
@@ -162,16 +167,35 @@ class OrbitCache:
 
     def scan(self, gens, count: int, stride: int, offset: int) -> ReturnSet:
         """Indices l < count with phi^(stride * l + offset)(start) on the
-        subvariety cut out by ``gens``, testing each stored point once."""
+        subvariety cut out by ``gens``.
+
+        Each stored point is tested at most once.  Once the cycle is
+        known and stride * l + offset has passed the preperiod, l and
+        l + period / gcd(period, stride) land on the same cycle point:
+        the scan tests that one period of l and fills the rest of the
+        table by repeating it, so over GF(p) its loop runs about
+        preperiod / stride + period times whatever ``count`` is.  Over
+        QQ and GF(p)(t) it tests every index l.
+        """
         on_target = {}  # stored index -> lies on the target; met out of order
-        hits = []
-        for l in range(count):
+
+        def test(l):
             i = self.index(stride * l + offset)
             if i not in on_target:
                 on_target[i] = all(g.evaluate(self._points[i]).is_zero() for g in gens)
-            if on_target[i]:
-                hits.append(l)
-        return ReturnSet(count, hits)
+            return on_target[i]
+
+        flags = bytearray(count)
+        l = 0
+        while l < count and (self.cycle is None or stride * l + offset < self.cycle.preperiod):
+            flags[l] = test(l)
+            l += 1
+        if l < count:
+            period = self.cycle.period // gcd(self.cycle.period, stride)
+            block = bytes(map(test, range(l, min(l + period, count))))
+            repeats, rest = divmod(count - l, period)
+            flags[l:] = block * repeats + block[:rest]
+        return ReturnSet.from_flags(flags)
 
 
 @dataclass(frozen=True)
@@ -221,7 +245,9 @@ class ReturnSet:
     ``horizon`` with ``flags[n] == 1`` exactly when n is a member.
     ``indices``, the length and iteration derive the members from it in
     ascending order.  Every return set, the run's and each derived
-    frame's, comes from the one orbit scan in this module.
+    frame's, comes from the one orbit scan in this module.  The scan
+    and the decomposition's residual build their tables directly
+    through :meth:`from_flags`; the constructor takes member indices.
     """
 
     __slots__ = ("horizon", "flags")
@@ -237,6 +263,18 @@ class ReturnSet:
             flags[n] = 1
         self.horizon = horizon
         self.flags = bytes(flags)
+
+    @classmethod
+    def from_flags(cls, flags) -> ReturnSet:
+        """The return set whose membership table is ``flags``, a
+        bytes-like sequence of 0s and 1s; its length is the horizon."""
+        flags = bytes(flags)
+        if flags.translate(None, b"\0\1"):
+            raise ValueError("membership flags must be 0 or 1")
+        out = cls.__new__(cls)
+        out.horizon = len(flags)
+        out.flags = flags
+        return out
 
     @property
     def indices(self) -> tuple:

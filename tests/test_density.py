@@ -274,6 +274,23 @@ def test_detect_matches_reference_scan():
         cases.append(
             (rs(horizon, members), rng.randint(1, 20), rng.randint(2, 8), rng.randrange(horizon))
         )
+    # Unions of progressions of several moduli, up to horizon 5,000, with
+    # tail offsets below, between and above their offsets, so kept
+    # progressions of dividing moduli cover offsets of later moduli.
+    unions = (
+        ((2, 0), (3, 1), (6, 5)),
+        ((4, 1), (6, 3), (10, 7)),
+        ((3, 0), (4, 2), (12, 11)),
+        ((5, 2), (7, 3), (35, 34)),
+    )
+    for progressions in unions:
+        horizon = rng.randint(3000, 5000)
+        members = set()
+        for m, o in progressions:
+            members.update(range(o, horizon, m))
+        members.update(rng.sample(range(horizon), 40))
+        for tail in (0, 1, 3, 4, 6, 9, 40, horizon - 30):
+            cases.append((rs(horizon, members), ceil_sqrt(horizon), 5, tail))
     for s, a_max, m_min, tail in cases:
         assert detect_progressions(s, a_max, m_min, tail) == _reference_detect_progressions(
             s, a_max, m_min, tail

@@ -122,6 +122,52 @@ def test_prime_return_set_steps_only_through_preperiod_and_period():
     assert s.indices[-1] == 10**6 - 1
 
 
+class _CountingPoly:
+    """A target generator that counts its evaluations."""
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.calls = 0
+
+    def evaluate(self, point):
+        self.calls += 1
+        return self.poly.evaluate(point)
+
+
+class _CountingCache(OrbitCache):
+    def __init__(self, phi, start):
+        super().__init__(phi, start)
+        self.index_calls = 0
+
+    def index(self, n):
+        self.index_calls += 1
+        return super().index(n)
+
+
+def test_prime_scan_tests_each_cycle_point_once_and_tiles_the_rest():
+    F101 = Field.prime(101)
+    phi = mk_morphism(["x^2+y", "x*y+1"], XY, F101)
+    start = (F101.from_int(87), F101.from_int(93))
+    cycle = detect_cycle(phi, start)
+    mu, lam = cycle.preperiod, cycle.period
+    assert (mu, lam) == (78, 6)
+    v = _CountingPoly(parse_polynomial("y+5*x-25", XY, F101))
+    cache = _CountingCache(phi, start)
+    s = cache.scan([v], 10**6, 1, 0)
+    assert v.calls <= mu + lam
+    # the loop runs through the preperiod and one period, not to the horizon
+    assert cache.index_calls <= mu + lam + 1 + lam
+    assert s.flags[mu:] == b"\1" * (10**6 - mu)  # the whole cycle lies on V
+    # a derived frame past the preperiod tests at most one period,
+    # whether the scan meets the cycle first or it is already known
+    for cache in (_CountingCache(phi, start), cache):
+        v.calls = cache.index_calls = 0
+        sub = cache.scan([v], 10**6, 6, 78)
+        assert v.calls <= lam
+        assert cache.index_calls <= (mu + lam) // 6 + 1 + lam
+        assert len(sub) == 10**6
+
+
 def test_detect_cycle_examples():
     F7 = Field.prime(7)
     sq = mk_morphism(["x^2"], ("x",), F7)
@@ -255,6 +301,21 @@ def test_return_set_type():
     assert len(edge) == 2 and list(edge) == [0, 4] and edge.indices == (0, 4)
 
 
+def test_return_set_from_flags():
+    s = ReturnSet.from_flags(bytes([0, 1, 0, 1, 0, 0, 0, 1, 0, 0]))
+    assert s == ReturnSet(10, [1, 3, 7]) and hash(s) == hash(ReturnSet(10, [7, 3, 1]))
+    assert s.horizon == 10 and s.indices == (1, 3, 7) and len(s) == 3
+    table = bytearray(b"\1\0\1")
+    t = ReturnSet.from_flags(table)
+    table[1] = 1  # the set keeps its own immutable copy
+    assert type(t.flags) is bytes and t.indices == (0, 2) and 1 not in t
+    assert ReturnSet.from_flags(b"") == ReturnSet(0, [])
+    # any other byte would make len (which counts 1s) and `in` disagree
+    for bad in (b"\2", b"\0\1\xff", b"1", bytes([0, 1, 0, 3]), bytearray(b"\1\x7f")):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ReturnSet.from_flags(bad)
+
+
 def _scan_oracle(phi, start, gens, count, stride, offset):
     orbit = orbit_prefix(phi, start, stride * (count - 1) + offset + 1)
     return tuple(
@@ -289,6 +350,42 @@ def test_scan_against_orbit_prefix_over_prime_fields():
                     got = cache.scan(gens, count, stride, offset)
                     assert got.horizon == count
                     assert got.indices == _scan_oracle(phi, start, gens, count, stride, offset)
+
+
+def test_scan_tiling_against_a_folding_oracle():
+    # Long scans, strides sharing a factor with the period, offsets
+    # before, at and after the preperiod, counts ending mid-period; the
+    # oracle folds n to mu + (n - mu) % lam itself, without the cache.
+    rng = random.Random(0x711E)
+    for _ in range(30):
+        p = rng.choice([5, 7, 11])
+        field = Field.prime(p)
+        num_vars = rng.randint(1, 2)
+        phi = Morphism([_random_fp_poly(rng, field, num_vars) for _ in range(num_vars)])
+        start = tuple(field.from_int(rng.randrange(p)) for _ in range(num_vars))
+        cycle = _brute_cycle(phi, start)
+        mu, lam = cycle.preperiod, cycle.period
+        orbit = orbit_prefix(phi, start, mu + lam)
+        x0 = MultiPoly.variable(field, num_vars, 0)
+        hit = MultiPoly.constant(field, num_vars, rng.choice(orbit[mu:])[0])
+        targets = ([x0 - hit], [_random_fp_poly(rng, field, num_vars)])
+        divisors = [d for d in range(2, lam + 1) if lam % d == 0] or [1]
+        strides = {1, lam, rng.choice(divisors) * rng.randint(1, 3), rng.randint(1, 2 * lam + 1)}
+        offsets = [max(mu - 1, 0), mu, mu + rng.randint(1, lam + 3), 0]
+        rng.shuffle(offsets)  # the cycle is met inside any one of them first
+        cache = OrbitCache(phi, start)
+        for gens in targets:
+            on_target = [all(g.evaluate(pt).is_zero() for g in gens) for pt in orbit]
+            for offset in offsets:
+                for stride in sorted(strides):
+                    count = rng.randint(5, 20) * (mu + lam) + rng.randrange(lam)
+                    folded = (stride * l + offset for l in range(count))
+                    expected = bytes(
+                        on_target[n if n < mu else mu + (n - mu) % lam] for n in folded
+                    )
+                    got = cache.scan(gens, count, stride, offset)
+                    assert got.flags == expected, (p, mu, lam, stride, offset, count)
+        assert cache.cycle == cycle
 
 
 def test_scan_against_orbit_prefix_over_rationals():
