@@ -365,6 +365,15 @@ def test_golden_suite_reports(name, tmp_path):
             5,
             "4767284ea81c6c82b8b501de4f6ee2f2391a41d23f742813978934c571faa924",
         ),
+        # A chain whose closure dimension increases, with a failed
+        # certificate, unstabilized closures and an unverified case.
+        (
+            {"field": "GF(7)", "vars": ["x", "y"], "phi": ["2*y^2", "5*y+2*x^2"],
+             "alpha": ["6", "3"], "V": ["y"], "N": 40,
+             "analysis": {"initial_samples": 2, "sample_budget": 4, "degree_cap": 1}},
+            4,
+            "4d08e48b5cd81ed52cf6dc729c121a067e66088b5479dc9b92fde9646a8c8d8b",
+        ),
     ],
 )
 def test_golden_diagnostic_reports(doc, notes, digest, tmp_path):
