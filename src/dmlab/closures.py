@@ -8,8 +8,8 @@ infinite orbit), and double m until two consecutive bases agree or the
 sample budget runs out.  The Buchberger-Moller walk stops at the cap,
 so no generator above it is ever computed.  The final basis always
 vanishes on every sampled point; the ``stabilized`` flag records
-whether the doubling settled, and every downstream claim that leans on
-an unstabilized closure carries a flag saying so.
+whether the doubling settled.  This module records such outcomes as
+facts and case codes; the report derives its flags and notes from them.
 
 Every entry point takes a :class:`Session`: the run's morphism, start
 point and horizon, its sampling settings, and a per-run memo.  A
@@ -24,7 +24,7 @@ algebraically that a subvariety W maps into itself under the a-th
 iterate, composing phi a times modulo I(W), so for finite W the work
 is linear in a.  :func:`refine_case_split` turns chain-versus-target
 dimension comparisons into either certified whole progressions, derived
-sub-instances analyzed recursively, or honestly flagged fallbacks.
+sub-instances analyzed recursively, or fallbacks recorded by case code.
 
 The run itself is the root :class:`SubInstance` (stride 1, offset 0),
 whose progressions are :class:`SubProgression` records like those of
@@ -78,15 +78,6 @@ CASE_CLOSURE_EQUALS_TARGET = "closure-equals-target"
 CASE_IRREDUCIBILITY_UNVERIFIED = "irreducibility-unverified"
 CASE_DEPTH_EXHAUSTED = "depth-exhausted"
 
-FLAG_UNSTABILIZED = "closure sampling did not stabilize within the sample budget"
-FLAG_DIMENSION_INCREASE = "closure dimension increased along the chain"
-FLAG_IRREDUCIBILITY = (
-    "equal dimensions but distinct ideals; irreducibility assumption unverified, "
-    "keeping the empirical decomposition"
-)
-FLAG_DEPTH = "recursion depth exhausted; keeping the empirical decomposition"
-
-
 @dataclass(frozen=True)
 class ClosureEntry:
     """Sampled closure of one offset class inside a progression."""
@@ -129,25 +120,22 @@ class PeriodicityCertificate:
 
 @dataclass(frozen=True)
 class OffsetCase:
-    """Resolution of one offset class against the target subvariety."""
+    """Resolution of one offset class against the target subvariety; the
+    class's offset and closure dimension live on the parallel chain entry."""
 
-    offset: int
-    closure_dimension: int
     intersection_dimension: int
     intersection: ReducedGroebnerBasis
     case: str
     child: "SubInstance | None"
-    flags: tuple
 
 
 @dataclass(frozen=True)
 class CaseSplitFragment:
-    """Per-offset case resolutions for one progression's chain."""
+    """Per-offset case resolutions for one progression's chain; ``offsets``
+    runs parallel to the chain's entries, which hold offsets and dimensions."""
 
-    modulus: int
     target_dimension: int
     offsets: tuple
-    flags: tuple
 
 
 @dataclass(frozen=True)
@@ -324,7 +312,9 @@ def refine_case_split(
     analyzed recursively up to the session's ``depth_limit``; when the
     ideals of W and V agree, the entire class is inside the return set;
     equal dimensions with distinct ideals would need irreducibility of
-    the target to conclude, so that outcome is only flagged.
+    the target to conclude, so that outcome is only recorded by its case
+    code.  The report derives its flags from the case codes, the entries'
+    ``stabilized`` and the chain's ``dimension_nonincreasing``.
     """
     return _case_split(session, target, chain, session.depth_limit)
 
@@ -332,45 +322,23 @@ def refine_case_split(
 def _case_split(session, target, chain, depth) -> CaseSplitFragment:
     target_dim = ideal_dimension(target)
     cases = []
-    fragment_flags: list = []
-    if not chain.dimension_nonincreasing:
-        fragment_flags.append(FLAG_DIMENSION_INCREASE)
     for entry in chain.entries:
-        flags = []
-        if not entry.stabilized:
-            flags.append(FLAG_UNSTABILIZED)
         intersection = ideal_sum(target, entry.ideal)
         inter_dim = ideal_dimension(intersection)
         child = None
-        if inter_dim < target_dim:
-            if depth > 0:
-                case = CASE_DIMENSION_DROP
-                child = _analyze_subinstance(
-                    session, intersection, chain.modulus, entry.offset, depth - 1
-                )
-            else:
-                case = CASE_DEPTH_EXHAUSTED
-                flags.append(FLAG_DEPTH)
+        if inter_dim < target_dim and depth > 0:
+            case = CASE_DIMENSION_DROP
+            child = _analyze_subinstance(
+                session, intersection, chain.modulus, entry.offset, depth - 1
+            )
+        elif inter_dim < target_dim:
+            case = CASE_DEPTH_EXHAUSTED
         elif ideal_equal(entry.ideal, target):
             case = CASE_CLOSURE_EQUALS_TARGET
         else:
             case = CASE_IRREDUCIBILITY_UNVERIFIED
-            flags.append(FLAG_IRREDUCIBILITY)
-        cases.append(
-            OffsetCase(
-                entry.offset,
-                entry.dimension,
-                inter_dim,
-                intersection,
-                case,
-                child,
-                tuple(flags),
-            )
-        )
-        for f in flags:
-            if f not in fragment_flags:
-                fragment_flags.append(f)
-    return CaseSplitFragment(chain.modulus, target_dim, tuple(cases), tuple(fragment_flags))
+        cases.append(OffsetCase(inter_dim, intersection, case, child))
+    return CaseSplitFragment(target_dim, tuple(cases))
 
 
 def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:

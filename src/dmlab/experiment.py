@@ -30,7 +30,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .closures import (
-    CaseSplitFragment,
+    CASE_DEPTH_EXHAUSTED,
+    CASE_IRREDUCIBILITY_UNVERIFIED,
     ClosureChain,
     PeriodicityCertificate,
     Session,
@@ -483,7 +484,7 @@ def _progression_json(p: SubProgression, frame: dict, spec: ExperimentSpec) -> d
         **frame,
         "closure_chain": _chain_json(p.chain, spec),
         "certificate": _certificate_json(p.certificate, spec),
-        "case_split": _fragment_json(p.case_split, spec),
+        "case_split": _fragment_json(p, spec),
     }
 
 
@@ -517,43 +518,68 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
     }
 
 
-def _fragment_json(fragment: CaseSplitFragment, spec: ExperimentSpec) -> dict:
+# The sentence behind each code a report can conclude with.
+_NOTES = {
+    "certificate-failed": "periodicity certificate failed",
+    "dimension-increase": "closure dimension increased along the chain",
+    "unstabilized": "closure sampling did not stabilize within the sample budget",
+    CASE_IRREDUCIBILITY_UNVERIFIED: (
+        "equal dimensions but distinct ideals; irreducibility assumption unverified, "
+        "keeping the empirical decomposition"
+    ),
+    CASE_DEPTH_EXHAUSTED: "recursion depth exhausted; keeping the empirical decomposition",
+}
+
+
+def _codes(p: SubProgression):
+    """Each offset's codes (``unstabilized``, then an inconclusive case) and
+    the progression's merged codes: ``dimension-increase`` first, then the
+    offsets' codes in first-seen order."""
+    per_offset = []
+    for entry, case in zip(p.chain.entries, p.case_split.offsets):
+        codes = [] if entry.stabilized else ["unstabilized"]
+        if case.case in _NOTES:
+            codes.append(case.case)
+        per_offset.append(codes)
+    merged = [] if p.chain.dimension_nonincreasing else ["dimension-increase"]
+    merged.extend(dict.fromkeys(code for codes in per_offset for code in codes))
+    return per_offset, merged
+
+
+def _fragment_json(p: SubProgression, spec: ExperimentSpec) -> dict:
+    per_offset, merged = _codes(p)
     return {
-        "modulus": str(fragment.modulus),
-        "target_dimension": str(fragment.target_dimension),
-        "flags": list(fragment.flags),
+        "modulus": str(p.chain.modulus),
+        "target_dimension": str(p.case_split.target_dimension),
+        "flags": [_NOTES[code] for code in merged],
         "offsets": [
             {
-                "offset": str(c.offset),
-                "closure_dimension": str(c.closure_dimension),
+                "offset": str(e.offset),
+                "closure_dimension": str(e.dimension),
                 "intersection_dimension": str(c.intersection_dimension),
                 "intersection_ideal": _basis_json(c.intersection, spec),
                 "case": c.case,
-                "flags": list(c.flags),
+                "flags": [_NOTES[code] for code in codes],
                 "derived": None if c.child is None else _subinstance_json(c.child, spec),
             }
-            for c in fragment.offsets
+            for e, c, codes in zip(p.chain.entries, p.case_split.offsets, per_offset)
         ],
     }
 
 
-def _collect_diagnostics(progressions, prefix: str = "") -> list:
-    """Notes for every progression, derived ones after their parent's."""
-    notes = []
+def _collect_diagnostics(progressions, prefix: str = ""):
+    """(context, code) for every progression, derived ones after their parent's."""
     for p in progressions:
         context = f"{prefix}progression ({p.modulus}, {p.offset})"
         if not p.certificate.invariant:
-            notes.append(f"{context}: periodicity certificate failed")
-        notes.extend(f"{context}: {flag}" for flag in p.case_split.flags)
-        for case in p.case_split.offsets:
+            yield context, "certificate-failed"
+        yield from ((context, code) for code in _codes(p)[1])
+        for entry, case in zip(p.chain.entries, p.case_split.offsets):
             if case.child is not None:
-                notes.extend(
-                    _collect_diagnostics(
-                        case.child.progressions,
-                        f"{context}, derived offset {case.offset}, ",
-                    )
+                yield from _collect_diagnostics(
+                    case.child.progressions,
+                    f"{context}, derived offset {entry.offset}, ",
                 )
-    return notes
 
 
 def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInstance):
@@ -595,5 +621,8 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
             "covered_count": str(len(root.returns) - len(root.residual)),
             **_residual_json(root),
         },
-        "diagnostics": _collect_diagnostics(root.progressions),
+        "diagnostics": [
+            f"{context}: {_NOTES[code]}"
+            for context, code in _collect_diagnostics(root.progressions)
+        ],
     }

@@ -28,10 +28,6 @@ from dmlab.closures import (
     CASE_DEPTH_EXHAUSTED,
     CASE_DIMENSION_DROP,
     CASE_IRREDUCIBILITY_UNVERIFIED,
-    FLAG_DEPTH,
-    FLAG_DIMENSION_INCREASE,
-    FLAG_IRREDUCIBILITY,
-    FLAG_UNSTABILIZED,
     ClosureChain,
     ClosureEntry,
 )
@@ -292,15 +288,16 @@ def test_refine_swap_against_line():
     session = Session(phi, start, 20)
     chain = closure_chain(session, 2, 0)
     frag = refine_case_split(session, target, chain)
-    assert frag.modulus == 2
     assert frag.target_dimension == 1
-    assert frag.flags == ()
+    assert chain.dimension_nonincreasing
+    assert all(e.stabilized for e in chain.entries)
+    assert len(frag.offsets) == len(chain.entries) == 2
     even, odd = frag.offsets
 
     # even class: a point inside the line, so the dimension drops and
     # the derived instance certifies all of it
     assert even.case == CASE_DIMENSION_DROP
-    assert (even.closure_dimension, even.intersection_dimension) == (0, 0)
+    assert (chain.entries[0].dimension, even.intersection_dimension) == (0, 0)
     child = even.child
     assert (child.stride, child.offset, child.returns.horizon) == (2, 0, 10)
     assert sorted(child.returns) == list(range(10))
@@ -326,11 +323,12 @@ def test_refine_chain_past_the_horizon():
     phi, start = swap_fixture()
     target = mk_basis(["x-1"], XY, QQ, ORDER2)
     session = Session(phi, start, 20)
-    frag = refine_case_split(session, target, closure_chain(session, 2, 20))
+    chain = closure_chain(session, 2, 20)
+    frag = refine_case_split(session, target, chain)
     assert [c.case for c in frag.offsets] == [CASE_DIMENSION_DROP] * 2
-    for case in frag.offsets:
+    for entry, case in zip(chain.entries, frag.offsets, strict=True):
         child = case.child
-        assert (child.stride, child.offset) == (2, case.offset)
+        assert (child.stride, child.offset) == (2, entry.offset)
         assert child.returns.horizon == 0
         assert len(child.returns) == 0 and list(child.returns) == []
         assert child.progressions == ()
@@ -346,8 +344,8 @@ def test_refine_depth_exhausted():
     frag = refine_case_split(session, target, chain)
     assert [c.case for c in frag.offsets] == [CASE_DEPTH_EXHAUSTED] * 2
     assert all(c.child is None for c in frag.offsets)
-    assert all(FLAG_DEPTH in c.flags for c in frag.offsets)
-    assert frag.flags == (FLAG_DEPTH,)
+    assert chain.dimension_nonincreasing
+    assert all(e.stabilized for e in chain.entries)
 
 
 def test_refine_closure_equal_to_target():
@@ -377,8 +375,7 @@ def test_refine_equal_dimension_distinct_ideals():
     case = frag.offsets[0]
     assert frag.target_dimension == 1
     assert case.case == CASE_IRREDUCIBILITY_UNVERIFIED
-    assert FLAG_IRREDUCIBILITY in case.flags
-    assert FLAG_IRREDUCIBILITY in frag.flags
+    assert chain.entries[0].stabilized
     assert case.child is None
 
 
@@ -392,10 +389,12 @@ def test_refine_flags_from_hand_built_chain():
         ClosureEntry(1, zero, 2, 8, False),
     ))
     frag = refine_case_split(Session(phi, start, 20), target, chain)
-    assert FLAG_DIMENSION_INCREASE in frag.flags
-    unstable = frag.offsets[1]
-    assert FLAG_UNSTABILIZED in unstable.flags
-    assert unstable.case == CASE_IRREDUCIBILITY_UNVERIFIED
+    assert not chain.dimension_nonincreasing
+    assert [e.stabilized for e in chain.entries] == [True, False]
+    assert [c.case for c in frag.offsets] == [
+        CASE_DIMENSION_DROP,
+        CASE_IRREDUCIBILITY_UNVERIFIED,
+    ]
 
 
 def test_random_chain_generators_vanish_on_samples():

@@ -385,6 +385,86 @@ def test_golden_diagnostic_reports(doc, notes, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_notes_derive_from_closure_outcomes():
+    from dmlab import (
+        ClosureChain,
+        ClosureEntry,
+        MonomialOrder,
+        PeriodicityCertificate,
+        ReducedGroebnerBasis,
+        Session,
+        SubProgression,
+        buchberger,
+        certify_invariant,
+        closure_chain,
+        refine_case_split,
+    )
+    from dmlab.experiment import _collect_diagnostics, _fragment_json
+
+    QQ = Field.rationals()
+    spec = experiment_from_dict(base_doc())
+    order = MonomialOrder.grevlex(2)
+
+    def basis(*sources):
+        return buchberger([parse_polynomial(s, ("x", "y"), QQ) for s in sources], order)
+
+    def progression(session, target, chain, invariant=None):
+        fragment = refine_case_split(session, target, chain)
+        certificate = certify_invariant(chain.entries[0].ideal, session.phi, chain.modulus)
+        if invariant is not None:
+            certificate = PeriodicityCertificate(chain.modulus, invariant, ())
+        return SubProgression(chain.modulus, chain.entries[0].offset, chain, certificate, fragment)
+
+    line = basis("x-1")
+    # A hand-built chain whose dimension increases, with an unstabilized
+    # closure at offset 1, and a failed certificate.
+    hand_built = ClosureChain(2, 4, (
+        ClosureEntry(0, basis("x-1", "y-2"), 0, 4, True),
+        ClosureEntry(1, ReducedGroebnerBasis(order, (), 2, QQ), 2, 8, False),
+    ))
+    swap = Session(spec.phi, spec.start, 20)
+    first = progression(swap, line, hand_built, invariant=False)
+    # Both classes drop in dimension, but the depth is exhausted.
+    shallow = Session(spec.phi, spec.start, 20, depth_limit=0)
+    second = progression(shallow, line, closure_chain(shallow, 2, 1))
+    # The closure {x = 0} has the dimension of V: x^2 = x, not its ideal.
+    shifted = experiment_from_dict({**base_doc(), "phi": ["x", "y+1"], "alpha": ["0", "0"]})
+    shift = Session(shifted.phi, shifted.start, 30)
+    third = progression(shift, basis("x^2-x"), closure_chain(shift, 1, 0))
+
+    assert list(_collect_diagnostics([first, second, third])) == [
+        ("progression (2, 0)", "certificate-failed"),
+        ("progression (2, 0)", "dimension-increase"),
+        ("progression (2, 0)", "unstabilized"),
+        ("progression (2, 0)", "irreducibility-unverified"),
+        ("progression (2, 1)", "depth-exhausted"),
+        ("progression (1, 0)", "irreducibility-unverified"),
+    ]
+    increase = "closure dimension increased along the chain"
+    unstable = "closure sampling did not stabilize within the sample budget"
+    unverified = (
+        "equal dimensions but distinct ideals; irreducibility assumption unverified, "
+        "keeping the empirical decomposition"
+    )
+    depth = "recursion depth exhausted; keeping the empirical decomposition"
+    rendered = [_fragment_json(p, spec) for p in (first, second, third)]
+    assert [r["flags"] for r in rendered] == [
+        [increase, unstable, unverified],
+        [depth],
+        [unverified],
+    ]
+    assert [[o["flags"] for o in r["offsets"]] for r in rendered] == [
+        [[], [unstable, unverified]],
+        [[depth], [depth]],
+        [[unverified]],
+    ]
+    assert [[o["offset"] for o in r["offsets"]] for r in rendered] == [
+        ["0", "1"],
+        ["1", "2"],
+        ["0"],
+    ]
+
+
 @pytest.mark.parametrize(
     "a, b, invariant, digest",
     [
