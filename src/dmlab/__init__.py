@@ -29,7 +29,6 @@ from .closures import (
     SubProgression,
     certify_invariant,
     closure_chain,
-    orbit_closure_ideal,
     refine_case_split,
 )
 from .density import (
@@ -132,7 +131,6 @@ __all__ = [
     "load_experiment",
     "morphism_iterate",
     "normal_form",
-    "orbit_closure_ideal",
     "orbit_prefix",
     "parse_polynomial",
     "refine_case_split",

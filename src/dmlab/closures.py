@@ -69,7 +69,6 @@ __all__ = [
     "SubProgression",
     "certify_invariant",
     "closure_chain",
-    "orbit_closure_ideal",
     "refine_case_split",
 ]
 
@@ -201,6 +200,10 @@ class Session:
     memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.m_min < 2:
+            raise ValueError("member minimum must be at least 2")
+        if self.depth_limit < 0:
+            raise ValueError("depth limit must be non-negative")
         if self.initial_samples < 2:
             raise ValueError("need at least two initial samples")
         if self.sample_budget < self.initial_samples:
@@ -232,20 +235,6 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     entry = ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
     session.memo[(stride, offset)] = entry
     return entry
-
-
-def orbit_closure_ideal(session: Session, modulus: int, offset: int):
-    """Degree-capped vanishing ideal of the sampled sub-orbit
-    {phi^(modulus*k + offset)(start) : k >= 0}.
-
-    Returns (basis, stabilized).  The basis vanishes on every sampled
-    point by construction; stabilization of the doubling loop is
-    evidence, not proof, that it equals the ideal of the full
-    sub-orbit closure.
-    """
-    Progression(modulus, offset)  # validates the frame
-    entry = _closure(session, modulus, offset)
-    return entry.ideal, entry.stabilized
 
 
 def _chain(session: Session, stride: int, offsets) -> ClosureChain:

@@ -27,7 +27,6 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .closures import (
     CASE_DEPTH_EXHAUSTED,
@@ -51,7 +50,7 @@ from .density import (
 )
 from .exprparse import ExprSyntaxError, parse_polynomial
 from .fields import Field
-from .ideals import ReducedGroebnerBasis, buchberger
+from .ideals import buchberger
 from .orbits import Morphism, ReturnSet, return_set
 
 __all__ = [
@@ -273,7 +272,7 @@ def load_experiment(path) -> ExperimentSpec:
         raise SchemaError(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("not valid JSON: arrays or objects nested too deeply") from exc
@@ -403,10 +402,6 @@ def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDoc
 # "num/den"; key order is fixed by construction.
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _ints(values) -> list:
     return [str(v) for v in values]
 
@@ -434,14 +429,10 @@ def _profile_json(profile: DensityProfile) -> dict:
     return {
         "horizon": str(profile.horizon),
         "entries": [
-            {"window": str(length), "max_ratio": _frac(ratio)}
+            {"window": str(length), "max_ratio": str(ratio)}
             for length, ratio in profile.entries
         ],
     }
-
-
-def _basis_json(basis: ReducedGroebnerBasis, spec: ExperimentSpec) -> list:
-    return list(basis.render(spec.var_names))
 
 
 def _chain_json(chain: ClosureChain, spec: ExperimentSpec) -> dict:
@@ -455,7 +446,7 @@ def _chain_json(chain: ClosureChain, spec: ExperimentSpec) -> dict:
                 "dimension": str(e.dimension),
                 "samples_used": str(e.samples_used),
                 "stabilized": e.stabilized,
-                "ideal": _basis_json(e.ideal, spec),
+                "ideal": list(e.ideal.render(spec.var_names)),
             }
             for e in chain.entries
         ],
@@ -557,7 +548,7 @@ def _fragment_json(p: SubProgression, spec: ExperimentSpec) -> dict:
                 "offset": str(e.offset),
                 "closure_dimension": str(e.dimension),
                 "intersection_dimension": str(c.intersection_dimension),
-                "intersection_ideal": _basis_json(c.intersection, spec),
+                "intersection_ideal": list(c.intersection.render(spec.var_names)),
                 "case": c.case,
                 "flags": [_NOTES[code] for code in codes],
                 "derived": None if c.child is None else _subinstance_json(c.child, spec),

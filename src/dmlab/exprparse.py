@@ -133,7 +133,10 @@ class _Parser:
             if ekind != "number":
                 self.fail("expected an integer exponent")
             self.advance()
-            exponent = int(etext)
+            try:
+                exponent = int(etext)
+            except ValueError:  # past the interpreter's digit limit
+                exponent = MAX_EXPONENT + 1
             if exponent > MAX_EXPONENT:
                 raise ExprSyntaxError("exponent overflow", epos)
             poly = poly**exponent
@@ -149,7 +152,11 @@ class _Parser:
                 return MultiPoly.constant(self.field, self.num_vars, self.field.t())
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "number":
-            return MultiPoly.from_int(self.field, self.num_vars, int(text))
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's digit limit
+                raise ExprSyntaxError("integer literal too long", pos) from None
+            return MultiPoly.from_int(self.field, self.num_vars, value)
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError("parentheses nested too deeply", pos)

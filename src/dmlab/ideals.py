@@ -313,7 +313,10 @@ def vanishing_ideal(
     candidate as leading term and a tail supported on earlier standard
     monomials, so the output is reduced without further work.  The
     standard monomial count always equals the number of distinct
-    points.
+    points.  Every candidate after ``1`` is ``x_i * m`` for a standard
+    monomial ``m`` already evaluated, so its vector is ``m``'s
+    unreduced vector times ``x_i`` at each point: one product per
+    point, whichever parent reached the candidate first.
 
     With ``max_degree`` (grevlex only) the result is instead the
     reduced basis of the ideal generated by every polynomial of total
@@ -343,35 +346,20 @@ def vanishing_ideal(
     zero = field.zero()
     one = field.one()
 
-    pow_cache = [[dict() for _ in range(n)] for _ in range(npts)]
-
-    def eval_mono(mono):
-        out = []
-        for p_idx, pt in enumerate(pts):
-            v = one
-            for i, e in enumerate(mono):
-                if e:
-                    cache = pow_cache[p_idx][i]
-                    pw = cache.get(e)
-                    if pw is None:
-                        pw = pt[i] ** e
-                        cache[e] = pw
-                    v = pw if v.is_one() else v * pw
-            out.append(v)
-        return out
-
     # (pivot index, vector with pivot 1, combination dict); each row is
     # zero at every earlier row's pivot, so one pass in insertion order
     # reduces a new vector to zero exactly when it is dependent.
     rows: list = []
     gens: list = []
     gen_leads: list = []
-    todo = {(0,) * n}
+    # candidate -> (unreduced vector of the standard monomial it extends,
+    # the variable it multiplies by); the constant monomial has no parent.
+    todo: dict = {(0,) * n: None}
     seen = set()
 
     while todo:
         mono = min(todo, key=order.key)
-        todo.discard(mono)
+        parent = todo.pop(mono)
         seen.add(mono)
         if any(mono_divides(lm, mono) for lm in gen_leads):
             continue
@@ -381,7 +369,12 @@ def vanishing_ideal(
             if not gens:
                 return ReducedGroebnerBasis(order, (), n, field)
             return buchberger(gens, order)
-        vec = eval_mono(mono)
+        if parent is None:
+            vec = [one] * npts
+        else:
+            parent_vec, i = parent
+            vec = [v * pt[i] for v, pt in zip(parent_vec, pts)]
+        raw = vec
         combo = {mono: one}
         for pivot, rvec, rcombo in rows:
             c = vec[pivot]
@@ -408,7 +401,7 @@ def vanishing_ideal(
             for i in range(n):
                 step = tuple(e + (1 if k == i else 0) for k, e in enumerate(mono))
                 if step not in seen:
-                    todo.add(step)
+                    todo.setdefault(step, (raw, i))
 
     gens.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
     return ReducedGroebnerBasis(order, tuple(gens), n, field)

@@ -16,8 +16,9 @@ the iterate indices landing on a target subvariety.
 
 One scan, :meth:`OrbitCache.scan`, produces every return set: the
 run's, and each derived instance's, whose index l stands for orbit
-index stride * l + offset.  Over GF(p) it tests at most preperiod +
-period stored points, each once: past the preperiod, l and
+index stride * l + offset.  It extends the cache first, so over GF(p)
+the cycle is known before any test, and then tests each stored point
+once by construction: past the preperiod, l and
 l + period / gcd(period, stride) land on the same cycle point, so the
 scan tests one period of l and writes the rest of the table by
 repeating that block.  A :class:`ReturnSet` stores only its horizon
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
-from .fields import FieldKind
+from .fields import FieldKind, FieldMismatchError
 from .ideals import ReducedGroebnerBasis
 from .multipoly import MultiPoly
 
@@ -158,43 +159,35 @@ class OrbitCache:
     def point(self, n: int) -> tuple:
         return self._points[self.index(n)]
 
-    def prefix(self, n: int) -> list:
-        if n <= 0:
-            return []
-        self.index(n - 1)
-        pts = self._points
-        return pts[:n] + [pts[self.index(i)] for i in range(len(pts), n)]
-
     def scan(self, gens, count: int, stride: int, offset: int) -> ReturnSet:
         """Indices l < count with phi^(stride * l + offset)(start) on the
         subvariety cut out by ``gens``.
 
-        Each stored point is tested at most once.  Once the cycle is
-        known and stride * l + offset has passed the preperiod, l and
-        l + period / gcd(period, stride) land on the same cycle point:
-        the scan tests that one period of l and fills the rest of the
-        table by repeating it, so over GF(p) its loop runs about
-        preperiod / stride + period times whatever ``count`` is.  Over
-        QQ and GF(p)(t) it tests every index l.
+        The scan extends the cache to its last index first (over GF(p)
+        this stops at the cycle), then tests each stored point at most
+        once by construction: the head indices below the preperiod are
+        distinct, and past it l -> stride * l mod period is injective on
+        period / gcd(period, stride) consecutive l, after which the
+        points repeat.  So it tests the head and one such block and
+        fills the rest of the table by repeating the block; over GF(p)
+        that is about preperiod / stride + period tests whatever
+        ``count`` is.  Over QQ and GF(p)(t) it tests every index l.
         """
-        on_target = {}  # stored index -> lies on the target; met out of order
+        self.index(stride * max(count - 1, 0) + offset)
 
         def test(l):
-            i = self.index(stride * l + offset)
-            if i not in on_target:
-                on_target[i] = all(g.evaluate(self._points[i]).is_zero() for g in gens)
-            return on_target[i]
+            return all(g.evaluate(self.point(stride * l + offset)).is_zero() for g in gens)
 
+        head = count
+        if self.cycle is not None:  # the l with stride * l + offset below the preperiod
+            head = min(count, len(range(offset, self.cycle.preperiod, stride)))
         flags = bytearray(count)
-        l = 0
-        while l < count and (self.cycle is None or stride * l + offset < self.cycle.preperiod):
-            flags[l] = test(l)
-            l += 1
-        if l < count:
+        flags[:head] = map(test, range(head))
+        if head < count:
             period = self.cycle.period // gcd(self.cycle.period, stride)
-            block = bytes(map(test, range(l, min(l + period, count))))
-            repeats, rest = divmod(count - l, period)
-            flags[l:] = block * repeats + block[:rest]
+            block = bytes(map(test, range(head, min(head + period, count))))
+            repeats, rest = divmod(count - head, period)
+            flags[head:] = block * repeats + block[:rest]
         return ReturnSet.from_flags(flags)
 
 
@@ -307,27 +300,26 @@ class ReturnSet:
         return f"<returns below {self.horizon}: {{{body}}}>"
 
 
-def _target_generators(target):
-    if isinstance(target, ReducedGroebnerBasis):
-        return tuple(target.generators)
-    gens = tuple(target)
-    for g in gens:
-        if not isinstance(g, MultiPoly):
-            raise TypeError("target generators must be MultiPoly")
-    return gens
-
-
 def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | None = None) -> ReturnSet:
     """Indices n < horizon with phi^n(start) on the target subvariety.
 
     The target is a Groebner basis or an iterable of polynomials; a
     point is on the subvariety when every generator evaluates to zero.
     An empty generator list cuts out the whole space, so every index
-    returns.  A given cache must belong to this map and start.
+    returns.  Generators must share the map's field and variables, and
+    a given cache must belong to this map and start; both are checked
+    before any iterate is computed.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    gens = _target_generators(target)
+    gens = tuple(target.generators if isinstance(target, ReducedGroebnerBasis) else target)
+    for g in gens:
+        if not isinstance(g, MultiPoly):
+            raise TypeError("target generators must be MultiPoly")
+        if g.field != phi.field:
+            raise FieldMismatchError("field mismatch")
+        if g.num_vars != phi.num_vars:
+            raise ValueError("target generators must be polynomials in the ambient variables")
     if cache is None:
         cache = OrbitCache(phi, start)
     elif cache.phi is not phi:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 
@@ -31,3 +33,12 @@ def counted_field():
         return copy, ring
 
     return make
+
+
+@pytest.fixture
+def over_digit_limit():
+    """A decimal literal one digit past the interpreter's int/str conversion limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer string conversion limit")
+    return "1" * (limit + 1)

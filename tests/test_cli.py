@@ -88,6 +88,21 @@ def test_invalid_json_file(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [('"x-1"', '"x-{}"'), ('"phi": ["y", "x"]', '"phi": ["y", "x^{}"]'), ('"N": 20', '"N": {}')],
+    ids=["literal", "exponent", "json-number"],
+)
+def test_integers_past_the_digit_limit_are_input_errors(
+    old, new, swap_file, over_digit_limit, capsys
+):
+    text = swap_file.read_text(encoding="utf-8")
+    assert old in text
+    swap_file.write_text(text.replace(old, new.format(over_digit_limit)), encoding="utf-8")
+    assert main(["run", str(swap_file)]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
 def test_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"field": "Q\xffQ"}')

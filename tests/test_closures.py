@@ -17,7 +17,6 @@ from dmlab import (
     ideal_dimension,
     morphism_iterate,
     normal_form,
-    orbit_closure_ideal,
     orbit_prefix,
     parse_polynomial,
     refine_case_split,
@@ -54,7 +53,8 @@ def swap_fixture():
 
 def test_even_suborbit_closure_is_a_point():
     phi, start = swap_fixture()
-    basis, stabilized = orbit_closure_ideal(Session(phi, start, 20), 2, 0)
+    entry = closure_chain(Session(phi, start, 20), 2, 0).entries[0]
+    basis, stabilized = entry.ideal, entry.stabilized
     assert basis.render(XY) == ("x - 1", "y - 2")
     assert stabilized
     assert ideal_dimension(basis) == 0
@@ -62,7 +62,8 @@ def test_even_suborbit_closure_is_a_point():
 
 def test_whole_orbit_closure_two_points():
     phi, start = swap_fixture()
-    basis, stabilized = orbit_closure_ideal(Session(phi, start, 20), 1, 0)
+    entry = closure_chain(Session(phi, start, 20), 1, 0).entries[0]
+    basis, stabilized = entry.ideal, entry.stabilized
     assert basis.render(XY) == ("y^2 - 3*y + 2", "x + y - 3")
     assert stabilized
     assert ideal_dimension(basis) == 0
@@ -74,7 +75,8 @@ def test_infinite_orbit_closure_fills_the_line():
     # x -> 2x over QQ never repeats, so every hypersurface through the
     # samples blows past the degree cap and the ideal collapses to zero.
     phi = mk_morphism(["2*x"], ("x",), QQ)
-    basis, stabilized = orbit_closure_ideal(Session(phi, (QQ.from_int(1),), 20), 1, 0)
+    entry = closure_chain(Session(phi, (QQ.from_int(1),), 20), 1, 0).entries[0]
+    basis, stabilized = entry.ideal, entry.stabilized
     assert basis.is_zero_ideal
     assert stabilized
     assert ideal_dimension(basis) == 1
@@ -100,7 +102,8 @@ def test_unstabilized_when_budget_runs_out():
     session = Session(
         phi, (QQ.from_int(0),), 20, degree_cap=4, initial_samples=4, sample_budget=8
     )
-    basis, stabilized = orbit_closure_ideal(session, 1, 0)
+    entry = closure_chain(session, 1, 0).entries[0]
+    basis, stabilized = entry.ideal, entry.stabilized
     assert basis.is_zero_ideal
     assert not stabilized
 
@@ -109,15 +112,19 @@ def test_closure_parameter_validation():
     phi, start = swap_fixture()
     session = Session(phi, start, 20)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(session, 0, 0)
+        closure_chain(session, 0, 0)
     with pytest.raises(ValueError):
-        orbit_closure_ideal(session, 1, -1)
+        closure_chain(session, 1, -1)
     with pytest.raises(ValueError):
         Session(phi, start, 20, initial_samples=1)
     with pytest.raises(ValueError):
         Session(phi, start, 20, initial_samples=4, sample_budget=3)
     with pytest.raises(ValueError):
         Session(phi, start, 20, degree_cap=0)
+    with pytest.raises(ValueError, match="member minimum"):
+        Session(phi, start, 20, m_min=1)
+    with pytest.raises(ValueError, match="depth limit"):
+        Session(phi, start, 20, depth_limit=-1)
     with pytest.raises(ValueError):
         closure_chain(session, 0, 0)
     with pytest.raises(ValueError):
@@ -463,15 +470,17 @@ def test_truncated_walk_matches_the_capped_filter_on_random_cases():
 
 def test_truncated_walk_evaluates_no_monomial_above_the_cap(monkeypatch):
     points = [(QQ.from_int(k),) for k in range(32)]
-    exponents = []
-    original = FieldValue.__pow__
+    coords = {id(c) for pt in points for c in pt}
+    steps = []
+    original = FieldValue.__mul__
 
-    def record(self, e):
-        exponents.append(e)
-        return original(self, e)
+    def record(self, other):
+        if id(other) in coords:
+            steps.append(other)
+        return original(self, other)
 
-    monkeypatch.setattr(FieldValue, "__pow__", record)
+    monkeypatch.setattr(FieldValue, "__mul__", record)
     basis = vanishing_ideal(points, MonomialOrder.grevlex(1), max_degree=2)
     assert basis.is_zero_ideal
-    assert exponents
-    assert max(exponents) <= 2
+    # x and x^2 at each point, one product each; x^3 would add 32 more
+    assert len(steps) == 64

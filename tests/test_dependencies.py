@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -24,3 +25,13 @@ def test_library_imports_only_the_standard_library():
         if module != "dmlab" and module not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_every_exported_name_resolves():
+    names = ["dmlab"] + [f"dmlab.{path.stem}" for path in SOURCES if path.stem != "__init__"]
+    for name in names:
+        namespace = {}
+        exec(f"from {name} import *", namespace)  # raises on a missing name
+        exported = importlib.import_module(name).__all__
+        assert len(set(exported)) == len(exported), name
+        assert set(exported) <= namespace.keys(), name

@@ -92,6 +92,16 @@ def test_exponent_limits():
     assert e.position == 2
 
 
+def test_literals_past_the_digit_limit_are_syntax_errors(over_digit_limit):
+    digits = over_digit_limit
+    e = err(f"x+{digits}", var_names=("x",))
+    assert e.detail == "integer literal too long"
+    assert e.position == 2
+    e = err(f"x^{digits}", var_names=("x",))
+    assert e.detail == "exponent overflow"
+    assert e.position == 2
+
+
 def test_nesting_limit():
     x = MultiPoly.variable(QQ, 1, 0)
     deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING

@@ -54,7 +54,7 @@ def test_orbit_cache_lazy_extension():
     phi = mk_morphism(["x+1"], ("x",), QQ)
     cache = OrbitCache(phi, (QQ.from_int(0),))
     assert cache.point(5)[0].payload == 5
-    assert [p[0].payload for p in cache.prefix(3)] == [0, 1, 2]
+    assert [p[0].payload for p in [cache.point(i) for i in range(3)]] == [0, 1, 2]
     assert cache.start == (QQ.from_int(0),)
 
 
@@ -63,9 +63,8 @@ def test_orbit_cache_prefix_past_the_cycle():
     sq = mk_morphism(["x^2"], ("x",), F7)
     start = (F7.from_int(3),)  # 3, 2, 4, 2, 4, ...: preperiod 1, period 2
     cache = OrbitCache(sq, start)
-    assert cache.prefix(9) == orbit_prefix(sq, start, 9)
+    assert [cache.point(i) for i in range(9)] == orbit_prefix(sq, start, 9)
     assert cache.cycle == CycleStructure(1, 2)
-    assert cache.prefix(0) == []
 
 
 def test_orbit_cache_folds_prime_orbits_at_the_first_repeat():
@@ -84,7 +83,7 @@ def test_orbit_cache_folds_prime_orbits_at_the_first_repeat():
         expected = orbit_prefix(phi, start, horizon)
         for n in rng.sample(range(horizon // 2, horizon), 5):
             assert cache.point(n) == expected[n]
-        assert cache.prefix(horizon) == expected
+        assert [cache.point(i) for i in range(horizon)] == expected
 
 
 def test_orbit_cache_never_folds_infinite_fields():
@@ -93,7 +92,7 @@ def test_orbit_cache_never_folds_infinite_fields():
     assert qq.cycle is None
     # x -> x^2 is periodic at 1 over GF(2)(t); only GF(p) caches fold
     f2t = OrbitCache(mk_morphism(["x^2"], ("x",), F2T), (F2T.one(),))
-    assert f2t.prefix(10) == [(F2T.one(),)] * 10
+    assert [f2t.point(i) for i in range(10)] == [(F2T.one(),)] * 10
     assert f2t.cycle is None
 
 
@@ -120,6 +119,21 @@ def test_prime_return_set_steps_only_through_preperiod_and_period():
     s = return_set(phi, start, target, 10**6)
     assert phi.calls <= cycle.preperiod + cycle.period
     assert s.indices[-1] == 10**6 - 1
+
+
+def test_return_set_refuses_targets_off_the_map_before_iterating():
+    F7 = Field.prime(7)
+    phi = _CountingMorphism([parse_polynomial(src, XY, F7) for src in ("y", "x")])
+    start = (F7.one(), F7.from_int(2))
+    cache = OrbitCache(phi, start)
+    with pytest.raises(FieldMismatchError, match="field mismatch"):
+        return_set(phi, start, [parse_polynomial("x-1", XY, Field.prime(5))], 10, cache)
+    with pytest.raises(ValueError, match="ambient variables"):
+        return_set(phi, start, [parse_polynomial("x-1", ("x",), F7)], 10, cache)
+    with pytest.raises(TypeError, match="MultiPoly"):
+        return_set(phi, start, ["x-1"], 10, cache)
+    assert phi.calls == 0 and cache.cycle is None
+    assert return_set(phi, start, [parse_polynomial("x-1", XY, F7)], 10, cache).indices == (0, 2, 4, 6, 8)
 
 
 class _CountingPoly:
