@@ -27,6 +27,8 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .closures import (
     CASE_DEPTH_EXHAUSTED,
@@ -293,7 +295,13 @@ class ReportDocument:
         self.decomposition = decomposition
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, indent=2) + "\n"
+        """The payload as ``json.dumps(payload, indent=2)`` writes it, plus a
+        newline; a leaf other than a string, a boolean or None raises
+        TypeError, since every numeric leaf of a report is a string."""
+        out: list = []
+        _render(self.payload, 0, out)
+        out.append("\n")
+        return "".join(out)
 
     def returns_csv(self) -> str:
         lines = ["n,in_V"]
@@ -306,6 +314,42 @@ class ReportDocument:
         for length, ratio in self.profile.entries:
             lines.append(f"{length},{ratio}")
         return "\n".join(lines) + "\n"
+
+
+def _render(value, depth: int, out: list) -> None:
+    # Appends the pieces of json.dumps(value, indent=2) at this depth to out,
+    # so the report is copied once, by the final join.
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (dict, list)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for k, v in value.items():
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            sep = "," + pad
+            _render(v, depth + 1, out)
+        out.append(pad[:-2] + "}")
+    elif isinstance(value, list):
+        pad = "\n" + "  " * (depth + 1)
+        if all(map(isinstance, value, repeat(str))):  # index lists: one join
+            out += ("[" + pad, ("," + pad).join(map(encode_basestring_ascii, value)))
+        else:
+            sep = "[" + pad
+            for v in value:
+                out.append(sep)
+                sep = "," + pad
+                _render(v, depth + 1, out)
+        out.append(pad[:-2] + "]")
+    else:
+        raise TypeError(f"report leaves are str, bool or None, not {type(value).__name__}")
 
 
 @contextmanager
@@ -421,7 +465,7 @@ def _return_set_json(returns: ReturnSet) -> dict:
     return {
         "horizon": str(returns.horizon),
         "count": str(len(returns)),
-        "indices": _ints(returns.indices),
+        "indices": _ints(returns),
     }
 
 
@@ -482,7 +526,7 @@ def _progression_json(p: SubProgression, frame: dict, spec: ExperimentSpec) -> d
 def _residual_json(instance: SubInstance) -> dict:
     return {
         "residual_count": str(len(instance.residual)),
-        "residual_indices": _ints(instance.residual.indices),
+        "residual_indices": _ints(instance.residual),
         "residual_profile": _profile_json(instance.residual_profile),
     }
 
@@ -493,7 +537,7 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
         "offset": str(sub.offset),
         "horizon": str(sub.returns.horizon),
         "return_count": str(len(sub.returns)),
-        "return_indices": _ints(sub.returns.indices),
+        "return_indices": _ints(sub.returns),
         "progressions": [
             _progression_json(
                 p,

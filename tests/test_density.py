@@ -82,6 +82,55 @@ def test_window_against_brute_force():
         )
 
 
+def orbit_shaped(rng, horizon):
+    # a random head, then a union of residue classes mod 2..7 with sparse holes,
+    # the shape of a return set whose orbit enters a cycle
+    head = rng.randint(0, horizon // 3)
+    modulus = rng.randint(2, 7)
+    residues = set(rng.sample(range(modulus), rng.randint(1, modulus)))
+    members = [n for n in range(head) if rng.random() < 0.3]
+    members += [
+        n for n in range(head, horizon) if n % modulus in residues and rng.random() > 0.03
+    ]
+    return members
+
+
+def test_window_on_orbit_shaped_tables():
+    rng = random.Random(0x0B17)
+    horizons = rng.choices(range(1, 260), k=30)
+    tables = [(horizon, orbit_shaped(rng, horizon)) for horizon in horizons]
+    tables += [
+        (90, range(90)),  # full
+        (90, []),  # empty
+        (90, range(0, 25)),  # one run starting at 0
+        (90, [*range(0, 3), *range(40, 47)]),
+        (90, [89]),  # a single member at N-1
+        (90, [0, 89]),
+        (1, [0]),
+        (1, []),
+    ]
+    for horizon, members in tables:
+        s = rs(horizon, members)
+        lengths = {1, horizon, *rng.choices(range(1, horizon + 1), k=3)}
+        assert density_profile(s, lengths).entries == tuple(
+            (l, _brute_window_max(members, horizon, l)) for l in sorted(lengths)
+        )
+        for length in (1, horizon):
+            assert window_density_max(s, length) == _brute_window_max(members, horizon, length)
+
+
+def test_window_on_two_run_table_of_a_million():
+    # runs [0, a) and [a + gap, N): a window holding the whole gap counts L - gap,
+    # and any other window meets one run only
+    a, gap, b = 123_457, 400_000, 476_543
+    horizon = a + gap + b
+    s = ReturnSet.from_flags(b"\1" * a + b"\0" * gap + b"\1" * b)
+    lengths = {1, 1000, a, a + 1, gap, gap + 1, b, b + 1, *default_window_schedule(horizon)}
+    assert density_profile(s, lengths).entries == tuple(
+        (l, Fraction(max(min(l, max(a, b)), l - gap), l)) for l in sorted(lengths)
+    )
+
+
 def test_ceil_sqrt():
     assert [ceil_sqrt(n) for n in (0, 1, 2, 4, 5, 1089, 1100)] == [0, 1, 2, 2, 3, 33, 34]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from dmlab import (
     run_experiment,
 )
 from dmlab.cli import main
+from dmlab.experiment import ReportDocument, certify_report, density_report
 
 
 def base_doc():
@@ -223,6 +225,58 @@ def test_every_leaf_is_a_string_bool_or_null():
     report = run_experiment(experiment_from_dict(base_doc()))
     for leaf in leaves(report.payload):
         assert isinstance(leaf, (str, bool)) or leaf is None
+
+
+# digits, rationals, non-ASCII (one outside the BMP), control characters, quote, backslash
+TEXTS = [
+    "", "0", "17/4", "x^2+y", "caf\u00e9", "\u2603", "\U0001f600", "\u2028",
+    "\x00", "\x1f", "\x7f", "\n\t\r\b\f", '"', "\\", 'a"b\\c',
+]
+
+
+def random_payload(rng, depth):
+    roll = rng.random()
+    if depth >= 5 or roll < 0.3:
+        return rng.choice([*TEXTS, True, False, None])
+    if roll < 0.45:
+        return rng.choice([{}, []])
+    if roll < 0.6:
+        return [rng.choice(TEXTS) for _ in range(rng.randint(1, 6))]
+    if roll < 0.8:
+        return [random_payload(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+    return {rng.choice(TEXTS): random_payload(rng, depth + 1) for _ in range(rng.randint(1, 4))}
+
+
+def test_report_bytes_equal_indented_dumps():
+    rng = random.Random(0x150)
+    payloads = [random_payload(rng, 0) for _ in range(300)]
+    empties = {}
+    for _ in range(6):  # an empty dict and an empty list at every depth
+        empties = {"dict": {}, "list": [], "dicts": [empties, {"k": "v"}], "texts": ["a", "b"]}
+    payloads.append(empties)
+    spec = experiment_from_dict(base_doc())
+    for report in (run_experiment(spec), density_report(spec), certify_report(spec, 2, 0)):
+        payloads.append(report.payload)
+    for payload in payloads:
+        assert ReportDocument(payload).to_json() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"N": 20},
+        {"ratio": 0.5},
+        {"indices": ["1", 2]},
+        {"entries": [{"window": "3", "max_ratio": 1.5}]},
+        [float("nan")],
+        {1: "one"},
+        ("a", "b"),
+    ],
+)
+def test_report_refuses_non_string_leaves(payload):
+    # json.dumps would print these; a report renders every number as a string
+    with pytest.raises(TypeError):
+        ReportDocument(payload).to_json()
 
 
 def test_csv_outputs():
