@@ -8,15 +8,16 @@ pairs a descriptor with a canonical payload:
 * rationals: a reduced ``fractions.Fraction`` (positive denominator),
 * GF(p): an int residue in [0, p),
 * GF(p)(t): a pair (num, den) of GF(p)[t] polynomials, each packed into
-  one Python int.  Coefficient i sits little-endian in bytes
-  [i*k, (i+1)*k), where k is the smallest of 1, 2 and 4 with
-  (p-1).bit_length() + 1 <= 8*k.  That leaves one spare bit per slot,
+  one Python int.  Coefficient i sits in bits [i*b, (i+1)*b), where the
+  slot width b is the least of 2, 4, 8, 16 and 32 with
+  (p-1).bit_length() + 1 <= b: 2 bits for p = 2, 4 for p = 3, 5 and 7,
+  and whole bytes from p = 11 on.  That leaves one spare bit per slot,
   so two residues add without a carry into the next slot: addition is
   one bignum add and a masked per-slot subtraction of p, and
-  multiplication is one bignum multiply (Kronecker substitution).  den
-  is monic, gcd(num, den) = 1, and zero is (0, 1);
-  :meth:`FieldValue.coefficients` reads the pair back as coefficient
-  tuples.
+  multiplication is one bignum multiply (Kronecker substitution on
+  slots widened to whole bytes).  den is monic, gcd(num, den) = 1, and
+  zero is (0, 1); :meth:`FieldValue.coefficients` reads the pair back
+  as coefficient tuples.
 
 Each :class:`Field` builds one payload ring when it is constructed:
 ``_RationalRing``, ``_PrimeRing`` or ``_FunctionRing``, module-level
@@ -135,6 +136,16 @@ def _fp_str(coeffs: tuple) -> str:
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
+# Sub-byte slots are the base-2**bits digits of the packed int, so they
+# convert to one coefficient per byte through the int's hex or binary
+# string, mapped between ASCII digits and values by these tables.  For
+# power-of-two bases CPython converts in linear time and applies no
+# int/str digit limit.
+_HEX = b"0123456789abcdef"
+_TO_DIGIT = bytes.maketrans(bytes(range(16)), _HEX)
+_FROM_DIGIT = bytes.maketrans(_HEX, bytes(range(16)))
+
+
 def _little(items: array) -> array:
     # Packed slots are little-endian whatever the machine's byte order.
     if sys.byteorder == "big":
@@ -145,35 +156,59 @@ def _little(items: array) -> array:
 class _PolyRing:
     """GF(p)[t] arithmetic on polynomials packed into Python ints."""
 
-    __slots__ = ("p", "width", "bits", "_typecode", "_high", "_offset", "_square", "_masks")
+    __slots__ = ("p", "bits", "width", "_typecode", "_unit", "_high", "_offset", "_square", "_masks")
 
     def __init__(self, p: int):
-        width = next(k for k in (1, 2, 4) if (p - 1).bit_length() + 1 <= 8 * k)
-        half = 1 << (8 * width - 1)
+        bits = next(b for b in (2, 4, 8, 16, 32) if (p - 1).bit_length() + 1 <= b)
+        half = 1 << (bits - 1)
         self.p = p
-        self.width = width
-        self.bits = 8 * width
-        self._typecode = _TYPECODES[width]
-        self._high = half.to_bytes(width, "little")
-        self._offset = (half - p).to_bytes(width, "little")
+        self.bits = bits
+        # Bytes per slot, 0 when 8/bits slots share each byte.
+        self.width = bits // 8
+        self._typecode = _TYPECODES.get(self.width)
+        # Bits of one mask unit, a byte of 8/bits slots or one slot of
+        # width bytes; the per-slot constants are kept as one unit each.
+        self._unit = max(8, bits)
+        self._high = self._repeat(half)
+        self._offset = self._repeat(half - p)
         self._square = (p - 1) ** 2
         self._masks = {}
+
+    def _repeat(self, value: int) -> bytes:
+        unit = sum(value << j for j in range(0, self._unit, self.bits))
+        return unit.to_bytes(self._unit // 8, "little")
 
     def slots(self, a: int) -> int:
         return -(-a.bit_length() // self.bits)
 
     def pack(self, coeffs) -> int:
-        return int.from_bytes(_little(array(self._typecode, coeffs)).tobytes(), "little")
+        if self._typecode:
+            return int.from_bytes(_little(array(self._typecode, coeffs)).tobytes(), "little")
+        if not coeffs:
+            return 0
+        # The coefficients, highest first, are the base-2**bits digits.
+        digits = bytes(coeffs).translate(_TO_DIGIT)
+        return int(digits[::-1], 1 << self.bits)
 
     def unpack(self, a: int) -> list:
-        raw = a.to_bytes(self.slots(a) * self.width, "little")
-        return _little(array(self._typecode, raw)).tolist()
+        if self._typecode:
+            raw = a.to_bytes(self.slots(a) * self.width, "little")
+            return _little(array(self._typecode, raw)).tolist()
+        return list(self._digits(a)) if a else []
+
+    def _digits(self, a: int) -> bytes:
+        # The coefficients of a nonzero a, one per byte.  For 2-bit slots
+        # (p = 2) a reduced coefficient is 0 or 1, so it is every other
+        # binary digit.
+        if self.bits == 4:
+            return format(a, "x").encode()[::-1].translate(_FROM_DIGIT)
+        return format(a, "b").encode()[::-2].translate(_FROM_DIGIT)
 
     def _slot_masks(self, x: int) -> tuple:
-        # 2**(bits-1) - p and 2**(bits-1) in each of the first 2**j slots,
-        # 2**j the least power of two covering x.  Built once per j:
-        # building them per call would cost more than the fold.
-        size = 1 << (self.slots(x) - 1).bit_length()
+        # 2**(bits-1) - p and 2**(bits-1) in every slot of the first 2**j
+        # mask units, 2**j the least power of two covering x.  Built once
+        # per j: building them per call would cost more than the fold.
+        size = 1 << (-(-x.bit_length() // self._unit) - 1).bit_length()
         masks = self._masks.get(size)
         if masks is None:
             masks = self._masks[size] = (
@@ -183,9 +218,10 @@ class _PolyRing:
         return masks
 
     def _fold(self, x: int) -> int:
-        # Every slot of x lies in [0, 2p).  Adding 2**(bits-1) - p to a
-        # slot sets its top bit, without a carry, exactly when the slot
-        # is at least p; p is then subtracted from those slots.
+        # Every slot of x lies in [0, 2p), and bits >= (p-1).bit_length() + 1
+        # keeps 2p - 1 within a slot.  Adding 2**(bits-1) - p to a slot
+        # sets its top bit, without a carry, exactly when the slot is at
+        # least p; p is then subtracted from those slots.
         offset, high = self._slot_masks(x)
         over = (x + offset) & high
         return x - (over >> (self.bits - 1)) * self.p
@@ -207,7 +243,7 @@ class _PolyRing:
         if bound < 2 * self.p:
             return self._fold(a * b)
         # Kronecker substitution: widen the slots to the power-of-two byte
-        # count that holds the bound (never below width, as bound >= 2p),
+        # count that holds the bound (never below a slot, as bound >= 2p),
         # multiply once, then reduce each coefficient mod p.
         need = -(-bound.bit_length() // 8)
         wide = 1 << (need - 1).bit_length()
@@ -224,11 +260,15 @@ class _PolyRing:
         return self.pack([c % p for c in coeffs])
 
     def _widen(self, a: int, n: int, wide: int) -> int:
-        k = self.width
-        raw = a.to_bytes(n * k, "little")
+        # a's n slots moved into slots of wide bytes.
         out = bytearray(n * wide)
-        for j in range(k):
-            out[j::wide] = raw[j::k]
+        k = self.width
+        if k:
+            raw = a.to_bytes(n * k, "little")
+            for j in range(k):
+                out[j::wide] = raw[j::k]
+        else:
+            out[::wide] = self._digits(a)
         return int.from_bytes(out, "little")
 
     def pow(self, a: int, e: int) -> int:

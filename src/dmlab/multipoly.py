@@ -291,9 +291,12 @@ class MultiPoly:
         """Value at a point, given as a sequence of field elements.
 
         The sum runs on raw payloads through the field's ring and is
-        wrapped once.  Each term is planned once per polynomial as its
-        coefficient payload (None for one) and its (variable, exponent)
-        pairs with exponent > 0.
+        wrapped once.  It starts at the first term's value, not at the
+        ring's zero, so a one-term polynomial costs no addition (over
+        GF(p)(t) that saves a fold of an already reduced bignum); only
+        the zero polynomial evaluates to zero without a term.  Each term
+        is planned once per polynomial as its coefficient payload (None
+        for one) and its (variable, exponent) pairs with exponent > 0.
         """
         point = tuple(point)
         if len(point) != self.num_vars:
@@ -315,7 +318,7 @@ class MultiPoly:
         add, mul = ring.add, ring.mul
         # (variable, exponent) -> payload of the power, first powers given.
         powers = {(i, 1): v.payload for i, v in enumerate(point)}
-        total = ring.zero
+        total = None
         for coeff, factors in plan:
             v = coeff
             for key in factors:
@@ -323,8 +326,10 @@ class MultiPoly:
                 if pw is None:
                     pw = powers[key] = ring.pow(powers[key[0], 1], key[1])
                 v = pw if v is None else mul(v, pw)
-            total = add(total, ring.one if v is None else v)
-        return FieldValue(f, total)
+            if v is None:
+                v = ring.one
+            total = v if total is None else add(total, v)
+        return FieldValue(f, ring.zero if total is None else total)
 
     def substitute(self, images) -> "MultiPoly":
         """Compose with a variable-to-polynomial map in one pass.

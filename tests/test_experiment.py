@@ -10,6 +10,7 @@ from dmlab import (
     AnalysisParams,
     ExperimentError,
     Field,
+    ReturnSet,
     SchemaError,
     StageError,
     experiment_from_dict,
@@ -288,6 +289,26 @@ def test_csv_outputs():
     assert len(returns) == 21
     density = report.density_csv()
     assert density == "L,max_ratio\n3,2/3\n5,3/5\n10,1/2\n20,1/2\n"
+
+
+def _loop_returns_csv(flags):
+    lines = ["n,in_V"]
+    for n, flag in enumerate(flags):
+        lines.append(f"{n},{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def test_returns_csv_bytes_equal_the_per_index_loop():
+    rng = random.Random(0xC5F)
+    # Every decimal width up to 100,000 entries, and horizons just past a
+    # power of ten, where the last width holds a single index.
+    for horizon in (1, 9, 10, 11, 99, 100, 101, 1000, 1001, 4321, 10_001, 100_000):
+        flags = bytes(rng.getrandbits(1) for _ in range(horizon))
+        report = ReportDocument({}, returns=ReturnSet.from_flags(flags))
+        assert report.returns_csv() == _loop_returns_csv(flags), horizon
+    for flags in (b"\0" * 100_000, b"\1" * 100_000):
+        report = ReportDocument({}, returns=ReturnSet.from_flags(flags))
+        assert report.returns_csv() == _loop_returns_csv(flags)
 
 
 def test_stage_error_names_the_stage():

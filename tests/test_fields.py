@@ -359,9 +359,10 @@ def _reference_fp_pow(a, e, p):
     return out
 
 
-# 1-, 2- and 4-byte slots; p = 2 and 3 take the small-product multiply, and
-# products over GF(2147483647) need more than 8 bytes per Kronecker slot.
-PACKING_PRIMES = (2, 3, 5, 127, 131, 257, 32771, 65537, 2147483647)
+# 2- and 4-bit slots (p = 2; 3, 5, 7), 1-, 2- and 4-byte slots (11 and 127;
+# 131 and 257; 32771 and up); p = 2 and 3 take the small-product multiply,
+# and products over GF(2147483647) need more than 8 bytes per Kronecker slot.
+PACKING_PRIMES = (2, 3, 5, 7, 11, 127, 131, 257, 32771, 65537, 2147483647)
 
 
 def _random_poly(rng, p, length):
@@ -407,3 +408,15 @@ def test_packed_polynomials_match_the_schoolbook_reference():
         short = _random_poly(rng, p, rng.randint(1, 12))
         _check_packed_against_reference(field, long, short, 1)
         _check_packed_against_reference(field, short, long, 3)
+
+
+def test_slot_width_is_the_least_power_of_two_with_a_spare_bit():
+    widths = {p: Field.rational_functions(p)._ring.polys.bits for p in (2, 3, 7, 11, 131, 32771)}
+    assert widths == {2: 2, 3: 4, 7: 4, 11: 8, 131: 16, 32771: 32}
+
+
+def test_gf2_powers_take_two_bits_per_coefficient():
+    F = Field.rational_functions(2)
+    power = F.t() ** 4399
+    assert power.payload[0].bit_length() <= 2 * 4400
+    assert power.coefficients() == ((0,) * 4399 + (1,), (1,))

@@ -9,6 +9,7 @@ QQ = Field.rationals()
 F7 = Field.prime(7)
 F2T = Field.rational_functions(2)
 F3T = Field.rational_functions(3)
+F5T = Field.rational_functions(5)
 
 XY = ("x", "y")
 
@@ -243,3 +244,28 @@ def test_evaluate_matches_the_field_value_reference():
                 zeros += got.is_zero()
         assert MultiPoly.zero(field, 3).evaluate(points[0]) == field.zero()
     assert zeros >= 300
+
+
+def test_evaluate_sums_from_the_first_term():
+    # The sum starts at the first term's value, so the zero polynomial, the
+    # constant 1 and one-term polynomials are its edge cases.
+    rng = random.Random(0x5E1F)
+    for field in (QQ, F7, F2T, F5T):
+        one = field.one()
+        for k in range(60):
+            pt = [_random_const(rng, field) for _ in range(3)]
+            if k % 4 == 0:
+                pt[k % 3] = field.zero()
+            mono = tuple(rng.randint(0, 3) for _ in range(3))
+            for f in (
+                MultiPoly.zero(field, 3),
+                MultiPoly.from_int(field, 3, 1),
+                MultiPoly.from_terms(field, 3, [(mono, one)]),
+                MultiPoly.from_terms(field, 3, [(mono, _random_const(rng, field))]),
+                _random_poly(rng, field, num_vars=3, max_terms=6, max_exp=4),
+            ):
+                got, want = f.evaluate(pt), _reference_evaluate(f, pt)
+                assert got == want
+                assert type(got.payload) is type(want.payload)
+                if field is QQ:
+                    assert type(got.payload) is Fraction
