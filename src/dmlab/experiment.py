@@ -304,42 +304,14 @@ class ReportDocument:
         return "".join(out)
 
     def returns_csv(self) -> str:
-        return "n,in_V\n" + _flag_rows(self.returns.flags)
+        rows = [f"{n},{flag}\n" for n, flag in enumerate(self.returns.flags)]
+        return "n,in_V\n" + "".join(rows)
 
     def density_csv(self) -> str:
         lines = ["L,max_ratio"]
         for length, ratio in self.profile.entries:
             lines.append(f"{length},{ratio}")
         return "\n".join(lines) + "\n"
-
-
-_DIGITS = [bytes([48 + d]) for d in range(10)]
-_FLAG_DIGIT = bytes.maketrans(b"\0\1", b"01")
-
-
-def _flag_rows(flags: bytes) -> str:
-    # The lines "n,flags[n]" for every n, written column by column without
-    # a str(n) per index.  The indices [start, stop) of one decimal width
-    # fill rows of width + 3 bytes.  Their digit at place 10**k runs
-    # through "0"..."9", each held for 10**k indices, a cycle that starts
-    # at every multiple of 10**(k+1); index start is at start mod that.
-    out = []
-    start, width, total = 0, 1, len(flags)
-    while start < total:
-        stop = min(total, 10**width)
-        count, row = stop - start, width + 3
-        rows = bytearray(row * count)
-        for i in range(width):
-            place = 10 ** (width - 1 - i)
-            cycle = b"".join(d * place for d in _DIGITS)
-            first = start % len(cycle)
-            rows[i::row] = (cycle * -(-(first + count) // len(cycle)))[first : first + count]
-        rows[width::row] = b"," * count
-        rows[width + 1 :: row] = flags[start:stop].translate(_FLAG_DIGIT)
-        rows[width + 2 :: row] = b"\n" * count
-        out.append(rows)
-        start, width = stop, width + 1
-    return b"".join(out).decode("ascii")
 
 
 def _render(value, depth: int, out: list) -> None:

@@ -156,19 +156,19 @@ def _little(items: array) -> array:
 class _PolyRing:
     """GF(p)[t] arithmetic on polynomials packed into Python ints."""
 
-    __slots__ = ("p", "bits", "width", "_typecode", "_unit", "_high", "_offset", "_square", "_masks")
+    __slots__ = ("p", "bits", "width", "_unit", "_high", "_offset", "_square", "_masks")
 
     def __init__(self, p: int):
         bits = next(b for b in (2, 4, 8, 16, 32) if (p - 1).bit_length() + 1 <= b)
         half = 1 << (bits - 1)
         self.p = p
         self.bits = bits
-        # Bytes per slot, 0 when 8/bits slots share each byte.
+        # Bytes per slot, 0 when 8/bits slots share each byte.  Every
+        # layout branch tests this width.
         self.width = bits // 8
-        self._typecode = _TYPECODES.get(self.width)
-        # Bits of one mask unit, a byte of 8/bits slots or one slot of
-        # width bytes; the per-slot constants are kept as one unit each.
-        self._unit = max(8, bits)
+        # Bits of one mask unit, one slot of width bytes or one byte of
+        # 8/bits slots; the per-slot constants are kept as one unit each.
+        self._unit = 8 * (self.width or 1)
         self._high = self._repeat(half)
         self._offset = self._repeat(half - p)
         self._square = (p - 1) ** 2
@@ -182,8 +182,9 @@ class _PolyRing:
         return -(-a.bit_length() // self.bits)
 
     def pack(self, coeffs) -> int:
-        if self._typecode:
-            return int.from_bytes(_little(array(self._typecode, coeffs)).tobytes(), "little")
+        if self.width:
+            items = _little(array(_TYPECODES[self.width], coeffs))
+            return int.from_bytes(items.tobytes(), "little")
         if not coeffs:
             return 0
         # The coefficients, highest first, are the base-2**bits digits.
@@ -191,18 +192,18 @@ class _PolyRing:
         return int(digits[::-1], 1 << self.bits)
 
     def unpack(self, a: int) -> list:
-        if self._typecode:
+        if self.width:
             raw = a.to_bytes(self.slots(a) * self.width, "little")
-            return _little(array(self._typecode, raw)).tolist()
+            return _little(array(_TYPECODES[self.width], raw)).tolist()
         return list(self._digits(a)) if a else []
 
     def _digits(self, a: int) -> bytes:
-        # The coefficients of a nonzero a, one per byte.  For 2-bit slots
-        # (p = 2) a reduced coefficient is 0 or 1, so it is every other
-        # binary digit.
-        if self.bits == 4:
-            return format(a, "x").encode()[::-1].translate(_FROM_DIGIT)
-        return format(a, "b").encode()[::-2].translate(_FROM_DIGIT)
+        # The sub-byte slots of a nonzero a, one per byte.  A 4-bit slot is
+        # one hex digit.  A 2-bit slot (p = 2) holds a reduced coefficient
+        # 0 or 1, so it is every other binary digit.
+        if self.bits == 2:
+            return format(a, "b").encode()[::-2].translate(_FROM_DIGIT)
+        return format(a, "x").encode()[::-1].translate(_FROM_DIGIT)
 
     def _slot_masks(self, x: int) -> tuple:
         # 2**(bits-1) - p and 2**(bits-1) in every slot of the first 2**j
