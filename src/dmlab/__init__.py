@@ -73,7 +73,6 @@ from .orbits import (
     OrbitCache,
     ReturnSet,
     detect_cycle,
-    morphism_iterate,
     orbit_prefix,
     return_set,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "ideal_equal",
     "ideal_sum",
     "load_experiment",
-    "morphism_iterate",
     "normal_form",
     "orbit_prefix",
     "parse_polynomial",

@@ -25,7 +25,13 @@ classes with ``add``, ``neg``, ``mul``, ``inverse`` and ``pow`` on raw
 payloads plus the ``zero`` and ``one`` payloads.  :class:`FieldValue`
 arithmetic only checks its operands and wraps the ring's result, and
 hot loops such as ``MultiPoly.evaluate`` call the ring directly and wrap
-once at the end.
+once at the end.  For fraction-free elimination each ring also works in
+its field's integral domain, ZZ, GF(p)[t] or GF(p), whose elements are
+ints with 0 and 1 as zero and one: ``clear`` turns payloads into
+numerators over one common denominator, ``dmul`` multiplies,
+``combine(r, v, c, w)`` is the vector r*v - c*w (v's entries past w's
+only scaled), ``primitive`` divides out the content (a no-op over
+GF(p)) and ``quotient(a, b)`` is the payload of a / b.
 
 Canonical payloads make equality structural, so values hash and compare
 bit-for-bit and can key dictionaries.  Mixing values from different
@@ -41,7 +47,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "Field",
@@ -330,6 +336,21 @@ class _RationalRing:
     def pow(self, a, e: int):
         return a**e
 
+    dmul = mul
+
+    def clear(self, values):
+        den = lcm(*[q.denominator for q in values])
+        return [q.numerator * (den // q.denominator) for q in values], den
+
+    def combine(self, r, v, c, w):
+        return [r * a - c * b for a, b in zip(v, w)] + [r * a for a in v[len(w) :]]
+
+    def primitive(self, v):
+        g = gcd(*v)
+        return v if g == 1 else [a // g for a in v]
+
+    quotient = Fraction
+
 
 class _PrimeRing:
     """GF(p) payloads: int residues in [0, p)."""
@@ -356,16 +377,33 @@ class _PrimeRing:
     def pow(self, a, e: int):
         return pow(a, e, self.p)
 
+    dmul = mul
+
+    def clear(self, values):
+        return values, 1
+
+    def combine(self, r, v, c, w):
+        p = self.p
+        return [(r * a - c * b) % p for a, b in zip(v, w)] + [r * a % p for a in v[len(w) :]]
+
+    def primitive(self, v):
+        return v
+
+    def quotient(self, a, b):
+        return a * self.inverse(b) % self.p
+
 
 class _FunctionRing:
     """GF(p)(t) payloads: canonical (num, den) pairs of packed polynomials."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "dmul", "quotient")
     zero = (0, 1)
     one = (1, 1)
 
     def __init__(self, p: int):
         self.polys = _PolyRing(p)
+        self.dmul = self.polys.mul
+        self.quotient = self.polys.canonical
 
     def add(self, a, b):
         polys = self.polys
@@ -395,6 +433,27 @@ class _FunctionRing:
     def pow(self, a, e: int):
         num, den = a
         return (self.polys.pow(num, e), self.polys.pow(den, e))
+
+    def clear(self, values):
+        polys, den = self.polys, 1
+        for _, d in values:
+            if d != 1 and d != den:
+                den = polys.mul(den, polys.divmod(d, polys.gcd(den, d))[0])
+        return [polys.mul(num, polys.divmod(den, d)[0]) for num, d in values], den
+
+    def combine(self, r, v, c, w):
+        mul, add, c = self.polys.mul, self.polys.add, self.polys.neg(c)
+        head = [add(mul(r, a), mul(c, b)) for a, b in zip(v, w)]
+        return head + [mul(r, a) for a in v[len(w) :]]
+
+    def primitive(self, v):
+        polys, g = self.polys, 0
+        for a in v:
+            if a:
+                g = polys.gcd(g, a)
+                if not g >> polys.bits:  # a constant content is a unit
+                    return v
+        return [polys.divmod(a, g)[0] for a in v]
 
 
 @dataclass(frozen=True)
@@ -522,7 +581,8 @@ class FieldValue:
 
     def __sub__(self, other) -> "FieldValue":
         self._check(other)
-        return self + (-other)
+        f = self.field
+        return FieldValue(f, f._ring.add(self.payload, f._ring.neg(other.payload)))
 
     def __mul__(self, other) -> "FieldValue":
         self._check(other)
@@ -571,10 +631,7 @@ class FieldValue:
         return tuple(polys.unpack(num)), tuple(polys.unpack(den))
 
     def __str__(self) -> str:
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return str(self.payload)
-        if k is FieldKind.PRIME:
+        if self.field.kind is not FieldKind.RATIONAL_FUNCTIONS:
             return str(self.payload)
         num, den = self.coefficients()
         num_s = _fp_str(num)

@@ -305,18 +305,21 @@ def vanishing_ideal(
 ) -> ReducedGroebnerBasis:
     """Reduced basis of all polynomials vanishing on the given points.
 
-    Buchberger-Moller: walk candidate monomials in increasing order,
-    track their evaluation vectors in row echelon form, and emit a
-    generator whenever a candidate's vector is dependent on the vectors
-    of the standard monomials found so far.  The recorded
-    elimination combination is the generator, already monic with the
-    candidate as leading term and a tail supported on earlier standard
-    monomials, so the output is reduced without further work.  The
-    standard monomial count always equals the number of distinct
-    points.  Every candidate after ``1`` is ``x_i * m`` for a standard
-    monomial ``m`` already evaluated, so its vector is ``m``'s
-    unreduced vector times ``x_i`` at each point: one product per
-    point, whichever parent reached the candidate first.
+    Buchberger-Moller, fraction-free: walk candidate monomials in
+    increasing order and keep augmented rows in echelon form over the
+    field's integral domain (ZZ, GF(p)[t] or GF(p)).  A row holds a
+    monomial's values at the points, its coefficients on the standard
+    monomials before it, then its own coefficient.  Each coordinate is
+    cleared once to numerators over a denominator d_i, and every
+    candidate after ``1`` is ``x_i * m`` for an evaluated standard
+    monomial ``m``: its values are ``m``'s unreduced ones times x_i's
+    numerators, one product per point, and its own coefficient is
+    ``m``'s times d_i.  A row with pivot r reduces v to r*v - c*row, c
+    being v at the pivot, and each step divides out the content.  A
+    candidate reduced to zero values is a generator: its coefficients
+    over its own, the only field division, make it monic with the
+    candidate as leading term and a tail on standard monomials, so the
+    output is reduced.  There are as many standard monomials as points.
 
     With ``max_degree`` (grevlex only) the result is instead the
     reduced basis of the ideal generated by every polynomial of total
@@ -340,20 +343,21 @@ def vanishing_ideal(
     if order.num_vars != points.num_vars:
         raise ValueError("order does not match the point dimension")
     field = points.field
+    ring = field._ring
     n = points.num_vars
     pts = points.points
     npts = len(pts)
-    zero = field.zero()
-    one = field.one()
+    mul = ring.dmul
+    cols = [ring.clear([pt[i].payload for pt in pts]) for i in range(n)]
 
-    # (pivot index, vector with pivot 1, combination dict); each row is
-    # zero at every earlier row's pivot, so one pass in insertion order
-    # reduces a new vector to zero exactly when it is dependent.
+    # (pivot index, augmented row, standard monomial); each row is zero at
+    # every earlier row's pivot, so one pass in insertion order reduces a
+    # new vector to zero exactly when it is dependent.
     rows: list = []
     gens: list = []
     gen_leads: list = []
-    # candidate -> (unreduced vector of the standard monomial it extends,
-    # the variable it multiplies by); the constant monomial has no parent.
+    # candidate -> (unreduced values and own coefficient of the standard
+    # monomial it extends, cleared column of the variable it multiplies by).
     todo: dict = {(0,) * n: None}
     seen = set()
 
@@ -370,38 +374,30 @@ def vanishing_ideal(
                 return ReducedGroebnerBasis(order, (), n, field)
             return buchberger(gens, order)
         if parent is None:
-            vec = [one] * npts
+            raw, den = [1] * npts, 1
         else:
-            parent_vec, i = parent
-            vec = [v * pt[i] for v, pt in zip(parent_vec, pts)]
-        raw = vec
-        combo = {mono: one}
-        for pivot, rvec, rcombo in rows:
+            parent_raw, parent_den, (col, d) = parent
+            raw = [mul(u, a) for u, a in zip(parent_raw, col)]
+            den = parent_den if d == 1 else mul(parent_den, d)
+        vec = raw + [0] * len(rows) + [den]
+        for pivot, row, _ in rows:
             c = vec[pivot]
-            if c.is_zero():
-                continue
-            vec = [a - c * b for a, b in zip(vec, rvec)]
-            for m, cf in rcombo.items():
-                cur = combo.get(m, zero)
-                s = cur - c * cf
-                if s.is_zero():
-                    combo.pop(m, None)
-                else:
-                    combo[m] = s
-        pivot = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
+            if c:
+                vec = ring.primitive(ring.combine(row[pivot], vec, c, row))
+        pivot = next((k for k in range(npts) if vec[k]), None)
         if pivot is None:
-            poly = MultiPoly(field, n, combo)
-            gens.append(poly)
+            terms = {mono: field.one()}
+            for (_, _, m), c in zip(rows, vec[npts:]):
+                if c:
+                    terms[m] = FieldValue(field, ring.quotient(c, vec[-1]))
+            gens.append(MultiPoly(field, n, terms))
             gen_leads.append(mono)
         else:
-            inv = vec[pivot].inverse()
-            vec = [v * inv for v in vec]
-            combo = {m: c * inv for m, c in combo.items()}
-            rows.append((pivot, vec, combo))
+            rows.append((pivot, vec, mono))
             for i in range(n):
                 step = tuple(e + (1 if k == i else 0) for k, e in enumerate(mono))
                 if step not in seen:
-                    todo.setdefault(step, (raw, i))
+                    todo.setdefault(step, (raw, den, cols[i]))
 
     gens.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
     return ReducedGroebnerBasis(order, tuple(gens), n, field)

@@ -43,7 +43,6 @@ __all__ = [
     "OrbitCache",
     "ReturnSet",
     "detect_cycle",
-    "morphism_iterate",
     "orbit_prefix",
     "return_set",
 ]
@@ -85,16 +84,6 @@ class Morphism:
         names = tuple(f"x{i}" for i in range(self.num_vars))
         body = ", ".join(c.render(names) for c in self.components)
         return f"<morphism ({body}) over {self.field.label}>"
-
-
-def morphism_iterate(phi: Morphism, point, n: int) -> tuple:
-    """n-th iterate of the map at a point; n = 0 returns the point."""
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
-    current = tuple(point)
-    for _ in range(n):
-        current = phi.apply(current)
-    return current
 
 
 def orbit_prefix(phi: Morphism, point, n: int) -> list:

@@ -5,17 +5,16 @@ import pytest
 from dmlab import (
     DensityProfile,
     Field,
-    FieldValue,
     Morphism,
     MonomialOrder,
     MultiPoly,
+    OrbitCache,
     ReducedGroebnerBasis,
     Session,
     buchberger,
     certify_invariant,
     closure_chain,
     ideal_dimension,
-    morphism_iterate,
     normal_form,
     orbit_prefix,
     parse_polynomial,
@@ -30,6 +29,7 @@ from dmlab.closures import (
     ClosureChain,
     ClosureEntry,
 )
+from reference_walk import reference_vanishing_ideal
 
 QQ = Field.rationals()
 F2T = Field.rational_functions(2)
@@ -266,7 +266,7 @@ def test_certify_work_is_linear_in_the_iterate_count(monkeypatch):
     # a generator back through phi^60 would have degree 2^60.
     field = Field.prime(101)
     phi = mk_morphism(["x^2+y", "x*y+1"], XY, field)
-    point = morphism_iterate(phi, (field.from_int(87), field.from_int(93)), 78)
+    point = OrbitCache(phi, (field.from_int(87), field.from_int(93))).point(78)
     at_point = vanishing_ideal([point], ORDER2)
     for a in range(1, 61):
         assert certify_invariant(at_point, phi, a).invariant == (a % 6 == 0)
@@ -432,10 +432,11 @@ def test_random_chain_generators_vanish_on_samples():
 
 
 def _reference_capped_ideal(points, order, cap):
-    # The closure's old filter: the full vanishing ideal, then only the
-    # generators of degree at most the cap, re-reduced.  Also says
-    # whether the cap dropped a generator.
-    raw = vanishing_ideal(points, order)
+    # The closure's old filter: the full vanishing ideal from the
+    # FieldValue reference walk, then only the generators of degree at
+    # most the cap, re-reduced.  Also says whether the cap dropped a
+    # generator.
+    raw = reference_vanishing_ideal(points, order)
     capped = [g for g in raw.generators if g.total_degree() <= cap]
     if len(capped) == len(raw.generators):
         return raw, False
@@ -469,17 +470,18 @@ def test_truncated_walk_matches_the_capped_filter_on_random_cases():
 
 
 def test_truncated_walk_evaluates_no_monomial_above_the_cap(monkeypatch):
+    # The walk multiplies raw payloads through its field's ring, so the
+    # products are counted there.
     points = [(QQ.from_int(k),) for k in range(32)]
-    coords = {id(c) for pt in points for c in pt}
+    ring = type(QQ._ring)
     steps = []
-    original = FieldValue.__mul__
+    original = ring.dmul
 
-    def record(self, other):
-        if id(other) in coords:
-            steps.append(other)
-        return original(self, other)
+    def record(self, a, b):
+        steps.append(b)
+        return original(self, a, b)
 
-    monkeypatch.setattr(FieldValue, "__mul__", record)
+    monkeypatch.setattr(ring, "dmul", record)
     basis = vanishing_ideal(points, MonomialOrder.grevlex(1), max_degree=2)
     assert basis.is_zero_ideal
     # x and x^2 at each point, one product each; x^3 would add 32 more

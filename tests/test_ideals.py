@@ -18,6 +18,7 @@ from dmlab import (
     s_polynomial,
     vanishing_ideal,
 )
+from reference_walk import reference_vanishing_ideal
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -309,3 +310,50 @@ def test_vanishing_ideal_membership_split():
         f = _random_poly(rng, QQ)
         vanishes = all(f.evaluate(p).is_zero() for p in pts)
         assert normal_form(f, gb).is_zero() == vanishes
+
+
+# -- fraction-free walk against the FieldValue reference -------------------
+
+
+def _reference_point(rng, field, num_vars):
+    if field.has_generator:
+        p = field.characteristic
+        return tuple(
+            field.from_coefficients(
+                [rng.randrange(p) for _ in range(rng.randrange(1, 4))],
+                [rng.randrange(p) for _ in range(rng.randrange(0, 2))] + [1],
+            )
+            for _ in range(num_vars)
+        )
+    if field.kind is QQ.kind:
+        # Non-integer coordinates, some of large height, so clearing
+        # denominators and dividing out contents both have work to do.
+        height = 10 ** rng.choice((1, 2, 6, 30))
+        return tuple(
+            QQ.from_fraction(Fraction(rng.randint(-height, height), rng.randint(1, height)))
+            for _ in range(num_vars)
+        )
+    return tuple(field.from_int(rng.randrange(field.characteristic)) for _ in range(num_vars))
+
+
+def test_fraction_free_walk_matches_the_reference_loop():
+    rng = random.Random(0xFF1E)
+    fields = (QQ, Field.prime(2), Field.prime(101), F2T, Field.rational_functions(7))
+    # Ten GF(2)(t) points in 3 variables under a cap of 3, then random cases.
+    cases = [([_reference_point(rng, F2T, 3) for _ in range(10)], MonomialOrder.grevlex(3), 3)]
+    for case in range(250):
+        field = fields[case % len(fields)]
+        num_vars = rng.randint(1, 3)
+        order = _random_order(rng, num_vars)
+        points = []
+        for _ in range(rng.randint(1, (9, 7, 6)[num_vars - 1])):
+            if points and rng.random() < 0.2:
+                points.append(rng.choice(points))
+            else:
+                points.append(_reference_point(rng, field, num_vars))
+        cap = rng.randint(1, 3) if order.kind == "grevlex" and rng.random() < 0.5 else None
+        cases.append((points, order, cap))
+    assert sum(cap is not None for _, _, cap in cases) >= 40
+    for points, order, cap in cases:
+        got = vanishing_ideal(points, order, cap)
+        assert got.generators == reference_vanishing_ideal(points, order, cap).generators

@@ -12,7 +12,6 @@ from dmlab import (
     ReturnSet,
     buchberger,
     detect_cycle,
-    morphism_iterate,
     orbit_prefix,
     parse_polynomial,
     return_set,
@@ -38,16 +37,14 @@ def test_morphism_validation():
         Morphism(["x"])
 
 
-def test_iterate_and_prefix():
+def test_orbit_prefix():
     phi = mk_morphism(["x+1"], ("x",), QQ)
     start = (QQ.from_int(0),)
-    assert morphism_iterate(phi, start, 0) == start
-    assert morphism_iterate(phi, start, 5) == (QQ.from_int(5),)
     pre = orbit_prefix(phi, start, 4)
     assert [p[0].payload for p in pre] == [0, 1, 2, 3]
     assert orbit_prefix(phi, start, 0) == []
     with pytest.raises(ValueError):
-        morphism_iterate(phi, start, -1)
+        orbit_prefix(phi, start, -1)
 
 
 def test_orbit_cache_lazy_extension():
