@@ -619,15 +619,9 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
     params = spec.analysis
     header = _experiment_json(spec)
     header["analysis"] = {
-        "a_max": str(params.a_max),
-        "m_min": str(params.m_min),
-        "tail_start": str(params.tail_start),
-        "degree_cap": str(params.degree_cap),
-        "initial_samples": str(params.initial_samples),
-        "sample_budget": str(params.sample_budget),
-        "depth_limit": str(params.depth_limit),
-        "window_lengths": _ints(params.window_lengths),
+        f.name: str(getattr(params, f.name)) for f in fields(AnalysisParams)
     }
+    header["analysis"]["window_lengths"] = _ints(params.window_lengths)
     return {
         "experiment": header,
         "return_set": _return_set_json(root.returns),

@@ -23,15 +23,16 @@ Each :class:`Field` builds one payload ring when it is constructed:
 ``_RationalRing``, ``_PrimeRing`` or ``_FunctionRing``, module-level
 classes with ``add``, ``neg``, ``mul``, ``inverse`` and ``pow`` on raw
 payloads plus the ``zero`` and ``one`` payloads.  :class:`FieldValue`
-arithmetic only checks its operands and wraps the ring's result, and
-hot loops such as ``MultiPoly.evaluate`` call the ring directly and wrap
-once at the end.  For fraction-free elimination each ring also works in
-its field's integral domain, ZZ, GF(p)[t] or GF(p), whose elements are
-ints with 0 and 1 as zero and one: ``clear`` turns payloads into
-numerators over one common denominator, ``dmul`` multiplies,
-``combine(r, v, c, w)`` is the vector r*v - c*w (v's entries past w's
-only scaled), ``primitive`` divides out the content (a no-op over
-GF(p)) and ``quotient(a, b)`` is the payload of a / b.
+arithmetic only checks its operands and wraps the ring's result.
+``MultiPoly`` keeps its coefficients as payloads and calls the ring
+directly, with one field check per polynomial operation.  For
+fraction-free elimination each ring also works in its field's integral
+domain, ZZ, GF(p)[t] or GF(p), whose elements are ints with 0 and 1 as
+zero and one: ``clear`` turns payloads into numerators over one common
+denominator, ``dmul`` multiplies, ``combine(r, v, c, w)`` is the vector
+r*v - c*w (v's entries past w's only scaled), ``primitive`` divides out
+the content (a no-op over GF(p)) and ``quotient(a, b)`` is the payload
+of a / b.
 
 Canonical payloads make equality structural, so values hash and compare
 bit-for-bit and can key dictionaries.  Mixing values from different

@@ -24,6 +24,7 @@ from .multipoly import (
     GREVLEX,
     MonomialOrder,
     MultiPoly,
+    _merge,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -85,32 +86,28 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
 
 
 def _remainder(f: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
-    # Multivariate division, remainder only.  Divisors are scanned in
-    # list order; the remainder is independent of that order once the
-    # divisors form a Groebner basis.
+    # Multivariate division, remainder only, on coefficient payloads.
+    # Every divisor is monic (reduced bases are, and buchberger makes each
+    # polynomial monic before it joins its working basis), so a term
+    # c * x^shift * x^lm cancels by adding -c * x^shift times g's tail.
+    # Divisors are scanned in list order; the remainder is independent
+    # of that order once the divisors form a Groebner basis.
     if not divisors:
         return f
+    ring = f.field._ring
+    mul = ring.mul
     key = order.key
-    lead = [g.leading_term(order) + (g,) for g in divisors]
+    lead = [(max(g.terms, key=key), g.terms) for g in divisors]
     work = dict(f.terms)
     remainder: dict = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        for lm, lc, g in lead:
+        for lm, g in lead:
             if mono_divides(lm, mono):
-                shift = mono_div(mono, lm)
-                factor = coeff * lc.inverse()
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    mm = mono_mul(gm, shift)
-                    cur = work.get(mm)
-                    s = -(factor * gc) if cur is None else cur - factor * gc
-                    if s.is_zero():
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
+                shift, factor = mono_div(mono, lm), ring.neg(coeff)
+                tail = ((mono_mul(m, shift), mul(factor, c)) for m, c in g.items() if m != lm)
+                _merge(ring, work, tail)
                 break
         else:
             remainder[mono] = coeff
@@ -386,10 +383,10 @@ def vanishing_ideal(
                 vec = ring.primitive(ring.combine(row[pivot], vec, c, row))
         pivot = next((k for k in range(npts) if vec[k]), None)
         if pivot is None:
-            terms = {mono: field.one()}
+            terms = {mono: ring.one}
             for (_, _, m), c in zip(rows, vec[npts:]):
                 if c:
-                    terms[m] = FieldValue(field, ring.quotient(c, vec[-1]))
+                    terms[m] = ring.quotient(c, vec[-1])
             gens.append(MultiPoly(field, n, terms))
             gen_leads.append(mono)
         else:

@@ -1,10 +1,14 @@
 """Sparse multivariate polynomials over the exact coefficient fields.
 
 A monomial is a tuple of non-negative integer exponents, one slot per
-variable.  A :class:`MultiPoly` maps monomials to nonzero
-:class:`~dmlab.fields.FieldValue` coefficients; the zero polynomial has
-an empty term map.  Polynomials do not carry variable names, only a
-variable count; rendering takes the names.
+variable.  A :class:`MultiPoly` maps monomials to the canonical payloads
+(see :mod:`dmlab.fields`) of nonzero coefficients; the zero polynomial
+has an empty term map.  Arithmetic runs on those payloads through the
+field's ring, after one field check per operation.  Coefficients are
+:class:`~dmlab.fields.FieldValue` only at the boundary: constructors
+take and check them, and ``leading_term``, ``constant_value``,
+``evaluate`` and rendering hand them out.  Polynomials do not carry
+variable names, only a variable count; rendering takes the names.
 
 :class:`MonomialOrder` supplies the comparison key for lexicographic
 and graded reverse lexicographic orders, both with an explicit variable
@@ -47,6 +51,26 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _merge(ring, out: dict, items) -> dict:
+    """Add (monomial, nonzero payload) pairs into the term map ``out``.
+
+    Ring results are canonical, so a sum equal to ``ring.zero`` is zero
+    and its monomial is dropped.
+    """
+    add, zero = ring.add, ring.zero
+    for mono, c in items:
+        cur = out.get(mono)
+        if cur is None:
+            out[mono] = c
+        else:
+            c = add(cur, c)
+            if c == zero:
+                del out[mono]
+            else:
+                out[mono] = c
+    return out
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total order on monomials, given by kind and variable priority.
@@ -87,7 +111,8 @@ class MonomialOrder:
 
 
 class MultiPoly:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient.
+    """Sparse polynomial: dict from exponent tuple to the canonical payload
+    of a nonzero coefficient in ``field._ring``.
 
     ``terms`` is never changed after construction: the hash depends on
     it, and :meth:`evaluate` builds a plan of the terms on first use and
@@ -112,11 +137,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field: Field, num_vars: int, value: FieldValue) -> "MultiPoly":
-        if value.field != field:
-            raise FieldMismatchError("field mismatch")
-        if value.is_zero():
-            return cls.zero(field, num_vars)
-        return cls(field, num_vars, {(0,) * num_vars: value})
+        return cls.from_terms(field, num_vars, [((0,) * num_vars, value)])
 
     @classmethod
     def from_int(cls, field: Field, num_vars: int, n: int) -> "MultiPoly":
@@ -127,25 +148,23 @@ class MultiPoly:
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range")
         mono = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls(field, num_vars, {mono: field.one()})
+        return cls(field, num_vars, {mono: field._ring.one})
 
     @classmethod
     def from_terms(cls, field: Field, num_vars: int, items) -> "MultiPoly":
         """Build from (monomial, coefficient) pairs, merging duplicates."""
-        acc: dict = {}
-        for mono, coeff in items:
-            mono = tuple(mono)
-            if len(mono) != num_vars:
-                raise ValueError("monomial length does not match variable count")
-            if coeff.field != field:
-                raise FieldMismatchError("field mismatch")
-            cur = acc.get(mono)
-            coeff = coeff if cur is None else cur + coeff
-            if coeff.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = coeff
-        return cls(field, num_vars, acc)
+
+        def payloads():
+            for mono, coeff in items:
+                mono = tuple(mono)
+                if len(mono) != num_vars:
+                    raise ValueError("monomial length does not match variable count")
+                if coeff.field != field:
+                    raise FieldMismatchError("field mismatch")
+                if not coeff.is_zero():
+                    yield mono, coeff.payload
+
+        return cls(field, num_vars, _merge(field._ring, {}, payloads()))
 
     # -- predicates ----------------------------------------------------
 
@@ -158,9 +177,8 @@ class MultiPoly:
     def constant_value(self) -> FieldValue:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        if not self.terms:
-            return self.field.zero()
-        return self.terms[(0,) * self.num_vars]
+        f = self.field
+        return FieldValue(f, self.terms.get((0,) * self.num_vars, f._ring.zero))
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
@@ -180,49 +198,28 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        out = _merge(self.field._ring, dict(self.terms), other.terms.items())
         return MultiPoly(self.field, self.num_vars, out)
 
     def __neg__(self) -> "MultiPoly":
+        neg = self.field._ring.neg
         return MultiPoly(
-            self.field, self.num_vars, {m: -c for m, c in self.terms.items()}
+            self.field, self.num_vars, {m: neg(c) for m, c in self.terms.items()}
         )
 
     def __sub__(self, other) -> "MultiPoly":
         self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            s = -c if cur is None else cur - c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return MultiPoly(self.field, self.num_vars, out)
+        return self + -other
 
     def __mul__(self, other) -> "MultiPoly":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.field, self.num_vars)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                c = c1 * c2
-                cur = out.get(mono)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return MultiPoly(self.field, self.num_vars, out)
+        mul = self.field._ring.mul
+        products = (
+            (mono_mul(m1, m2), mul(c1, c2))
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )
+        return MultiPoly(self.field, self.num_vars, _merge(self.field._ring, {}, products))
 
     def __pow__(self, e: int) -> "MultiPoly":
         if not isinstance(e, int) or e < 0:
@@ -238,25 +235,11 @@ class MultiPoly:
         return out
 
     def scale(self, c: FieldValue) -> "MultiPoly":
-        if c.field != self.field:
-            raise FieldMismatchError("field mismatch")
-        if c.is_zero():
-            return MultiPoly.zero(self.field, self.num_vars)
-        if c.is_one():
-            return self
-        return MultiPoly(
-            self.field, self.num_vars, {m: v * c for m, v in self.terms.items()}
-        )
+        return self.term_mul((0,) * self.num_vars, c)
 
     def term_mul(self, mono: tuple, coeff: FieldValue) -> "MultiPoly":
         """Multiply by the single term coeff * x^mono."""
-        if coeff.is_zero():
-            return MultiPoly.zero(self.field, self.num_vars)
-        return MultiPoly(
-            self.field,
-            self.num_vars,
-            {mono_mul(m, mono): v * coeff for m, v in self.terms.items()},
-        )
+        return self * MultiPoly.from_terms(self.field, self.num_vars, [(mono, coeff)])
 
     # -- structure -----------------------------------------------------
 
@@ -265,7 +248,7 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+        return mono, FieldValue(self.field, self.terms[mono])
 
     def monic(self, order: MonomialOrder) -> "MultiPoly":
         _, lc = self.leading_term(order)
@@ -290,13 +273,14 @@ class MultiPoly:
     def evaluate(self, point) -> FieldValue:
         """Value at a point, given as a sequence of field elements.
 
-        The sum runs on raw payloads through the field's ring and is
-        wrapped once.  It starts at the first term's value, not at the
-        ring's zero, so a one-term polynomial costs no addition (over
-        GF(p)(t) that saves a fold of an already reduced bignum); only
-        the zero polynomial evaluates to zero without a term.  Each term
-        is planned once per polynomial as its coefficient payload (None
-        for one) and its (variable, exponent) pairs with exponent > 0.
+        The sum runs on the stored coefficient payloads through the
+        field's ring and is wrapped once.  It starts at the first term's
+        value, not at the ring's zero, so a one-term polynomial costs no
+        addition (over GF(p)(t) that saves a fold of an already reduced
+        bignum); only the zero polynomial evaluates to zero without a
+        term.  Each term is planned once per polynomial as its payload
+        (None for one) and its (variable, exponent) pairs with exponent
+        above zero.
         """
         point = tuple(point)
         if len(point) != self.num_vars:
@@ -305,16 +289,16 @@ class MultiPoly:
         for v in point:
             if not isinstance(v, FieldValue) or (v.field is not f and v.field != f):
                 raise FieldMismatchError("field mismatch")
+        ring = f._ring
         plan = self._plan
         if plan is None:
             plan = self._plan = tuple(
                 (
-                    None if c.is_one() else c.payload,
+                    None if c == ring.one else c,
                     tuple((i, e) for i, e in enumerate(mono) if e),
                 )
                 for mono, c in self.terms.items()
             )
-        ring = f._ring
         add, mul = ring.add, ring.mul
         # (variable, exponent) -> payload of the power, first powers given.
         powers = {(i, 1): v.payload for i, v in enumerate(point)}
@@ -348,20 +332,23 @@ class MultiPoly:
             if g.num_vars != images[0].num_vars:
                 raise ValueError("variable count mismatch")
         out_vars = images[0].num_vars
-        result = MultiPoly.zero(self.field, out_vars)
+        ring = self.field._ring
+        one = MultiPoly.from_int(self.field, out_vars, 1)
         caches = [dict() for _ in range(self.num_vars)]
-        for mono, coeff in self.terms.items():
-            term = MultiPoly.constant(self.field, out_vars, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    cache = caches[i]
-                    pw = cache.get(e)
-                    if pw is None:
-                        pw = images[i] ** e
-                        cache[e] = pw
-                    term = term * pw
-            result = result + term
-        return result
+
+        def products():
+            for mono, coeff in self.terms.items():
+                term = one
+                for i, e in enumerate(mono):
+                    if e:
+                        pw = caches[i].get(e)
+                        if pw is None:
+                            pw = caches[i][e] = images[i] ** e
+                        term = pw if term is one else term * pw
+                for m, c in term.terms.items():
+                    yield m, ring.mul(coeff, c)
+
+        return MultiPoly(self.field, out_vars, _merge(ring, {}, products()))
 
     # -- rendering -------------------------------------------------------
 
@@ -385,7 +372,8 @@ class MultiPoly:
                 out.append(f" - {body}" if negative else f" + {body}")
         return "".join(out)
 
-    def _term_str(self, mono: tuple, coeff: FieldValue, names):
+    def _term_str(self, mono: tuple, payload, names):
+        coeff = FieldValue(self.field, payload)
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

@@ -59,7 +59,7 @@ def reference_vanishing_ideal(points, order, max_degree=None):
                     combo[m] = s
         pivot = next((k for k, v in enumerate(vec) if not v.is_zero()), None)
         if pivot is None:
-            gens.append(MultiPoly(field, n, combo))
+            gens.append(MultiPoly.from_terms(field, n, combo.items()))
             gen_leads.append(mono)
         else:
             inv = vec[pivot].inverse()

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from dmlab import Field, FieldMismatchError, MonomialOrder, MultiPoly, parse_polynomial
+from dmlab import (
+    Field,
+    FieldMismatchError,
+    FieldValue,
+    MonomialOrder,
+    MultiPoly,
+    parse_polynomial,
+)
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -22,7 +29,7 @@ def test_from_terms_merges_and_drops_zero():
     f = MultiPoly.from_terms(
         QQ, 2, [((1, 0), QQ.from_int(2)), ((1, 0), QQ.from_int(-2)), ((0, 1), QQ.from_int(3))]
     )
-    assert f.terms == {(0, 1): QQ.from_int(3)}
+    assert f.terms == {(0, 1): QQ.from_int(3).payload}
 
 
 def test_constant_helpers():
@@ -168,9 +175,20 @@ def _random_poly(rng, field, num_vars=2, max_terms=5, max_exp=3):
     return MultiPoly.from_terms(field, num_vars, items)
 
 
+def _assert_canonical_terms(f):
+    # Every stored coefficient is a canonical nonzero payload, so a
+    # coefficient that cancels is always the ring's zero payload and the
+    # merge loop drops it.
+    for c in f.terms.values():
+        v = FieldValue(f.field, c)
+        assert not v.is_zero()
+        if f.field.has_generator:
+            assert f.field.from_coefficients(*v.coefficients()) == v
+
+
 def test_ring_axioms_random():
     rng = random.Random(0x1DE5)
-    for field in (QQ, F7):
+    for field in (QQ, F7, F3T):
         for _ in range(80):
             f = _random_poly(rng, field)
             g = _random_poly(rng, field)
@@ -179,9 +197,15 @@ def test_ring_axioms_random():
             assert f * g == g * f
             assert (f + g) * h == f * h + g * h
             assert (f - f).is_zero()
+            assert (f + (-f)).is_zero()
+            assert (f - g) + g == f
             assert (f * g).total_degree() <= max(
                 f.total_degree() + g.total_degree(), -1
             ) or f.is_zero() or g.is_zero()
+            mono = tuple(rng.randint(0, 2) for _ in range(2))
+            c = _random_const(rng, field)
+            for r in (f + g, f - g, (f - g) + g, f * g, f.term_mul(mono, c)):
+                _assert_canonical_terms(r)
 
 
 def test_pow_random():
@@ -207,7 +231,7 @@ def _reference_evaluate(f, point):
     total = f.field.zero()
     caches = [dict() for _ in range(f.num_vars)]
     for mono, coeff in f.terms.items():
-        v = coeff
+        v = FieldValue(f.field, coeff)
         for i, e in enumerate(mono):
             if e:
                 pw = caches[i].get(e)
