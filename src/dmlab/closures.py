@@ -180,9 +180,9 @@ class Session:
     settings are the progression threshold ``m_min``, the closure
     ``degree_cap``, the ``initial_samples``/``sample_budget`` of the
     doubling loop and the case split's ``depth_limit``.  Construction
-    validates the settings and derives the shared :class:`OrbitCache`,
-    the grevlex ``order`` and ``memo``, which maps (stride, offset) to
-    the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
+    validates the settings and derives the shared :class:`OrbitCache`
+    (which checks ``start``), the grevlex ``order`` and ``memo``, which
+    maps (stride, offset) to the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
     nothing else, so each one is sampled at most once per session;
     the memo only ever holds closures the session sampled itself.
     """

@@ -51,6 +51,17 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _point_payloads(field: Field, point, num_vars: int, dimension: str) -> tuple:
+    """Payload tuple of a point: ``num_vars`` field values of ``field``."""
+    point = tuple(point)
+    if len(point) != num_vars:
+        raise ValueError(f"point length does not match {dimension}")
+    for v in point:
+        if not isinstance(v, FieldValue) or (v.field is not field and v.field != field):
+            raise FieldMismatchError("field mismatch")
+    return tuple(v.payload for v in point)
+
+
 def _merge(ring, out: dict, items) -> dict:
     """Add (monomial, nonzero payload) pairs into the term map ``out``.
 
@@ -271,25 +282,24 @@ class MultiPoly:
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, point) -> FieldValue:
-        """Value at a point, given as a sequence of field elements.
+        """Value at a point, given as a sequence of field elements: one
+        check of the point, one :meth:`_value` sum on its payloads."""
+        pt = _point_payloads(self.field, point, self.num_vars, "variable count")
+        return FieldValue(self.field, self._value(pt, {}))
 
-        The sum runs on the stored coefficient payloads through the
-        field's ring and is wrapped once.  It starts at the first term's
-        value, not at the ring's zero, so a one-term polynomial costs no
-        addition (over GF(p)(t) that saves a fold of an already reduced
-        bignum); only the zero polynomial evaluates to zero without a
-        term.  Each term is planned once per polynomial as its payload
-        (None for one) and its (variable, exponent) pairs with exponent
-        above zero.
+    def _value(self, pt: tuple, powers: dict):
+        """Payload of the value at the payload tuple ``pt``, unchecked.
+
+        ``powers`` caches (variable, exponent) -> payload for exponents
+        above one; polynomials evaluated at one point may share it.  The
+        sum starts at the first term's value, not at the ring's zero, so
+        a one-term polynomial costs no addition (over GF(p)(t) that saves
+        a fold of an already reduced bignum); only the zero polynomial
+        evaluates to zero without a term.  Each term is planned once per
+        polynomial as its payload (None for one) and its (variable,
+        exponent) pairs with exponent above zero.
         """
-        point = tuple(point)
-        if len(point) != self.num_vars:
-            raise ValueError("point length does not match variable count")
-        f = self.field
-        for v in point:
-            if not isinstance(v, FieldValue) or (v.field is not f and v.field != f):
-                raise FieldMismatchError("field mismatch")
-        ring = f._ring
+        ring = self.field._ring
         plan = self._plan
         if plan is None:
             plan = self._plan = tuple(
@@ -300,20 +310,19 @@ class MultiPoly:
                 for mono, c in self.terms.items()
             )
         add, mul = ring.add, ring.mul
-        # (variable, exponent) -> payload of the power, first powers given.
-        powers = {(i, 1): v.payload for i, v in enumerate(point)}
         total = None
         for coeff, factors in plan:
             v = coeff
             for key in factors:
-                pw = powers.get(key)
+                i, e = key
+                pw = pt[i] if e == 1 else powers.get(key)
                 if pw is None:
-                    pw = powers[key] = ring.pow(powers[key[0], 1], key[1])
+                    pw = powers[key] = ring.pow(pt[i], e)
                 v = pw if v is None else mul(v, pw)
             if v is None:
                 v = ring.one
             total = v if total is None else add(total, v)
-        return FieldValue(f, ring.zero if total is None else total)
+        return ring.zero if total is None else total
 
     def substitute(self, images) -> "MultiPoly":
         """Compose with a variable-to-polynomial map in one pass.

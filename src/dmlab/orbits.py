@@ -3,7 +3,8 @@
 A :class:`Morphism` bundles one polynomial per coordinate; applying it
 to a point is componentwise evaluation, and the n-th iterate is n
 applications in sequence (never symbolic composition, whose term count
-can explode).  Points are plain tuples of field values.
+can explode).  The orbit cache stores payload tuples (canonical, in the
+field's ring); points leave it as ``FieldValue`` tuples.
 
 :class:`OrbitCache` memoizes the orbit prefix of one (map, start)
 pair so the scans in the density and closure layers never recompute an
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
-from .fields import FieldKind, FieldMismatchError
+from .fields import FieldKind, FieldMismatchError, FieldValue
 from .ideals import ReducedGroebnerBasis
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _point_payloads
 
 __all__ = [
     "CycleStructure",
@@ -71,11 +72,20 @@ class Morphism:
         self.field = first.field
         self.num_vars = len(components)
 
+    def _payloads(self, point) -> tuple:
+        """The payload tuple of a point, after one check of its length and fields."""
+        return _point_payloads(self.field, point, self.num_vars, "the ambient dimension")
+
+    def _step(self, pt: tuple) -> tuple:
+        """Image of a payload tuple, unchecked; components share one powers dict."""
+        powers = {}
+        return tuple([c._value(pt, powers) for c in self.components])
+
+    def _wrap(self, pt: tuple) -> tuple:
+        return tuple(FieldValue(self.field, v) for v in pt)
+
     def apply(self, point) -> tuple:
-        point = tuple(point)
-        if len(point) != self.num_vars:
-            raise ValueError("point length does not match the ambient dimension")
-        return tuple(c.evaluate(point) for c in self.components)
+        return self._wrap(self._step(self._payloads(point)))
 
     def __call__(self, point) -> tuple:
         return self.apply(point)
@@ -91,18 +101,20 @@ def orbit_prefix(phi: Morphism, point, n: int) -> list:
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     out = []
-    current = tuple(point)
+    current = phi._payloads(point)
     for _ in range(n):
-        out.append(current)
-        current = phi.apply(current)
+        out.append(phi._wrap(current))
+        current = phi._step(current)
     return out
 
 
 class OrbitCache:
     """Lazily extended orbit prefix shared across analysis passes.
 
-    Over GF(p) the cache keeps a point -> index map while it extends.
-    At the first repeated point it records :attr:`cycle`, drops the map
+    The start is checked once, here; the cache stores payload tuples and
+    :meth:`point` and :attr:`start` wrap them as field values.  Over
+    GF(p) the cache keeps a point -> index map while it extends.  At the
+    first repeated point it records :attr:`cycle`, drops the map
     and stops growing, so only preperiod + period iterates are ever
     computed and stored; every later index folds into the cycle.  Over
     QQ and GF(p)(t) orbits need not repeat: the cache stores the plain
@@ -114,13 +126,13 @@ class OrbitCache:
     def __init__(self, phi: Morphism, start):
         self.phi = phi
         self.cycle: CycleStructure | None = None
-        self._points = [tuple(start)]
+        self._points = [phi._payloads(start)]
         prime = phi.field.kind is FieldKind.PRIME
         self._seen = {self._points[0]: 0} if prime else None
 
     @property
     def start(self) -> tuple:
-        return self._points[0]
+        return self.phi._wrap(self._points[0])
 
     def index(self, n: int) -> int:
         """Index of the stored point equal to phi^n(start).
@@ -130,9 +142,9 @@ class OrbitCache:
         """
         if n < 0:
             raise ValueError("orbit index must be non-negative")
-        pts, seen = self._points, self._seen
+        pts, seen, step = self._points, self._seen, self.phi._step
         while self.cycle is None and len(pts) <= n:
-            nxt = self.phi.apply(pts[-1])
+            nxt = step(pts[-1])
             if seen is not None:
                 first = seen.setdefault(nxt, len(pts))
                 if first < len(pts):
@@ -146,7 +158,7 @@ class OrbitCache:
         return mu + (n - mu) % lam
 
     def point(self, n: int) -> tuple:
-        return self._points[self.index(n)]
+        return self.phi._wrap(self._points[self.index(n)])
 
     def scan(self, gens, count: int, stride: int, offset: int) -> ReturnSet:
         """Indices l < count with phi^(stride * l + offset)(start) on the
@@ -163,18 +175,23 @@ class OrbitCache:
         ``count`` is.  Over QQ and GF(p)(t) it tests every index l.
         """
         self.index(stride * max(count - 1, 0) + offset)
+        pts, zero = self._points, self.phi.field._ring.zero
 
-        def test(l):
-            return all(g.evaluate(self.point(stride * l + offset)).is_zero() for g in gens)
+        def test(pt):  # payloads are canonical: zero is ring.zero
+            powers = {}
+            return all(g._value(pt, powers) == zero for g in gens)
 
         head = count
         if self.cycle is not None:  # the l with stride * l + offset below the preperiod
             head = min(count, len(range(offset, self.cycle.preperiod, stride)))
         flags = bytearray(count)
-        flags[:head] = map(test, range(head))
+        # The head is stored unfolded: the cache reached the last index,
+        # or the head lies below the preperiod.
+        flags[:head] = map(test, pts[offset : offset + stride * head : stride])
         if head < count:
             period = self.cycle.period // gcd(self.cycle.period, stride)
-            block = bytes(map(test, range(head, min(head + period, count))))
+            ls = range(head, min(head + period, count))
+            block = bytes(test(pts[self.index(stride * l + offset)]) for l in ls)
             repeats, rest = divmod(count - head, period)
             flags[head:] = block * repeats + block[:rest]
         return ReturnSet.from_flags(flags)
@@ -198,24 +215,24 @@ def detect_cycle(phi: Morphism, point) -> CycleStructure:
     """
     if phi.field.kind is not FieldKind.PRIME:
         raise ValueError("cycle detection requires a finite field")
-    start = tuple(point)
+    start, step = phi._payloads(point), phi._step
     power = lam = 1
     tortoise = start
-    hare = phi.apply(start)
+    hare = step(start)
     while tortoise != hare:
         if power == lam:
             tortoise = hare
             power *= 2
             lam = 0
-        hare = phi.apply(hare)
+        hare = step(hare)
         lam += 1
     tortoise = hare = start
     for _ in range(lam):
-        hare = phi.apply(hare)
+        hare = step(hare)
     mu = 0
     while tortoise != hare:
-        tortoise = phi.apply(tortoise)
-        hare = phi.apply(hare)
+        tortoise = step(tortoise)
+        hare = step(hare)
         mu += 1
     return CycleStructure(mu, lam)
 

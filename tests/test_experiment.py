@@ -561,25 +561,27 @@ def test_subinstance_scan_tests_each_stored_point_once(monkeypatch):
     calls = []
     active = []
     analyze = dmlab.closures._analyze_subinstance
-    evaluate = MultiPoly.evaluate
+    value = MultiPoly._value  # the payload evaluator under scan and evaluate
 
     def record_call(session, target, stride, offset, depth):
-        active.append(0)
+        active.append([])
         try:
             return analyze(session, target, stride, offset, depth)
         finally:
             calls.append(active.pop())
 
-    def record_evaluate(self, point):
+    def record_value(self, pt, powers):
         if active:
-            active[-1] += 1
-        return evaluate(self, point)
+            active[-1].append((id(self), pt))
+        return value(self, pt, powers)
 
     monkeypatch.setattr(dmlab.closures, "_analyze_subinstance", record_call)
-    monkeypatch.setattr(MultiPoly, "evaluate", record_evaluate)
+    monkeypatch.setattr(MultiPoly, "_value", record_value)
     run_experiment(spec)
     # The orbit has preperiod 78 and period 6; a sub-instance scans
-    # about 833 indices but may only test the 84 stored points.
+    # about 833 indices but may only test the 84 stored points, each
+    # generator at each point once.
     assert calls
-    assert min(calls) >= 1
-    assert max(calls) <= 84
+    assert min(map(len, calls)) >= 1
+    assert max(map(len, calls)) <= 84
+    assert all(len(set(tested)) == len(tested) for tested in calls)

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from dmlab import (
     CycleStructure,
     Field,
+    FieldKind,
     FieldMismatchError,
+    FieldValue,
     Morphism,
     MultiPoly,
     OrbitCache,
@@ -94,13 +97,15 @@ def test_orbit_cache_never_folds_infinite_fields():
 
 
 class _CountingMorphism(Morphism):
+    """Counts orbit steps: every public and cached step goes through _step."""
+
     def __init__(self, components):
         super().__init__(components)
         self.calls = 0
 
-    def apply(self, point):
+    def _step(self, pt):
         self.calls += 1
-        return super().apply(point)
+        return super()._step(pt)
 
 
 def test_prime_return_set_steps_only_through_preperiod_and_period():
@@ -114,7 +119,7 @@ def test_prime_return_set_steps_only_through_preperiod_and_period():
     phi.calls = 0
     target = [parse_polynomial("y+5*x-25", names, F101)]
     s = return_set(phi, start, target, 10**6)
-    assert phi.calls <= cycle.preperiod + cycle.period
+    assert 0 < phi.calls <= cycle.preperiod + cycle.period
     assert s.indices[-1] == 10**6 - 1
 
 
@@ -134,15 +139,16 @@ def test_return_set_refuses_targets_off_the_map_before_iterating():
 
 
 class _CountingPoly:
-    """A target generator that counts its evaluations."""
+    """A target generator that counts its evaluations on payload tuples,
+    the form in which the scan tests stored points."""
 
     def __init__(self, poly):
         self.poly = poly
         self.calls = 0
 
-    def evaluate(self, point):
+    def _value(self, pt, powers):
         self.calls += 1
-        return self.poly.evaluate(point)
+        return self.poly._value(pt, powers)
 
 
 class _CountingCache(OrbitCache):
@@ -165,7 +171,7 @@ def test_prime_scan_tests_each_cycle_point_once_and_tiles_the_rest():
     v = _CountingPoly(parse_polynomial("y+5*x-25", XY, F101))
     cache = _CountingCache(phi, start)
     s = cache.scan([v], 10**6, 1, 0)
-    assert v.calls <= mu + lam
+    assert 0 < v.calls <= mu + lam
     # the loop runs through the preperiod and one period, not to the horizon
     assert cache.index_calls <= mu + lam + 1 + lam
     assert s.flags[mu:] == b"\1" * (10**6 - mu)  # the whole cycle lies on V
@@ -174,7 +180,7 @@ def test_prime_scan_tests_each_cycle_point_once_and_tiles_the_rest():
     for cache in (_CountingCache(phi, start), cache):
         v.calls = cache.index_calls = 0
         sub = cache.scan([v], 10**6, 6, 78)
-        assert v.calls <= lam
+        assert 0 < v.calls <= lam
         assert cache.index_calls <= (mu + lam) // 6 + 1 + lam
         assert len(sub) == 10**6
 
@@ -282,6 +288,114 @@ def test_mismatched_points_and_targets_raise_before_any_arithmetic(counted_field
     assert ring.calls == other_ring.calls == 0
     assert phi.apply(start) == (F7.from_int(3), F7.from_int(3))
     assert ring.calls > 0
+
+
+def test_points_are_checked_once_with_the_same_errors(counted_field):
+    # Morphism.apply, MultiPoly.evaluate and OrbitCache share one point
+    # check; the cache runs it at construction, before any step.
+    F7, ring = counted_field(Field.prime(7))
+    phi = _CountingMorphism([parse_polynomial(src, XY, F7) for src in ("x*y+1", "x^2+y")])
+    g = phi.components[0]
+    good = (F7.one(), F7.from_int(2))
+    bad_fields = (
+        (F7.one(), Field.prime(7).one()),  # an equal field passes
+        (F7.one(), F2T.one()),
+        (F7.one(), 1),
+        (QQ.one(), QQ.one()),
+    )
+    assert phi.apply(bad_fields[0]) == phi.apply(good[:1] * 2)
+    ring.calls = phi.calls = 0
+    for pt in bad_fields[1:]:
+        with pytest.raises(FieldMismatchError, match="^field mismatch$"):
+            phi.apply(pt)
+        with pytest.raises(FieldMismatchError, match="^field mismatch$"):
+            g.evaluate(pt)
+        with pytest.raises(FieldMismatchError, match="^field mismatch$"):
+            OrbitCache(phi, pt)
+    ambient = "^point length does not match the ambient dimension$"
+    for pt in (good[:1], good + (F7.one(),), ()):
+        with pytest.raises(ValueError, match=ambient):
+            phi.apply(pt)
+        with pytest.raises(ValueError, match="^point length does not match variable count$"):
+            g.evaluate(pt)
+        with pytest.raises(ValueError, match=ambient):
+            OrbitCache(phi, pt)
+    assert ring.calls == phi.calls == 0
+    cache = OrbitCache(phi, iter(good))  # any iterable of field values
+    assert cache.start == good and phi.calls == 0
+    assert cache.point(1) == phi.apply(good) == (F7.from_int(3), F7.from_int(3))
+    assert all(type(v) is FieldValue and v.field is F7 for v in cache.point(1))
+
+
+def _field_value_evaluate(f, point):
+    # Term by term in FieldValue arithmetic: no plan, no shared powers.
+    total = f.field.zero()
+    for mono, coeff in f.terms.items():
+        v = FieldValue(f.field, coeff)
+        for x, e in zip(point, mono):
+            for _ in range(e):
+                v = v * x
+        total = total + v
+    return total
+
+
+def _nonzero_const(rng, field, den=True):
+    # QQ values are never integers; GF(p)(t) values have numerators of
+    # t-degree up to 2 over the denominator t + r when ``den`` is set.
+    if field.kind is FieldKind.RATIONALS:
+        return field.from_fraction(Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7)))
+    p = field.characteristic
+    if not field.has_generator:
+        return field.from_int(rng.randrange(1, p))
+    num = [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [rng.randrange(1, p)]
+    return field.from_coefficients(num, [rng.randrange(p), 1] if den else [1])
+
+
+def test_scan_against_a_field_value_reference_orbit():
+    # Components and targets use squares of several variables in one
+    # polynomial and across components and generators, so a power cached
+    # under the wrong key, or kept from another point, changes a flag.
+    # GF(2)(t), GF(3)(t) and GF(101)(t) pack 2-bit, 4-bit and byte slots.
+    rng = random.Random(0x0EB1)
+    length = 30
+    for field in (QQ, Field.prime(7), Field.prime(101), F2T,
+                  Field.rational_functions(3), Field.rational_functions(101)):
+        x, y, z = (MultiPoly.variable(field, 3, i) for i in range(3))
+
+        def c():
+            # polynomial coefficients keep the t-degrees linear in n
+            return MultiPoly.constant(field, 3, _nonzero_const(rng, field, den=False))
+
+        phi = Morphism([
+            c() * x + y**2 + c() * z**2 + z,
+            y + z**2 + c() * z,
+            z + c(),
+        ])
+        start = tuple(_nonzero_const(rng, field) for _ in range(3))
+        orbit = [start]
+        for _ in range(length - 1):
+            orbit.append(tuple(_field_value_evaluate(g, orbit[-1]) for g in phi.components))
+        a, b, k = rng.sample(range(length), 3)
+
+        def at(n, i):
+            return MultiPoly.constant(field, 3, orbit[n][i])
+
+        g1 = (z - at(a, 2)) * (z - at(b, 2)) * (z - at(k, 2))
+        g2 = (y**2 - at(a, 1) ** 2) * (x - at(b, 0))
+        g3 = x**2 - at(k, 0) ** 2 + (z - at(k, 2)) * y**2
+        cache = OrbitCache(phi, start)
+        for n, pt in enumerate(orbit):  # stops at the first wrong step
+            assert cache.point(n) == pt, (field, n)
+        seen = set()
+        for gens in ([g1], [g1, g2], [g2, g1, g3]):
+            on = [all(_field_value_evaluate(g, pt).is_zero() for g in gens) for pt in orbit]
+            seen.update(on)
+            for stride in (1, 2, 5):
+                for offset in (0, 3, 8):
+                    count = (length - 1 - offset) // stride + 1
+                    got = cache.scan(gens, count, stride, offset)
+                    assert got.flags == bytes(on[offset::stride]), (field, gens, stride, offset)
+        assert seen == {True, False}, field
 
 
 def test_return_set_type():
