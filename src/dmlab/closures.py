@@ -34,7 +34,7 @@ alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .density import (
     DensityProfile,
@@ -77,8 +77,7 @@ CASE_CLOSURE_EQUALS_TARGET = "closure-equals-target"
 CASE_IRREDUCIBILITY_UNVERIFIED = "irreducibility-unverified"
 CASE_DEPTH_EXHAUSTED = "depth-exhausted"
 
-@dataclass(frozen=True)
-class ClosureEntry:
+class ClosureEntry(NamedTuple):
     """Sampled closure of one offset class inside a progression."""
 
     offset: int
@@ -88,8 +87,7 @@ class ClosureEntry:
     stabilized: bool
 
 
-@dataclass(frozen=True)
-class ClosureChain:
+class ClosureChain(NamedTuple):
     """Closure entries for the offsets of one progression."""
 
     modulus: int
@@ -102,8 +100,7 @@ class ClosureChain:
         return all(a >= b for a, b in zip(dims, dims[1:]))
 
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(NamedTuple):
     """Outcome of the self-map containment check for one subvariety.
 
     ``invariant`` is True exactly when every generator of the checked
@@ -117,8 +114,7 @@ class PeriodicityCertificate:
     witnesses: tuple
 
 
-@dataclass(frozen=True)
-class OffsetCase:
+class OffsetCase(NamedTuple):
     """Resolution of one offset class against the target subvariety; the
     class's offset and closure dimension live on the parallel chain entry."""
 
@@ -128,8 +124,7 @@ class OffsetCase:
     child: "SubInstance | None"
 
 
-@dataclass(frozen=True)
-class CaseSplitFragment:
+class CaseSplitFragment(NamedTuple):
     """Per-offset case resolutions for one progression's chain; ``offsets``
     runs parallel to the chain's entries, which hold offsets and dimensions."""
 
@@ -137,8 +132,7 @@ class CaseSplitFragment:
     offsets: tuple
 
 
-@dataclass(frozen=True)
-class SubInstance:
+class SubInstance(NamedTuple):
     """Analysis along one offset class, in its own index space.
 
     Instance index l corresponds to orbit index stride * l + offset;
@@ -156,8 +150,7 @@ class SubInstance:
     residual_profile: DensityProfile
 
 
-@dataclass(frozen=True)
-class SubProgression:
+class SubProgression(NamedTuple):
     """Progression of an instance, with its closure chain.
 
     ``modulus`` and ``offset`` live in the instance's index space.  The
@@ -172,7 +165,6 @@ class SubProgression:
     case_split: CaseSplitFragment
 
 
-@dataclass(frozen=True, eq=False)
 class Session:
     """One run's orbit, horizon and closure settings, plus its closure memo.
 
@@ -185,34 +177,63 @@ class Session:
     maps (stride, offset) to the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
     nothing else, so each one is sampled at most once per session;
     the memo only ever holds closures the session sampled itself.
+    Sessions compare by identity.
     """
 
-    phi: Morphism
-    start: tuple
-    horizon: int
-    m_min: int = 5
-    degree_cap: int = 4
-    initial_samples: int = 4
-    sample_budget: int = 64
-    depth_limit: int = 3
-    cache: OrbitCache = field(init=False, repr=False)
-    order: MonomialOrder = field(init=False, repr=False)
-    memo: dict = field(init=False, repr=False)
+    __slots__ = (
+        "phi",
+        "start",
+        "horizon",
+        "m_min",
+        "degree_cap",
+        "initial_samples",
+        "sample_budget",
+        "depth_limit",
+        "cache",
+        "order",
+        "memo",
+    )
 
-    def __post_init__(self):
-        if self.m_min < 2:
+    def __init__(
+        self,
+        phi: Morphism,
+        start: tuple,
+        horizon: int,
+        m_min: int = 5,
+        degree_cap: int = 4,
+        initial_samples: int = 4,
+        sample_budget: int = 64,
+        depth_limit: int = 3,
+    ):
+        if m_min < 2:
             raise ValueError("member minimum must be at least 2")
-        if self.depth_limit < 0:
+        if depth_limit < 0:
             raise ValueError("depth limit must be non-negative")
-        if self.initial_samples < 2:
+        if initial_samples < 2:
             raise ValueError("need at least two initial samples")
-        if self.sample_budget < self.initial_samples:
+        if sample_budget < initial_samples:
             raise ValueError("sample budget below the initial sample count")
-        if self.degree_cap < 1:
+        if degree_cap < 1:
             raise ValueError("degree cap must be positive")
-        object.__setattr__(self, "cache", OrbitCache(self.phi, self.start))
-        object.__setattr__(self, "order", MonomialOrder.grevlex(self.phi.num_vars))
-        object.__setattr__(self, "memo", {})
+        self.phi = phi
+        self.start = start
+        self.horizon = horizon
+        self.m_min = m_min
+        self.degree_cap = degree_cap
+        self.initial_samples = initial_samples
+        self.sample_budget = sample_budget
+        self.depth_limit = depth_limit
+        self.cache = OrbitCache(phi, start)
+        self.order = MonomialOrder.grevlex(phi.num_vars)
+        self.memo = {}
+
+    def __repr__(self):
+        return (
+            f"Session(phi={self.phi!r}, start={self.start!r}, horizon={self.horizon!r}, "
+            f"m_min={self.m_min!r}, degree_cap={self.degree_cap!r}, "
+            f"initial_samples={self.initial_samples!r}, sample_budget={self.sample_budget!r}, "
+            f"depth_limit={self.depth_limit!r})"
+        )
 
 
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:

@@ -23,11 +23,11 @@ union and a residual, with a density profile of the residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice
 from math import isqrt
 from operator import sub
+from typing import NamedTuple
 
 from .orbits import ReturnSet
 
@@ -44,18 +44,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Progression:
-    """Arithmetic progression {modulus * k + offset : k >= 0}."""
+    """Arithmetic progression {modulus * k + offset : k >= 0}.
 
-    modulus: int
-    offset: int
+    Progressions compare and hash by ``modulus`` and ``offset``.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    __slots__ = ("modulus", "offset")
+
+    def __init__(self, modulus: int, offset: int):
+        if modulus < 1:
             raise ValueError("progression modulus must be positive")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("progression offset must be non-negative")
+        self.modulus = modulus
+        self.offset = offset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.offset) == (other.modulus, other.offset)
+
+    def __hash__(self):
+        return hash((self.modulus, self.offset))
+
+    def __repr__(self):
+        return f"Progression(modulus={self.modulus!r}, offset={self.offset!r})"
 
     def members_below(self, horizon: int) -> range:
         return range(self.offset, horizon, self.modulus)
@@ -66,8 +80,7 @@ class Progression:
         return (horizon - 1 - self.offset) // self.modulus + 1
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     """Exact max window ratios per window length, lengths ascending."""
 
     horizon: int
@@ -80,8 +93,7 @@ class DensityProfile:
         raise KeyError(f"no profile entry for window length {length}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Split of a return set into certified progressions and residual."""
 
     progressions: tuple

@@ -26,9 +26,9 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .closures import (
     CASE_DEPTH_EXHAUSTED,
@@ -88,8 +88,7 @@ _FIELD_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
 
 
-@dataclass(frozen=True)
-class AnalysisParams:
+class AnalysisParams(NamedTuple):
     """Resolved tuning knobs for one experiment.
 
     Defaults: a_max = ceil(sqrt(N)), m_min = 5, tail_start = 0,
@@ -107,8 +106,7 @@ class AnalysisParams:
     window_lengths: tuple
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """Validated experiment: parsed objects plus the raw source strings."""
 
     field: Field
@@ -226,7 +224,7 @@ def _parse_analysis(raw, horizon: int) -> AnalysisParams:
         raw = {}
     if not isinstance(raw, dict):
         raise SchemaError("analysis must be an object")
-    unknown = set(raw) - {f.name for f in fields(AnalysisParams)}
+    unknown = set(raw) - set(AnalysisParams._fields)
     if unknown:
         raise SchemaError(f"unknown analysis key {sorted(unknown)[0]!r}")
     a_max = _require_int(raw.get("a_max", ceil_sqrt(horizon)), "a_max", 1)
@@ -618,9 +616,7 @@ def _collect_diagnostics(progressions, prefix: str = ""):
 def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInstance):
     params = spec.analysis
     header = _experiment_json(spec)
-    header["analysis"] = {
-        f.name: str(getattr(params, f.name)) for f in fields(AnalysisParams)
-    }
+    header["analysis"] = dict(zip(params._fields, map(str, params)))
     header["analysis"]["window_lengths"] = _ints(params.window_lengths)
     return {
         "experiment": header,

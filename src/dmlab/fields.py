@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -457,25 +456,35 @@ class _FunctionRing:
         return [polys.divmod(a, g)[0] for a in v]
 
 
-@dataclass(frozen=True)
 class Field:
-    """Descriptor of a supported coefficient field."""
+    """Descriptor of a supported coefficient field.
 
-    kind: FieldKind
-    characteristic: int
-    # Payload arithmetic of this field, built once.
-    _ring: "_RationalRing | _PrimeRing | _FunctionRing" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Fields compare and hash by ``kind`` and ``characteristic``; the
+    payload arithmetic ``_ring`` is built once, here.
+    """
 
-    def __post_init__(self):
-        if self.kind is FieldKind.RATIONALS:
-            ring = _RationalRing()
-        elif self.kind is FieldKind.PRIME:
-            ring = _PrimeRing(self.characteristic)
+    __slots__ = ("kind", "characteristic", "_ring")
+
+    def __init__(self, kind: FieldKind, characteristic: int):
+        self.kind = kind
+        self.characteristic = characteristic
+        if kind is FieldKind.RATIONALS:
+            self._ring = _RationalRing()
+        elif kind is FieldKind.PRIME:
+            self._ring = _PrimeRing(characteristic)
         else:
-            ring = _FunctionRing(self.characteristic)
-        object.__setattr__(self, "_ring", ring)
+            self._ring = _FunctionRing(characteristic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.characteristic) == (other.kind, other.characteristic)
+
+    def __hash__(self):
+        return hash((self.kind, self.characteristic))
+
+    def __repr__(self):
+        return f"Field(kind={self.kind!r}, characteristic={self.characteristic!r})"
 
     @staticmethod
     def rationals() -> "Field":

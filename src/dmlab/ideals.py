@@ -17,7 +17,7 @@ input generator order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import Field, FieldValue
 from .multipoly import (
@@ -44,10 +44,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedGroebnerBasis:
+class ReducedGroebnerBasis(NamedTuple):
     """Reduced Groebner basis; construct through :func:`buchberger` or
-    :func:`vanishing_ideal`, not directly."""
+    :func:`vanishing_ideal`, not directly.  Like every record, it is a
+    named tuple: ``len`` and iteration run over its four fields, so
+    count and walk ``generators`` instead."""
 
     order: MonomialOrder
     generators: tuple
@@ -67,12 +68,6 @@ class ReducedGroebnerBasis:
 
     def render(self, names) -> tuple:
         return tuple(g.render(names, self.order) for g in self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
@@ -265,9 +260,9 @@ def ideal_dimension(basis: ReducedGroebnerBasis) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Finite list of rational points in affine space, deduplicated."""
+class PointSet(NamedTuple):
+    """Finite list of rational points in affine space, deduplicated, in
+    ``points``; ``len`` of the record itself counts its three fields."""
 
     points: tuple
     num_vars: int
@@ -292,9 +287,6 @@ class PointSet:
                     raise ValueError("points must share a field")
         unique = tuple(dict.fromkeys(pts))
         return cls(unique, num_vars, field)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def vanishing_ideal(

@@ -17,8 +17,6 @@ priority (a permutation of the variable indices, highest first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import Field, FieldKind, FieldMismatchError, FieldValue
 
 __all__ = [
@@ -82,23 +80,35 @@ def _merge(ring, out: dict, items) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Total order on monomials, given by kind and variable priority.
 
     ``priority`` lists variable indices from most to least significant.
     ``key`` maps a monomial to a sortable tuple; bigger key means bigger
     monomial, so ``max(terms, key=order.key)`` picks the leading term.
+    Orders compare and hash by ``kind`` and ``priority``.
     """
 
-    kind: str
-    priority: tuple
+    __slots__ = ("kind", "priority")
 
-    def __post_init__(self):
-        if self.kind not in (LEX, GREVLEX):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if sorted(self.priority) != list(range(len(self.priority))):
+    def __init__(self, kind: str, priority: tuple):
+        if kind not in (LEX, GREVLEX):
+            raise ValueError(f"unknown order kind {kind!r}")
+        if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of the variable indices")
+        self.kind = kind
+        self.priority = priority
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.priority) == (other.kind, other.priority)
+
+    def __hash__(self):
+        return hash((self.kind, self.priority))
+
+    def __repr__(self):
+        return f"MonomialOrder(kind={self.kind!r}, priority={self.priority!r})"
 
     @classmethod
     def lex(cls, num_vars: int, priority=None) -> "MonomialOrder":

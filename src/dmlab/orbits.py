@@ -30,9 +30,9 @@ table where they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from typing import NamedTuple
 
 from .fields import FieldKind, FieldMismatchError, FieldValue
 from .ideals import ReducedGroebnerBasis
@@ -197,8 +197,7 @@ class OrbitCache:
         return ReturnSet.from_flags(flags)
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(NamedTuple):
     """Eventual period data: orbit enters a cycle of length ``period``
     after ``preperiod`` steps."""
 
@@ -330,6 +329,6 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
         cache = OrbitCache(phi, start)
     elif cache.phi is not phi:
         raise ValueError("cache was built for a different morphism")
-    elif cache.start != tuple(start):
+    elif phi._payloads(start) != cache._points[0]:
         raise ValueError("cache was built for a different starting point")
     return cache.scan(gens, horizon, 1, 0)

@@ -29,7 +29,7 @@ def counted_field():
     def make(field):
         copy = type(field)(field.kind, field.characteristic)
         ring = CountingRing(copy._ring)
-        object.__setattr__(copy, "_ring", ring)
+        copy._ring = ring
         return copy, ring
 
     return make

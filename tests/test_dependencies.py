@@ -1,9 +1,12 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "dmlab").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "dmlab").glob("*.py"))
 
 
 def _imported_top_level_modules(path):
@@ -35,3 +38,18 @@ def test_every_exported_name_resolves():
         exported = importlib.import_module(name).__all__
         assert len(set(exported)) == len(exported), name
         assert set(exported) <= namespace.keys(), name
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every ``dml`` run imports the package first; these two modules
+    # (and the ast/dis/tokenize that inspect drags in) cost milliseconds.
+    # ``-S`` keeps site hooks from loading either one beforehand.
+    code = "import sys, dmlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -308,7 +307,7 @@ def test_returns_csv_bytes_equal_the_per_index_loop():
 def test_stage_error_names_the_stage():
     spec = experiment_from_dict(base_doc())
     alien = parse_polynomial("x-1", ("x", "y"), Field.prime(7))
-    broken = dataclasses.replace(spec, target_generators=(alien,))
+    broken = spec._replace(target_generators=(alien,))
     with pytest.raises(StageError) as exc:
         run_experiment(broken)
     assert "return-set stage" in str(exc.value)

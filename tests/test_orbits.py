@@ -292,11 +292,13 @@ def test_mismatched_points_and_targets_raise_before_any_arithmetic(counted_field
 
 def test_points_are_checked_once_with_the_same_errors(counted_field):
     # Morphism.apply, MultiPoly.evaluate and OrbitCache share one point
-    # check; the cache runs it at construction, before any step.
+    # check; the cache runs it at construction, before any step, and
+    # return_set runs it on the start it is handed with a cache.
     F7, ring = counted_field(Field.prime(7))
     phi = _CountingMorphism([parse_polynomial(src, XY, F7) for src in ("x*y+1", "x^2+y")])
     g = phi.components[0]
     good = (F7.one(), F7.from_int(2))
+    held = OrbitCache(phi, good)
     bad_fields = (
         (F7.one(), Field.prime(7).one()),  # an equal field passes
         (F7.one(), F2T.one()),
@@ -312,6 +314,8 @@ def test_points_are_checked_once_with_the_same_errors(counted_field):
             g.evaluate(pt)
         with pytest.raises(FieldMismatchError, match="^field mismatch$"):
             OrbitCache(phi, pt)
+        with pytest.raises(FieldMismatchError, match="^field mismatch$"):
+            return_set(phi, pt, [g], 10, held)
     ambient = "^point length does not match the ambient dimension$"
     for pt in (good[:1], good + (F7.one(),), ()):
         with pytest.raises(ValueError, match=ambient):
@@ -320,11 +324,15 @@ def test_points_are_checked_once_with_the_same_errors(counted_field):
             g.evaluate(pt)
         with pytest.raises(ValueError, match=ambient):
             OrbitCache(phi, pt)
+        with pytest.raises(ValueError, match=ambient):
+            return_set(phi, pt, [g], 10, held)
     assert ring.calls == phi.calls == 0
     cache = OrbitCache(phi, iter(good))  # any iterable of field values
     assert cache.start == good and phi.calls == 0
     assert cache.point(1) == phi.apply(good) == (F7.from_int(3), F7.from_int(3))
     assert all(type(v) is FieldValue and v.field is F7 for v in cache.point(1))
+    equal = (Field.prime(7).one(), Field.prime(7).from_int(2))
+    assert return_set(phi, equal, [g], 10, held) == return_set(phi, good, [g], 10)
 
 
 def _field_value_evaluate(f, point):
