@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from itertools import repeat
+from functools import cache, cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -284,20 +285,31 @@ def load_experiment(path) -> ExperimentSpec:
 
 
 class ReportDocument:
-    """Finished analysis: JSON payload plus the exact objects behind it."""
+    """Finished analysis: the report tree plus the exact objects behind it.
 
-    def __init__(self, payload, returns=None, profile=None, decomposition=None):
-        self.payload = payload
+    The tree keeps each index list as its :class:`ReturnSet`, which
+    ``to_json`` writes straight from the membership table.  ``payload``
+    is the plain JSON form, built on first read, with each index as a
+    string: ``to_json() == json.dumps(payload, indent=2) + "\\n"``.
+    """
+
+    def __init__(self, tree, returns=None, profile=None, decomposition=None):
+        self._tree = tree
         self.returns = returns
         self.profile = profile
         self.decomposition = decomposition
 
+    @cached_property
+    def payload(self):
+        return _plain(self._tree)
+
     def to_json(self) -> str:
         """The payload as ``json.dumps(payload, indent=2)`` writes it, plus a
-        newline; a leaf other than a string, a boolean or None raises
-        TypeError, since every numeric leaf of a report is a string."""
+        newline; a leaf other than a string, a boolean, None or a
+        ``ReturnSet`` raises TypeError, since every numeric leaf of a
+        report is a string."""
         out: list = []
-        _render(self.payload, 0, out)
+        _render(self._tree, 0, out)
         out.append("\n")
         return "".join(out)
 
@@ -310,6 +322,40 @@ class ReportDocument:
         for length, ratio in self.profile.entries:
             lines.append(f"{length},{ratio}")
         return "\n".join(lines) + "\n"
+
+
+def _plain(node):
+    if isinstance(node, ReturnSet):
+        return [str(n) for n in node]
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_plain(v) for v in node]
+    return node
+
+
+@cache
+def _low_digits() -> tuple:
+    """The strings 000..999, built the first time an index list passes 999."""
+    return tuple(f"{i:03d}" for i in range(1000))
+
+
+def _render_indices(flags: bytes, pad: str, out: list) -> None:
+    # The members of a membership table as a JSON list of strings at the
+    # indent ``pad``: one compress and one join per block of 1000 indices,
+    # each index above 999 written as its block number then three digits.
+    if 1 not in flags:
+        out.append("[]")
+        return
+    sep = '",' + pad + '"'
+    head = flags[:1000]
+    blocks = [sep.join(map(str, compress(range(1000), head)))] if 1 in head else []
+    for start in range(1000, len(flags), 1000):
+        block = flags[start : start + 1000]
+        if 1 in block:
+            high = str(start // 1000)
+            blocks.append(high + (sep + high).join(compress(_low_digits(), block)))
+    out += ("[" + pad + '"', sep.join(blocks), '"' + pad[:-2] + "]")
 
 
 def _render(value, depth: int, out: list) -> None:
@@ -335,17 +381,16 @@ def _render(value, depth: int, out: list) -> None:
         out.append(pad[:-2] + "}")
     elif isinstance(value, list):
         pad = "\n" + "  " * (depth + 1)
-        if all(map(isinstance, value, repeat(str))):  # index lists: one join
-            out += ("[" + pad, ("," + pad).join(map(encode_basestring_ascii, value)))
-        else:
-            sep = "[" + pad
-            for v in value:
-                out.append(sep)
-                sep = "," + pad
-                _render(v, depth + 1, out)
+        sep = "[" + pad
+        for v in value:
+            out.append(sep)
+            sep = "," + pad
+            _render(v, depth + 1, out)
         out.append(pad[:-2] + "]")
+    elif isinstance(value, ReturnSet):
+        _render_indices(value.flags, "\n" + "  " * (depth + 1), out)
     else:
-        raise TypeError(f"report leaves are str, bool or None, not {type(value).__name__}")
+        raise TypeError(f"report leaves are str, bool, None or ReturnSet, not {type(value).__name__}")
 
 
 @contextmanager
@@ -438,12 +483,9 @@ def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDoc
 
 
 # ---------------------------------------------------------------------------
-# Report rendering: every numeric leaf is a string, exact rationals as
-# "num/den"; key order is fixed by construction.
-
-
-def _ints(values) -> list:
-    return [str(v) for v in values]
+# Report trees: every numeric leaf is a string, exact rationals as
+# "num/den", and every index list the ReturnSet it lists; key order is
+# fixed by construction.
 
 
 def _experiment_json(spec: ExperimentSpec) -> dict:
@@ -461,7 +503,7 @@ def _return_set_json(returns: ReturnSet) -> dict:
     return {
         "horizon": str(returns.horizon),
         "count": str(len(returns)),
-        "indices": _ints(returns),
+        "indices": returns,
     }
 
 
@@ -522,7 +564,7 @@ def _progression_json(p: SubProgression, frame: dict, spec: ExperimentSpec) -> d
 def _residual_json(instance: SubInstance) -> dict:
     return {
         "residual_count": str(len(instance.residual)),
-        "residual_indices": _ints(instance.residual),
+        "residual_indices": instance.residual,
         "residual_profile": _profile_json(instance.residual_profile),
     }
 
@@ -533,7 +575,7 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
         "offset": str(sub.offset),
         "horizon": str(sub.returns.horizon),
         "return_count": str(len(sub.returns)),
-        "return_indices": _ints(sub.returns),
+        "return_indices": sub.returns,
         "progressions": [
             _progression_json(
                 p,
@@ -617,7 +659,7 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
     params = spec.analysis
     header = _experiment_json(spec)
     header["analysis"] = dict(zip(params._fields, map(str, params)))
-    header["analysis"]["window_lengths"] = _ints(params.window_lengths)
+    header["analysis"]["window_lengths"] = list(map(str, params.window_lengths))
     return {
         "experiment": header,
         "return_set": _return_set_json(root.returns),

@@ -30,7 +30,7 @@ table where they are read.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -296,12 +296,12 @@ class ReturnSet:
         return hash(self.flags)
 
     def __repr__(self) -> str:
-        members = self.indices
+        members = tuple(islice(self, 13))
         if len(members) <= 12:
             body = ", ".join(map(str, members))
         else:
             head = ", ".join(map(str, members[:10]))
-            body = f"{head}, ... ({len(members)} total)"
+            body = f"{head}, ... ({len(self)} total)"
         return f"<returns below {self.horizon}: {{{body}}}>"
 
 

@@ -261,6 +261,61 @@ def test_report_bytes_equal_indented_dumps():
         assert ReportDocument(payload).to_json() == json.dumps(payload, indent=2) + "\n"
 
 
+def _wrap(tree, depth):
+    # ``tree`` nested ``depth`` levels deep, alternating dicts and lists
+    for level in range(depth):
+        tree = {"count": "2", "indices": tree} if level % 2 else ["x", tree, None]
+    return tree
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 999, 1000, 1001, 2000, 100_001])
+def test_index_lists_render_as_indented_dumps(horizon):
+    rng = random.Random(horizon)
+    member_sets = [
+        [],
+        [999],
+        [1000],
+        [n for n in range(horizon) if rng.random() < 0.01],
+        [n for n in range(horizon) if rng.getrandbits(1)],
+        range(horizon),
+    ]
+    for members in member_sets:
+        members = [n for n in members if n < horizon]
+        rs = ReturnSet(horizon, members)
+        texts = [str(n) for n in sorted(members)]
+        for depth in range(4):
+            doc = ReportDocument(_wrap(rs, depth))
+            assert doc.payload == _wrap(texts, depth)
+            assert doc.to_json() == json.dumps(doc.payload, indent=2) + "\n"
+
+
+def test_run_renders_index_lists_without_iterating_members(monkeypatch):
+    # cycle-gf101's map: the whole cycle lies on V, so almost every index returns
+    doc = {
+        "field": "GF(101)",
+        "vars": ["x", "y"],
+        "phi": ["x^2+y", "x*y+1"],
+        "alpha": ["87", "93"],
+        "V": ["y+5*x-25"],
+        "N": 3000,
+        "analysis": {"tail_start": 78},
+    }
+    spec = experiment_from_dict(doc)
+    expected = run_experiment(spec).to_json()
+
+    def refuse(self):
+        raise AssertionError("a ReturnSet was iterated member by member")
+
+    monkeypatch.setattr(ReturnSet, "__iter__", refuse)
+    report = run_experiment(spec)
+    assert report.to_json() == expected
+    assert len(report.returns) > 2900
+    density_report(spec).to_json()
+    # the plain payload is built on its first read, not by the run
+    with pytest.raises(AssertionError, match="member by member"):
+        report.payload
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -434,6 +434,19 @@ def test_return_set_type():
     assert len(edge) == 2 and list(edge) == [0, 4] and edge.indices == (0, 4)
 
 
+def test_return_set_repr():
+    assert repr(ReturnSet(5, [])) == "<returns below 5: {}>"
+    assert repr(ReturnSet(10, [3, 1, 7])) == "<returns below 10: {1, 3, 7}>"
+    assert repr(ReturnSet(12, range(12))) == (
+        "<returns below 12: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}>"
+    )
+    head = "0, 3, 6, 9, 12, 15, 18, 21, 24, 27"
+    assert repr(ReturnSet(39, range(0, 39, 3))) == f"<returns below 39: {{{head}, ... (13 total)}}>"
+    assert repr(ReturnSet(100_000, range(0, 100_000, 3))) == (
+        f"<returns below 100000: {{{head}, ... (33334 total)}}>"
+    )
+
+
 def test_return_set_from_flags():
     s = ReturnSet.from_flags(bytes([0, 1, 0, 1, 0, 0, 0, 1, 0, 0]))
     assert s == ReturnSet(10, [1, 3, 7]) and hash(s) == hash(ReturnSet(10, [7, 3, 1]))
