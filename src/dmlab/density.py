@@ -218,7 +218,7 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
             b = tail_start + r
             if len(range(b, n, a)) < m_min:
                 break  # later offsets have no more members
-            if 0 not in flags[b::a]:
+            if flags[b] and 0 not in flags[b::a]:
                 kept.append(Progression(a, b))
             r = covered.find(0, r + 1)
     return kept

@@ -5,7 +5,8 @@ a prime field GF(p) with p a prime below 2**31, or a rational function
 field GF(p)(t) in one transcendental generator t.  A :class:`FieldValue`
 pairs a descriptor with a canonical payload:
 
-* rationals: a reduced ``fractions.Fraction`` (positive denominator),
+* rationals: an int when the value is integral, otherwise a reduced
+  ``fractions.Fraction`` with denominator above 1 (never a float),
 * GF(p): an int residue in [0, p),
 * GF(p)(t): a pair (num, den) of GF(p)[t] polynomials, each packed into
   one Python int.  Coefficient i sits in bits [i*b, (i+1)*b), where the
@@ -48,6 +49,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 __all__ = [
     "Field",
@@ -314,29 +316,35 @@ class _PolyRing:
         return (num, den)
 
 
+def _rational(q):
+    # The canonical QQ payload of an int or Fraction (ints have denominators too).
+    return q.numerator if q.denominator == 1 else q
+
+
 class _RationalRing:
-    """QQ payloads: reduced Fractions."""
+    """QQ payloads: ints when integral, else reduced Fractions, never floats."""
 
     __slots__ = ()
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def inverse(self, a):
-        return 1 / a
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def pow(self, a, e: int):
-        return a**e
+        return _rational(a**e)
 
-    dmul = mul
+    def dmul(self, a, b):
+        return a * b
 
     def clear(self, values):
         den = lcm(*[q.denominator for q in values])
@@ -349,7 +357,8 @@ class _RationalRing:
         g = gcd(*v)
         return v if g == 1 else [a // g for a in v]
 
-    quotient = Fraction
+    def quotient(self, a, b):
+        return _rational(Fraction(a, b))
 
 
 class _PrimeRing:
@@ -522,8 +531,8 @@ class Field:
 
     def from_int(self, n: int) -> "FieldValue":
         if self.kind is FieldKind.RATIONALS:
-            return FieldValue(self, Fraction(n))
-        r = n % self.characteristic
+            return FieldValue(self, index(n))
+        r = index(n) % self.characteristic
         if self.kind is FieldKind.PRIME:
             return FieldValue(self, r)
         return FieldValue(self, (r, 1))
@@ -531,7 +540,7 @@ class Field:
     def from_fraction(self, q: Fraction) -> "FieldValue":
         if self.kind is not FieldKind.RATIONALS:
             raise ValueError(f"exact fractions only embed into QQ, not {self.label}")
-        return FieldValue(self, Fraction(q))
+        return FieldValue(self, _rational(Fraction(q)))
 
     def t(self) -> "FieldValue":
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:

@@ -17,6 +17,8 @@ priority (a permutation of the variable indices, highest first).
 
 from __future__ import annotations
 
+from operator import itemgetter, neg
+
 from .fields import Field, FieldKind, FieldMismatchError, FieldValue
 
 __all__ = [
@@ -89,7 +91,7 @@ class MonomialOrder:
     Orders compare and hash by ``kind`` and ``priority``.
     """
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("kind", "priority", "_pick")
 
     def __init__(self, kind: str, priority: tuple):
         if kind not in (LEX, GREVLEX):
@@ -98,6 +100,9 @@ class MonomialOrder:
             raise ValueError("priority must be a permutation of the variable indices")
         self.kind = kind
         self.priority = priority
+        # Exponents in key order; with one variable itemgetter returns a scalar.
+        picked = priority if kind == LEX else priority[::-1]
+        self._pick = itemgetter(*picked) if len(picked) > 1 else tuple
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -124,11 +129,11 @@ class MonomialOrder:
 
     def key(self, mono: tuple):
         if self.kind == LEX:
-            return tuple(mono[i] for i in self.priority)
+            return self._pick(mono)
         # grevlex: compare total degree, then reversed exponent sequence
         # with flipped sign (the monomial with the smaller exponent on the
         # least significant variable wins ties).
-        return (sum(mono), tuple(-mono[i] for i in reversed(self.priority)))
+        return (sum(mono), tuple(map(neg, self._pick(mono))))
 
 
 class MultiPoly:

@@ -340,6 +340,14 @@ def test_detect_matches_reference_scan():
         members.update(rng.sample(range(horizon), 40))
         for tail in (0, 1, 3, 4, 6, 9, 40, horizon - 30):
             cases.append((rs(horizon, members), ceil_sqrt(horizon), 5, tail))
+    # Sparse tables, where most offsets are not members, up to full ones.
+    for density in (0.0, 0.002, 0.02, 0.97, 1.0):
+        for _ in range(4):
+            horizon = rng.randint(50, 4000)
+            members = {n for n in range(horizon) if rng.random() < density}
+            s = rs(horizon, members)
+            for tail in (0, rng.randrange(horizon)):
+                cases.append((s, ceil_sqrt(horizon), rng.randint(2, 8), tail))
     for s, a_max, m_min, tail in cases:
         assert detect_progressions(s, a_max, m_min, tail) == _reference_detect_progressions(
             s, a_max, m_min, tail

@@ -1,10 +1,13 @@
+import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dmlab import Field, FieldMismatchError
+import dmlab.experiment
+from dmlab import Field, FieldMismatchError, experiment_from_dict, run_experiment
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -420,3 +423,97 @@ def test_gf2_powers_take_two_bits_per_coefficient():
     power = F.t() ** 4399
     assert power.payload[0].bit_length() <= 2 * 4400
     assert power.coefficients() == ((0,) * 4399 + (1,), (1,))
+
+
+def _assert_canonical_qq(payload, want):
+    # A QQ payload is an int exactly when it is integral, else a Fraction
+    # with denominator above 1; type() also rules out floats and bools.
+    want = Fraction(want)
+    assert payload == want
+    assert type(payload) is (int if want.denominator == 1 else Fraction)
+
+
+def _random_qq(rng):
+    if rng.random() < 0.4:
+        return QQ.from_int(rng.choice([0, 1, -1, rng.randint(-50, 50)]))
+    # denominators that reduce away as well as ones that stay
+    return QQ.from_fraction(Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 4, 6, 12])))
+
+
+def test_rational_payloads_are_canonical_under_every_operation():
+    rng = random.Random(0x0221)
+    ring = QQ._ring
+    assert type(ring.zero) is int and type(ring.one) is int
+    _assert_canonical_qq(QQ.zero().payload, 0)
+    _assert_canonical_qq(QQ.one().payload, 1)
+    _assert_canonical_qq(ring.add(Fraction(1, 2), Fraction(1, 2)), 1)
+    _assert_canonical_qq(ring.pow(Fraction(1, 2), 0), 1)
+    _assert_canonical_qq(ring.inverse(Fraction(-1, 3)), -3)
+    _assert_canonical_qq(ring.inverse(-1), -1)
+    _assert_canonical_qq(QQ.from_fraction(Fraction(6, 3)).payload, 2)
+    for _ in range(400):
+        a, b = _random_qq(rng), _random_qq(rng)
+        x, y = a.payload, b.payload
+        fx, fy = Fraction(x), Fraction(y)
+        _assert_canonical_qq(x, fx)
+        _assert_canonical_qq(ring.add(x, y), fx + fy)
+        _assert_canonical_qq(ring.neg(x), -fx)
+        _assert_canonical_qq(ring.mul(x, y), fx * fy)
+        e = rng.randint(0, 4)
+        _assert_canonical_qq(ring.pow(x, e), fx**e)
+        _assert_canonical_qq((a + b).payload, fx + fy)
+        _assert_canonical_qq((a - b).payload, fx - fy)
+        _assert_canonical_qq((-a).payload, -fx)
+        _assert_canonical_qq((a * b).payload, fx * fy)
+        _assert_canonical_qq((a**e).payload, fx**e)
+        if x:
+            _assert_canonical_qq(ring.inverse(x), 1 / fx)
+            _assert_canonical_qq(a.inverse().payload, 1 / fx)
+            _assert_canonical_qq((b / a).payload, fy / fx)
+            _assert_canonical_qq((a ** -e).payload, fx**-e)
+        # The integral domain: clear gives int numerators over one int
+        # denominator, and quotient turns two of them back into a payload.
+        values = [_random_qq(rng).payload for _ in range(rng.randint(1, 5))]
+        nums, den = ring.clear(values)
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in nums)
+        assert [Fraction(n, den) for n in nums] == values
+        n, d = rng.randint(-60, 60), rng.choice([-4, -2, -1, 1, 3, 5, 6])
+        _assert_canonical_qq(ring.quotient(n, d), Fraction(n, d))
+
+
+def test_from_int_rejects_non_integers():
+    for field in (QQ, F7, F5T):
+        for bad in (1.5, 2.0, Fraction(3), "4"):
+            with pytest.raises(TypeError):
+                field.from_int(bad)
+    # integers of any kind embed as plain ints
+    assert type(QQ.from_int(True).payload) is int
+    assert F7.from_int(True).payload == 1
+
+
+def test_rotation_run_keeps_every_rational_payload_canonical(monkeypatch):
+    suite = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "suite.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    doc = next(w for w in suite["workloads"] if w["name"] == "rotation-qq")["experiment"]
+    sessions = []
+    make_session = dmlab.experiment._session
+
+    def record(spec):
+        sessions.append(make_session(spec))
+        return sessions[-1]
+
+    monkeypatch.setattr(dmlab.experiment, "_session", record)
+    run_experiment(experiment_from_dict(doc))
+    (session,) = sessions
+    assert session.memo
+    payloads = [c for pt in session.cache._points for c in pt]
+    for entry in session.memo.values():
+        for g in entry.ideal.generators:
+            payloads.extend(g.terms.values())
+    assert len(payloads) > 1000
+    for c in payloads:
+        _assert_canonical_qq(c, c)

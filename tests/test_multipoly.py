@@ -77,6 +77,25 @@ def test_grevlex_order():
     assert o.key((2, 1, 0)) > o.key((1, 2, 0))
 
 
+def _reference_key(kind, priority, mono):
+    # The order's definition, spelled out per variable.
+    if kind == "lex":
+        return tuple(mono[i] for i in priority)
+    return (sum(mono), tuple(-mono[i] for i in reversed(priority)))
+
+
+def test_order_key_matches_the_definition():
+    rng = random.Random(0x0DE5)
+    for num_vars in range(1, 6):
+        for _ in range(40):
+            priority = rng.sample(range(num_vars), num_vars)
+            for make in (MonomialOrder.lex, MonomialOrder.grevlex):
+                order = make(num_vars, priority)
+                for _ in range(8):
+                    mono = tuple(rng.randint(0, 5) for _ in range(num_vars))
+                    assert order.key(mono) == _reference_key(order.kind, order.priority, mono)
+
+
 def test_order_validation():
     with pytest.raises(ValueError):
         MonomialOrder("weighted", (0, 1))
@@ -292,4 +311,5 @@ def test_evaluate_sums_from_the_first_term():
                 assert got == want
                 assert type(got.payload) is type(want.payload)
                 if field is QQ:
-                    assert type(got.payload) is Fraction
+                    q = got.payload
+                    assert type(q) is (int if q.denominator == 1 else Fraction)
