@@ -540,6 +540,8 @@ class Field:
     def from_fraction(self, q: Fraction) -> "FieldValue":
         if self.kind is not FieldKind.RATIONALS:
             raise ValueError(f"exact fractions only embed into QQ, not {self.label}")
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
         return FieldValue(self, _rational(Fraction(q)))
 
     def t(self) -> "FieldValue":
@@ -575,16 +577,10 @@ class FieldValue:
             raise FieldMismatchError("field mismatch")
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k is FieldKind.RATIONAL_FUNCTIONS:
-            return not self.payload[0]
-        return not self.payload
+        return self.payload == self.field._ring.zero
 
     def is_one(self) -> bool:
-        k = self.field.kind
-        if k is FieldKind.RATIONAL_FUNCTIONS:
-            return self.payload == (1, 1)
-        return self.payload == 1
+        return self.payload == self.field._ring.one
 
     def __bool__(self) -> bool:
         return not self.is_zero()

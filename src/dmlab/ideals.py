@@ -12,7 +12,10 @@ monic generators, no term of one generator divisible by the leading
 term of another, sorted by descending leading term.  Reduced bases are
 unique per (ideal, order), so equality of ideals is equality of
 generator lists and all outputs are deterministic, independent of
-input generator order.
+input generator order.  Internally a basis element is a (leading
+monomial, monic polynomial) pair on coefficient payloads, its monomial
+found once by ``MultiPoly.leading_monomial``; field values enter only
+as :class:`PointSet` coordinates.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class ReducedGroebnerBasis(NamedTuple):
         return len(self.generators) == 1 and self.generators[0].is_constant()
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_term(self.order)[0] for g in self.generators)
+        return tuple(g.leading_monomial(self.order) for g in self.generators)
 
     def render(self, names) -> tuple:
         return tuple(g.render(names, self.order) for g in self.generators)
@@ -72,18 +75,24 @@ class ReducedGroebnerBasis(NamedTuple):
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     """Cancel the leading terms of f and g against their lcm."""
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = mono_lcm(mf, mg)
-    left = f.term_mul(mono_div(lcm, mf), cf.inverse())
-    right = g.term_mul(mono_div(lcm, mg), cg.inverse())
-    return left - right
+    return _s_poly(f._monic_pair(order), g._monic_pair(order))
+
+
+def _s_poly(a: tuple, b: tuple) -> MultiPoly:
+    # S-polynomial of two (leading monomial, monic polynomial) pairs: the
+    # shifted leading terms cancel, so only the tails are shifted and merged.
+    (la, fa), (lb, fb) = a, b
+    lcm = mono_lcm(la, lb)
+    sa, sb = mono_div(lcm, la), mono_div(lcm, lb)
+    ring = fa.field._ring
+    terms = {mono_mul(m, sa): c for m, c in fa.terms.items() if m != la}
+    _merge(ring, terms, ((mono_mul(m, sb), ring.neg(c)) for m, c in fb.terms.items() if m != lb))
+    return MultiPoly(fa.field, fa.num_vars, terms)
 
 
 def _remainder(f: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
     # Multivariate division, remainder only, on coefficient payloads.
-    # Every divisor is monic (reduced bases are, and buchberger makes each
-    # polynomial monic before it joins its working basis), so a term
+    # Divisors are (leading monomial, monic polynomial) pairs, so a term
     # c * x^shift * x^lm cancels by adding -c * x^shift times g's tail.
     # Divisors are scanned in list order; the remainder is independent
     # of that order once the divisors form a Groebner basis.
@@ -92,16 +101,16 @@ def _remainder(f: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
     ring = f.field._ring
     mul = ring.mul
     key = order.key
-    lead = [(max(g.terms, key=key), g.terms) for g in divisors]
     work = dict(f.terms)
     remainder: dict = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        for lm, g in lead:
+        for lm, g in divisors:
             if mono_divides(lm, mono):
                 shift, factor = mono_div(mono, lm), ring.neg(coeff)
-                tail = ((mono_mul(m, shift), mul(factor, c)) for m, c in g.items() if m != lm)
+                items = g.terms.items()
+                tail = ((mono_mul(m, shift), mul(factor, c)) for m, c in items if m != lm)
                 _merge(ring, work, tail)
                 break
         else:
@@ -117,7 +126,8 @@ def normal_form(f: MultiPoly, basis: ReducedGroebnerBasis) -> MultiPoly:
     """
     if f.num_vars != basis.num_vars or f.field != basis.field:
         raise ValueError("polynomial does not live in the basis ring")
-    return _remainder(f, basis.generators, basis.order)
+    divisors = tuple(zip(basis.leading_monomials(), basis.generators))
+    return _remainder(f, divisors, basis.order)
 
 
 def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
@@ -141,7 +151,7 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
         if g.field != field or g.num_vars != num_vars:
             raise ValueError("generators must share a ring")
         if not g.is_zero():
-            basis.append(g.monic(order))
+            basis.append(g._monic_pair(order))
     if field is None:
         raise ValueError("cannot infer the ring from an empty generator list")
     if order.num_vars != num_vars:
@@ -149,69 +159,46 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     if not basis:
         return ReducedGroebnerBasis(order, (), num_vars, field)
 
-    lead = [g.leading_term(order)[0] for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def lcm_key(pair):
         i, j = pair
-        return (order.key(mono_lcm(lead[i], lead[j])), pair)
+        return (order.key(mono_lcm(basis[i][0], basis[j][0])), pair)
 
     while pairs:
         i, j = min(pairs, key=lcm_key)
         pairs.discard((i, j))
-        lcm = mono_lcm(lead[i], lead[j])
-        if all(a == 0 or b == 0 for a, b in zip(lead[i], lead[j])):
+        li, lj = basis[i][0], basis[j][0]
+        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
-        chained = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if not mono_divides(lead[k], lcm):
-                continue
-            a, b = min(i, k), max(i, k)
-            c, d = min(j, k), max(j, k)
-            if (a, b) not in pairs and (c, d) not in pairs:
-                chained = True
-                break
-        if chained:
+        lcm = mono_lcm(li, lj)
+        if any(
+            k != i and k != j and mono_divides(lk, lcm)
+            and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
+            for k, (lk, _) in enumerate(basis)
+        ):
             continue
-        rem = _remainder(s_polynomial(basis[i], basis[j], order), basis, order)
+        rem = _remainder(_s_poly(basis[i], basis[j]), basis, order)
         if rem.is_zero():
             continue
-        rem = rem.monic(order)
         idx = len(basis)
-        basis.append(rem)
-        lead.append(rem.leading_term(order)[0])
+        basis.append(rem._monic_pair(order))
         pairs.update((k, idx) for k in range(idx))
 
-    return _reduce_basis(basis, order, num_vars, field)
-
-
-def _reduce_basis(basis, order, num_vars, field) -> ReducedGroebnerBasis:
-    # Minimalize: drop any generator whose leading term another kept
-    # generator's leading term divides, scanning small to large so the
-    # smallest representative of each staircase corner survives.
-    ordered = sorted(basis, key=lambda g: order.key(g.leading_term(order)[0]))
+    # Minimalize: drop any generator whose leading monomial another kept
+    # generator's divides, scanning small to large so the smallest
+    # representative of each staircase corner survives.
+    basis.sort(key=lambda pair: order.key(pair[0]))
     kept: list = []
-    kept_lead: list = []
-    for g in ordered:
-        lm = g.leading_term(order)[0]
-        if any(mono_divides(l, lm) for l in kept_lead):
-            continue
-        kept.append(g)
-        kept_lead.append(lm)
+    for lm, g in basis:
+        if not any(mono_divides(l, lm) for l, _ in kept):
+            kept.append((lm, g))
     # Interreduce: each survivor reduced by the others keeps its leading
-    # term (no other leading term divides it) and loses every reducible
-    # tail term.
-    reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        reduced.append(_remainder(g, others, order))
-    if any(g.is_constant() for g in reduced):
-        one = MultiPoly.from_int(field, num_vars, 1)
-        return ReducedGroebnerBasis(order, (one,), num_vars, field)
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
-    return ReducedGroebnerBasis(order, tuple(reduced), num_vars, field)
+    # term (no other leading monomial divides it) and loses every
+    # reducible tail term.  A constant survivor is the only one (its
+    # monomial divides every other), which leaves the unit ideal's basis.
+    reduced = [_remainder(g, kept[:i] + kept[i + 1 :], order) for i, (_, g) in enumerate(kept)]
+    return ReducedGroebnerBasis(order, tuple(reversed(reduced)), num_vars, field)
 
 
 def ideal_equal(a: ReducedGroebnerBasis, b: ReducedGroebnerBasis) -> bool:
@@ -388,5 +375,6 @@ def vanishing_ideal(
                 if step not in seen:
                     todo.setdefault(step, (raw, den, cols[i]))
 
-    gens.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
-    return ReducedGroebnerBasis(order, tuple(gens), n, field)
+    # Candidates pop in increasing order, so the generators came out sorted
+    # by ascending leading monomial.
+    return ReducedGroebnerBasis(order, tuple(reversed(gens)), n, field)

@@ -5,10 +5,11 @@ variable.  A :class:`MultiPoly` maps monomials to the canonical payloads
 (see :mod:`dmlab.fields`) of nonzero coefficients; the zero polynomial
 has an empty term map.  Arithmetic runs on those payloads through the
 field's ring, after one field check per operation.  Coefficients are
-:class:`~dmlab.fields.FieldValue` only at the boundary: constructors
-take and check them, and ``leading_term``, ``constant_value``,
-``evaluate`` and rendering hand them out.  Polynomials do not carry
-variable names, only a variable count; rendering takes the names.
+:class:`~dmlab.fields.FieldValue` only at the boundary: constructors,
+``scale`` and ``term_mul`` take them, and ``leading_term``,
+``constant_value``, ``evaluate`` and rendering hand them out, while
+``leading_monomial`` and ``monic`` build none.  Polynomials do not
+carry variable names, only a variable count; rendering takes the names.
 
 :class:`MonomialOrder` supplies the comparison key for lexicographic
 and graded reverse lexicographic orders, both with an explicit variable
@@ -48,7 +49,7 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _point_payloads(field: Field, point, num_vars: int, dimension: str) -> tuple:
@@ -269,18 +270,31 @@ class MultiPoly:
 
     # -- structure -----------------------------------------------------
 
-    def leading_term(self, order: MonomialOrder):
-        """(monomial, coefficient) of the largest term; error on zero."""
+    def leading_monomial(self, order: MonomialOrder) -> tuple:
+        """Largest monomial under ``order``; error on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=order.key)
+        return max(self.terms, key=order.key)
+
+    def leading_term(self, order: MonomialOrder):
+        """(monomial, coefficient) of the largest term; error on zero."""
+        mono = self.leading_monomial(order)
         return mono, FieldValue(self.field, self.terms[mono])
 
     def monic(self, order: MonomialOrder) -> "MultiPoly":
-        _, lc = self.leading_term(order)
-        if lc.is_one():
-            return self
-        return self.scale(lc.inverse())
+        """This polynomial over its leading coefficient; error on zero."""
+        return self._monic_pair(order)[1]
+
+    def _monic_pair(self, order: MonomialOrder) -> tuple:
+        # (leading monomial, monic multiple), the monomial found once.
+        lm = self.leading_monomial(order)
+        ring = self.field._ring
+        lc = self.terms[lm]
+        if lc == ring.one:
+            return lm, self
+        inv, mul = ring.inverse(lc), ring.mul
+        terms = {m: mul(c, inv) for m, c in self.terms.items()}
+        return lm, MultiPoly(self.field, self.num_vars, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

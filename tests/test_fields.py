@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -490,6 +491,18 @@ def test_from_int_rejects_non_integers():
     # integers of any kind embed as plain ints
     assert type(QQ.from_int(True).payload) is int
     assert F7.from_int(True).payload == 1
+
+
+def test_from_fraction_takes_only_ints_and_fractions():
+    for bad in (0.1, 0.5, "1/3", "2", Decimal("0.1"), Decimal(2)):
+        with pytest.raises(TypeError):
+            QQ.from_fraction(bad)
+    assert QQ.from_fraction(Fraction(6, 4)) == QQ.from_fraction(Fraction(3, 2))
+    for n in (0, 7, -12, True):
+        got = QQ.from_fraction(n)
+        assert type(got.payload) is int and got == QQ.from_int(n)
+    with pytest.raises(ValueError):
+        F7.from_fraction(3)
 
 
 def test_rotation_run_keeps_every_rational_payload_canonical(monkeypatch):

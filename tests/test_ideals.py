@@ -5,6 +5,7 @@ import pytest
 
 from dmlab import (
     Field,
+    FieldValue,
     MonomialOrder,
     MultiPoly,
     PointSet,
@@ -18,6 +19,7 @@ from dmlab import (
     s_polynomial,
     vanishing_ideal,
 )
+from reference_buchberger import reference_buchberger, reference_monic, reference_s_polynomial
 from reference_walk import reference_vanishing_ideal
 
 QQ = Field.rationals()
@@ -357,3 +359,77 @@ def test_fraction_free_walk_matches_the_reference_loop():
     for points, order, cap in cases:
         got = vanishing_ideal(points, order, cap)
         assert got.generators == reference_vanishing_ideal(points, order, cap).generators
+
+
+# -- payload Buchberger against the FieldValue reference --------------------
+
+
+def _random_coefficient(rng, field):
+    if field is QQ:
+        return QQ.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    if field.has_generator:
+        p = field.characteristic
+        num = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+        den = [rng.randrange(p) for _ in range(rng.randint(0, 1))] + [1]
+        return field.from_coefficients(num, den)
+    return field.from_int(rng.randrange(field.characteristic))
+
+
+def _random_generators(rng, field, num_vars):
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        items = [
+            (tuple(rng.randint(0, 2) for _ in range(num_vars)), _random_coefficient(rng, field))
+            for _ in range(rng.randint(1, 3))
+        ]
+        gens.append(MultiPoly.from_terms(field, num_vars, items))
+    return gens
+
+
+def test_pair_buchberger_matches_the_reference_loop():
+    rng = random.Random(0x6B22)
+    fields = (QQ, Field.prime(101), F7, F2T)
+    for case in range(240):
+        field = fields[case % len(fields)]
+        num_vars = rng.randint(1, 3)
+        order = _random_order(rng, num_vars)
+        gens = _random_generators(rng, field, num_vars)
+        if all(g.is_zero() for g in gens):
+            continue
+        want = reference_buchberger(gens, order).generators
+        assert buchberger(gens, order).generators == want
+        for f in gens[:2]:
+            if not f.is_zero():
+                assert f.monic(order) == reference_monic(f, order)
+                for g in gens:
+                    if not g.is_zero():
+                        assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+
+
+def test_groebner_layer_builds_no_field_value(monkeypatch):
+    # Inputs first, then every FieldValue operation and the single-term
+    # products raise: the Groebner layer has to run on payloads alone.
+    rng = random.Random(0x6B23)
+    cases = []
+    for field in (QQ, Field.prime(101), F2T):
+        order = MonomialOrder.grevlex(2)
+        gens = [g for g in _random_generators(rng, field, 2) if not g.is_zero()]
+        gens.append(MultiPoly.from_terms(field, 2, [((1, 1), _random_coefficient(rng, field))]))
+        points = [tuple(_random_coefficient(rng, field) for _ in range(2)) for _ in range(6)]
+        cases.append((gens, order, points, _random_generators(rng, field, 2)[0]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Groebner layer called a FieldValue operation")
+
+    for name in ("__init__", "__add__", "__sub__", "__mul__", "__neg__", "__truediv__", "inverse"):
+        monkeypatch.setattr(FieldValue, name, forbidden)
+    monkeypatch.setattr(MultiPoly, "term_mul", forbidden)
+    monkeypatch.setattr(MultiPoly, "scale", forbidden)
+    for gens, order, points, f in cases:
+        gb = buchberger(gens, order)
+        assert gb.generators
+        normal_form(f, gb)
+        s_polynomial(gens[-1], gens[0], order)
+        gens[-1].monic(order)
+        vanishing_ideal(points, order, 1)
+        vanishing_ideal(points, order)

@@ -111,12 +111,22 @@ def test_leading_term():
     assert f.leading_term(ylex)[0] == (0, 3)
     with pytest.raises(ValueError):
         MultiPoly.zero(QQ, 2).leading_term(lex)
+    assert f.leading_monomial(lex) == (2, 1)
+    assert f.leading_monomial(ylex) == (0, 3)
+    with pytest.raises(ValueError):
+        MultiPoly.zero(QQ, 2).leading_monomial(lex)
 
 
 def test_monic():
     f = P("3*x + 6")
     g = f.monic(MonomialOrder.lex(2))
     assert g == P("x + 2")
+    assert g.monic(MonomialOrder.lex(2)) is g
+    t = F5T.t()
+    want = MultiPoly.from_terms(F5T, 2, [((1, 0), F5T.one()), ((0, 1), (t * t).inverse())])
+    assert P("t^2*x + y", F5T).monic(MonomialOrder.lex(2)) == want
+    with pytest.raises(ValueError):
+        MultiPoly.zero(QQ, 2).monic(MonomialOrder.lex(2))
 
 
 def test_arith_validation():
