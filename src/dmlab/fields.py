@@ -16,9 +16,11 @@ pairs a descriptor with a canonical payload:
   so two residues add without a carry into the next slot: addition is
   one bignum add and a masked per-slot subtraction of p, and
   multiplication is one bignum multiply (Kronecker substitution on
-  slots widened to whole bytes).  den is monic, gcd(num, den) = 1, and
-  zero is (0, 1); :meth:`FieldValue.coefficients` reads the pair back
-  as coefficient tuples.
+  slots widened to whole bytes).  GF(2)[t] keeps the same 2-bit slots
+  but adds by XOR and reduces a slot mod 2 by masking its low bit, and
+  divides by shift-and-XOR on the packed int.  den is monic,
+  gcd(num, den) = 1, and zero is (0, 1); :meth:`FieldValue.coefficients`
+  reads the pair back as coefficient tuples.
 
 Each :class:`Field` builds one payload ring when it is constructed:
 ``_RationalRing``, ``_PrimeRing`` or ``_FunctionRing``, module-level
@@ -80,8 +82,8 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # GF(p)[t] on coefficient sequences, low degree first, no trailing zeros;
-# the zero polynomial is ().  Division and gcd run on these; _PolyRing
-# unpacks to them and packs the results.
+# the zero polynomial is ().  Division and gcd for p > 2 run on these;
+# _PolyRing unpacks to them and packs the results.
 
 
 def _fp_trim(coeffs) -> tuple:
@@ -246,14 +248,15 @@ class _PolyRing:
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
             return 0
-        la, lb = self.slots(a), self.slots(b)
-        # Bound on every coefficient of the exact integer product.
-        bound = min(la, lb) * self._square
+        # Bound on every coefficient of the exact integer product; the
+        # smaller of two positive ints has the fewer slots.
+        bound = self.slots(min(a, b)) * self._square
         if bound < 2 * self.p:
             return self._fold(a * b)
         # Kronecker substitution: widen the slots to the power-of-two byte
         # count that holds the bound (never below a slot, as bound >= 2p),
         # multiply once, then reduce each coefficient mod p.
+        la, lb = self.slots(a), self.slots(b)
         need = -(-bound.bit_length() // 8)
         wide = 1 << (need - 1).bit_length()
         product = self._widen(a, la, wide) * self._widen(b, lb, wide)
@@ -314,6 +317,62 @@ class _PolyRing:
                 num = self.mul(num, inv)
                 den = self.mul(den, inv)
         return (num, den)
+
+
+class _GF2PolyRing(_PolyRing):
+    """GF(2)[t] on the same 2-bit slots, each coefficient its slot's low bit.
+
+    Adding is XOR and negating does nothing.  A slot of a carry-free sum
+    or product holds at most 3, so reducing it mod 2 keeps its low bit:
+    one AND with ``_low``, 01 in every slot.  Every nonzero polynomial
+    is monic, and its leading bit sits at an even position, so division
+    is shift-and-XOR on the packed int.
+    """
+
+    __slots__ = ("_low",)
+
+    def __init__(self):
+        super().__init__(2)
+        self._low = 0
+
+    def _fold(self, x: int) -> int:
+        # One mask, grown to twice what x needs; AND costs only the
+        # shorter operand, so a long mask does not slow short folds.
+        low = self._low
+        if x.bit_length() > low.bit_length():
+            low = self._low = int.from_bytes(b"\x55" * (x.bit_length() // 4 + 1), "little")
+        return x & low
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def neg(self, a: int) -> int:
+        return a
+
+    def divmod(self, a: int, b: int) -> tuple:
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        # Leading bits sit at even positions, so s is even: t**(s/2) * b
+        # cancels a's leading term.
+        quo, lb = 0, b.bit_length()
+        s = a.bit_length() - lb
+        while s >= 0:
+            quo |= 1 << s
+            a ^= b << s
+            s = a.bit_length() - lb
+        return quo, a
+
+    def gcd(self, a: int, b: int) -> int:
+        # Euclid on divmod's loop without the quotient; the result is
+        # monic, as every nonzero polynomial is.
+        while b:
+            lb = b.bit_length()
+            s = a.bit_length() - lb
+            while s >= 0:
+                a ^= b << s
+                s = a.bit_length() - lb
+            a, b = b, a
+        return a
 
 
 def _rational(q):
@@ -410,7 +469,7 @@ class _FunctionRing:
     one = (1, 1)
 
     def __init__(self, p: int):
-        self.polys = _PolyRing(p)
+        self.polys = _GF2PolyRing() if p == 2 else _PolyRing(p)
         self.dmul = self.polys.mul
         self.quotient = self.polys.canonical
 

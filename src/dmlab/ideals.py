@@ -333,14 +333,18 @@ def vanishing_ideal(
     gens: list = []
     gen_leads: list = []
     # candidate -> (unreduced values and own coefficient of the standard
-    # monomial it extends, cleared column of the variable it multiplies by).
-    todo: dict = {(0,) * n: None}
-    seen = set()
+    # monomial it extends, cleared column of the variable it multiplies by),
+    # first parent wins.  pending pairs each candidate with its order key,
+    # computed once, sorted descending so pop() takes the least; a candidate
+    # is above its parent, so none is met twice.
+    key = order.key
+    start = (0,) * n
+    todo: dict = {start: None}
+    pending = [(key(start), start)]
 
-    while todo:
-        mono = min(todo, key=order.key)
+    while pending:
+        mono = pending.pop()[1]
         parent = todo.pop(mono)
-        seen.add(mono)
         if any(mono_divides(lm, mono) for lm in gen_leads):
             continue
         if max_degree is not None and sum(mono) > max_degree:
@@ -372,8 +376,10 @@ def vanishing_ideal(
             rows.append((pivot, vec, mono))
             for i in range(n):
                 step = tuple(e + (1 if k == i else 0) for k, e in enumerate(mono))
-                if step not in seen:
-                    todo.setdefault(step, (raw, den, cols[i]))
+                if step not in todo:
+                    todo[step] = (raw, den, cols[i])
+                    pending.append((key(step), step))
+            pending.sort(reverse=True)  # one sorted run and n pairs: near linear
 
     # Candidates pop in increasing order, so the generators came out sorted
     # by ascending leading monomial.

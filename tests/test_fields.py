@@ -8,7 +8,19 @@ from pathlib import Path
 import pytest
 
 import dmlab.experiment
-from dmlab import Field, FieldMismatchError, experiment_from_dict, run_experiment
+import dmlab.fields
+from dmlab import (
+    Field,
+    FieldMismatchError,
+    MonomialOrder,
+    Morphism,
+    experiment_from_dict,
+    parse_polynomial,
+    return_set,
+    run_experiment,
+    vanishing_ideal,
+)
+from dmlab.fields import _GF2PolyRing, _PolyRing
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -424,6 +436,99 @@ def test_gf2_powers_take_two_bits_per_coefficient():
     power = F.t() ** 4399
     assert power.payload[0].bit_length() <= 2 * 4400
     assert power.coefficients() == ((0,) * 4399 + (1,), (1,))
+
+
+# -- the GF(2)[t] kernel against the generic packed ring --------------------
+#
+# _PolyRing(2) runs the generic slot arithmetic and the list-based division on
+# the same packing, so it is the oracle for every method the kernel overrides.
+
+
+def _random_gf2(rng, slots):
+    # slots coefficients, each bit a random 0 or 1; trailing zeros simply
+    # shorten the packed int.
+    return _PolyRing(2).pack([rng.randrange(2) for _ in range(slots)])
+
+
+def test_gf2_kernel_folds_like_the_generic_ring_while_its_mask_grows():
+    rng = random.Random(0x2F01)
+    kernel, generic = _GF2PolyRing(), _PolyRing(2)
+    # Every 2-bit slot holds a value below 2p = 4, so any int is a valid
+    # fold input.  Lengths climb past each mask size, then drop back.
+    lengths = [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 500, 1023, 1024, 1025, 3000, 6000]
+    for bits in lengths + lengths[::-1] + [rng.randrange(6000) for _ in range(100)]:
+        x = rng.getrandbits(bits)
+        assert kernel._fold(x) == generic._fold(x)
+        assert kernel._low.bit_length() >= x.bit_length()
+
+
+def test_gf2_kernel_matches_the_generic_ring():
+    rng = random.Random(0x2F02)
+    kernel, generic = _GF2PolyRing(), _PolyRing(2)
+    # Zero, constants, short and long operands; lengths up to a few
+    # thousand slots cross the mask's growth sizes.
+    sizes = [0, 1, 2, 3, 4, 5, 9, 33, 100, 700, 1500, 3000]
+    polys = [_random_gf2(rng, n) for n in sizes for _ in range(3)]
+    polys += [_random_gf2(rng, rng.randint(0, 60)) for _ in range(60)]
+    polys += [0, 1, 1 << 2, 1 << 4000]
+    fast = kronecker = 0
+    for _ in range(1500):
+        a, b = rng.choice(polys), rng.choice(polys)
+        assert kernel.add(a, b) == generic.add(a, b)
+        assert kernel.neg(a) == generic.neg(a) == a
+        assert kernel.mul(a, b) == generic.mul(a, b)
+        if a and b:
+            short = generic.slots(min(a, b)) <= 3
+            fast += short
+            kronecker += not short
+        # The list-based division is quadratic; keep its long cases few.
+        if min(generic.slots(a), generic.slots(b)) <= 100 or rng.random() < 0.02:
+            assert kernel.gcd(a, b) == generic.gcd(a, b)
+            if b:
+                assert kernel.divmod(a, b) == generic.divmod(a, b)
+                assert kernel.canonical(a, b) == generic.canonical(a, b)
+    assert fast > 100 and kronecker > 100
+    for a in polys:
+        with pytest.raises(ZeroDivisionError):
+            kernel.divmod(a, 0)
+        with pytest.raises(ZeroDivisionError):
+            kernel.canonical(a, 0)
+
+
+def test_gf2_kernel_is_chosen_by_the_characteristic_alone():
+    assert type(Field.rational_functions(2)._ring.polys) is _GF2PolyRing
+    for p in (3, 5, 7, 11, 2147483647):
+        assert type(Field.rational_functions(p)._ring.polys) is _PolyRing
+
+
+def test_gf2_work_never_unpacks_or_folds_generically(monkeypatch):
+    # Inputs first, then the list-based division, unpacking and the
+    # generic fold's masks raise: GF(2)(t) arithmetic has to stay on the
+    # kernel's packed ints.
+    rng = random.Random(0x2F03)
+    F = Field.rational_functions(2)
+
+    def coordinate():
+        # numerator and denominator of positive degree
+        num = [rng.randrange(2) for _ in range(rng.randint(1, 3))] + [1]
+        return F.from_coefficients(num, [1, 1] if rng.random() < 0.5 else [0, 1])
+
+    points = [tuple(coordinate() for _ in range(3)) for _ in range(8)]
+    assert any(c.payload[1] != 1 and c.payload[0] >> 2 for pt in points for c in pt)
+    names = ("x", "y")
+    phi = Morphism([parse_polynomial(s, names, F) for s in ("t*x", "(1-t)*y")])
+    target = [parse_polynomial("x+y-1", names, F)]
+    start = (F.one(), F.one())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("GF(2)(t) arithmetic left the GF(2)[t] kernel")
+
+    monkeypatch.setattr(dmlab.fields, "_fp_divmod", forbidden)
+    monkeypatch.setattr(dmlab.fields, "_fp_gcd", forbidden)
+    monkeypatch.setattr(_PolyRing, "unpack", forbidden)
+    monkeypatch.setattr(_PolyRing, "_slot_masks", forbidden)
+    assert vanishing_ideal(points, MonomialOrder.grevlex(3), 2).generators
+    assert return_set(phi, start, target, 200).indices == (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _assert_canonical_qq(payload, want):

@@ -341,8 +341,14 @@ def _reference_point(rng, field, num_vars):
 def test_fraction_free_walk_matches_the_reference_loop():
     rng = random.Random(0xFF1E)
     fields = (QQ, Field.prime(2), Field.prime(101), F2T, Field.rational_functions(7))
-    # Ten GF(2)(t) points in 3 variables under a cap of 3, then random cases.
+    # Ten GF(2)(t) points in 3 variables under a cap of 3, the same with
+    # twelve seed-1 points (once the Buchberger-Moller cliff), then random
+    # cases.
     cases = [([_reference_point(rng, F2T, 3) for _ in range(10)], MonomialOrder.grevlex(3), 3)]
+    seed_1 = random.Random(1)
+    cases.append(
+        ([_reference_point(seed_1, F2T, 3) for _ in range(12)], MonomialOrder.grevlex(3), 3)
+    )
     for case in range(250):
         field = fields[case % len(fields)]
         num_vars = rng.randint(1, 3)
