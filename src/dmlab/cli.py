@@ -31,7 +31,6 @@ from .experiment import (
     load_experiment,
     run_experiment,
 )
-from .exprparse import ExprSyntaxError
 
 __all__ = ["main"]
 
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, ExprSyntaxError, OSError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:

@@ -288,9 +288,10 @@ class ReportDocument:
     """Finished analysis: the report tree plus the exact objects behind it.
 
     The tree keeps each index list as its :class:`ReturnSet`, which
-    ``to_json`` writes straight from the membership table.  ``payload``
-    is the plain JSON form, built on first read, with each index as a
-    string: ``to_json() == json.dumps(payload, indent=2) + "\\n"``.
+    ``to_json`` writes straight from the membership table.  That text is
+    the report's only plain form: ``payload`` parses it back on first
+    read, so each index is a string and
+    ``to_json() == json.dumps(payload, indent=2) + "\\n"``.
     """
 
     def __init__(self, tree, returns=None, profile=None, decomposition=None):
@@ -301,7 +302,7 @@ class ReportDocument:
 
     @cached_property
     def payload(self):
-        return _plain(self._tree)
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """The payload as ``json.dumps(payload, indent=2)`` writes it, plus a
@@ -322,16 +323,6 @@ class ReportDocument:
         for length, ratio in self.profile.entries:
             lines.append(f"{length},{ratio}")
         return "\n".join(lines) + "\n"
-
-
-def _plain(node):
-    if isinstance(node, ReturnSet):
-        return [str(n) for n in node]
-    if isinstance(node, dict):
-        return {k: _plain(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_plain(v) for v in node]
-    return node
 
 
 @cache
@@ -549,15 +540,44 @@ def _certificate_json(cert: PeriodicityCertificate, spec: ExperimentSpec) -> dic
     }
 
 
-def _progression_json(p: SubProgression, frame: dict, spec: ExperimentSpec) -> dict:
-    """One progression at any depth; ``frame`` holds the caller's index keys."""
+def _progression_json(
+    p: SubProgression, frame: dict, spec: ExperimentSpec, notes: list, prefix: str
+) -> dict:
+    """One progression at any depth; ``frame`` holds the caller's index keys.
+
+    Appends the progression's diagnostics to ``notes``, each as
+    "<prefix>progression (a, b): <note>", before its derived instances
+    append theirs."""
+    per_offset, merged = _codes(p)
+    context = f"{prefix}progression ({p.modulus}, {p.offset})"
+    if not p.certificate.invariant:
+        notes.append(f"{context}: {_NOTES['certificate-failed']}")
+    notes.extend(f"{context}: {_NOTES[code]}" for code in merged)
     return {
         "modulus": str(p.modulus),
         "offset": str(p.offset),
         **frame,
         "closure_chain": _chain_json(p.chain, spec),
         "certificate": _certificate_json(p.certificate, spec),
-        "case_split": _fragment_json(p, spec),
+        "case_split": {
+            "modulus": str(p.chain.modulus),
+            "target_dimension": str(p.case_split.target_dimension),
+            "flags": [_NOTES[code] for code in merged],
+            "offsets": [
+                {
+                    "offset": str(e.offset),
+                    "closure_dimension": str(e.dimension),
+                    "intersection_dimension": str(c.intersection_dimension),
+                    "intersection_ideal": list(c.intersection.render(spec.var_names)),
+                    "case": c.case,
+                    "flags": [_NOTES[code] for code in codes],
+                    "derived": None if c.child is None else _subinstance_json(
+                        c.child, spec, notes, f"{context}, derived offset {e.offset}, "
+                    ),
+                }
+                for e, c, codes in zip(p.chain.entries, p.case_split.offsets, per_offset)
+            ],
+        },
     }
 
 
@@ -569,7 +589,7 @@ def _residual_json(instance: SubInstance) -> dict:
     }
 
 
-def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
+def _subinstance_json(sub: SubInstance, spec: ExperimentSpec, notes: list, prefix: str) -> dict:
     return {
         "stride": str(sub.stride),
         "offset": str(sub.offset),
@@ -584,6 +604,8 @@ def _subinstance_json(sub: SubInstance, spec: ExperimentSpec) -> dict:
                     "orbit_offset": str(p.chain.entries[0].offset),
                 },
                 spec,
+                notes,
+                prefix,
             )
             for p in sub.progressions
         ],
@@ -619,47 +641,12 @@ def _codes(p: SubProgression):
     return per_offset, merged
 
 
-def _fragment_json(p: SubProgression, spec: ExperimentSpec) -> dict:
-    per_offset, merged = _codes(p)
-    return {
-        "modulus": str(p.chain.modulus),
-        "target_dimension": str(p.case_split.target_dimension),
-        "flags": [_NOTES[code] for code in merged],
-        "offsets": [
-            {
-                "offset": str(e.offset),
-                "closure_dimension": str(e.dimension),
-                "intersection_dimension": str(c.intersection_dimension),
-                "intersection_ideal": list(c.intersection.render(spec.var_names)),
-                "case": c.case,
-                "flags": [_NOTES[code] for code in codes],
-                "derived": None if c.child is None else _subinstance_json(c.child, spec),
-            }
-            for e, c, codes in zip(p.chain.entries, p.case_split.offsets, per_offset)
-        ],
-    }
-
-
-def _collect_diagnostics(progressions, prefix: str = ""):
-    """(context, code) for every progression, derived ones after their parent's."""
-    for p in progressions:
-        context = f"{prefix}progression ({p.modulus}, {p.offset})"
-        if not p.certificate.invariant:
-            yield context, "certificate-failed"
-        yield from ((context, code) for code in _codes(p)[1])
-        for entry, case in zip(p.chain.entries, p.case_split.offsets):
-            if case.child is not None:
-                yield from _collect_diagnostics(
-                    case.child.progressions,
-                    f"{context}, derived offset {entry.offset}, ",
-                )
-
-
 def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInstance):
     params = spec.analysis
     header = _experiment_json(spec)
     header["analysis"] = dict(zip(params._fields, map(str, params)))
     header["analysis"]["window_lengths"] = list(map(str, params.window_lengths))
+    notes: list = []  # filled by the progressions' render walk, parents first
     return {
         "experiment": header,
         "return_set": _return_set_json(root.returns),
@@ -673,6 +660,8 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
                     )
                 },
                 spec,
+                notes,
+                "",
             )
             for p in root.progressions
         ],
@@ -686,8 +675,5 @@ def _build_payload(spec: ExperimentSpec, profile: DensityProfile, root: SubInsta
             "covered_count": str(len(root.returns) - len(root.residual)),
             **_residual_json(root),
         },
-        "diagnostics": [
-            f"{context}: {_NOTES[code]}"
-            for context, code in _collect_diagnostics(root.progressions)
-        ],
+        "diagnostics": notes,
     }

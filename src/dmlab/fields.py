@@ -74,10 +74,13 @@ class FieldKind(enum.Enum):
 _MAX_CHARACTERISTIC = 2**31
 
 
-def _is_prime(n: int) -> bool:
+def _prime_characteristic(p: int) -> int:
+    """``p``, checked to be a prime below 2**31."""
     # Trial division; at the 2**31 cap this is about 46,000 divisions,
     # paid once per Field construction.
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    if not (2 <= p < _MAX_CHARACTERISTIC) or not all(p % q for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +563,11 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
-        if not (2 <= p < _MAX_CHARACTERISTIC) or not _is_prime(p):
-            raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
-        return Field(FieldKind.PRIME, p)
+        return Field(FieldKind.PRIME, _prime_characteristic(p))
 
     @staticmethod
     def rational_functions(p: int) -> "Field":
-        if not (2 <= p < _MAX_CHARACTERISTIC) or not _is_prime(p):
-            raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
-        return Field(FieldKind.RATIONAL_FUNCTIONS, p)
+        return Field(FieldKind.RATIONAL_FUNCTIONS, _prime_characteristic(p))
 
     @property
     def label(self) -> str:

@@ -201,21 +201,22 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     return ReducedGroebnerBasis(order, tuple(reversed(reduced)), num_vars, field)
 
 
-def ideal_equal(a: ReducedGroebnerBasis, b: ReducedGroebnerBasis) -> bool:
-    """Whether two bases present the same ideal (orders must match)."""
+def _check_same_ring(a: ReducedGroebnerBasis, b: ReducedGroebnerBasis) -> None:
     if a.order != b.order:
         raise ValueError("monomial order mismatch")
     if a.field != b.field or a.num_vars != b.num_vars:
         raise ValueError("bases do not share a ring")
+
+
+def ideal_equal(a: ReducedGroebnerBasis, b: ReducedGroebnerBasis) -> bool:
+    """Whether two bases present the same ideal (orders must match)."""
+    _check_same_ring(a, b)
     return a.generators == b.generators
 
 
 def ideal_sum(a: ReducedGroebnerBasis, b: ReducedGroebnerBasis) -> ReducedGroebnerBasis:
     """Reduced basis of the ideal generated by both inputs together."""
-    if a.order != b.order:
-        raise ValueError("monomial order mismatch")
-    if a.field != b.field or a.num_vars != b.num_vars:
-        raise ValueError("bases do not share a ring")
+    _check_same_ring(a, b)
     if a.is_zero_ideal:
         return b
     if b.is_zero_ideal:

@@ -5,10 +5,10 @@ variable.  A :class:`MultiPoly` maps monomials to the canonical payloads
 (see :mod:`dmlab.fields`) of nonzero coefficients; the zero polynomial
 has an empty term map.  Arithmetic runs on those payloads through the
 field's ring, after one field check per operation.  Coefficients are
-:class:`~dmlab.fields.FieldValue` only at the boundary: constructors,
-``scale`` and ``term_mul`` take them, and ``leading_term``,
-``constant_value``, ``evaluate`` and rendering hand them out, while
-``leading_monomial`` and ``monic`` build none.  Polynomials do not
+:class:`~dmlab.fields.FieldValue` only at the boundary: the
+constructors take them, and ``leading_term``, ``constant_value``,
+``evaluate`` and rendering hand them out, while ``leading_monomial``
+and ``monic`` build none.  Polynomials do not
 carry variable names, only a variable count; rendering takes the names.
 
 :class:`MonomialOrder` supplies the comparison key for lexicographic
@@ -260,13 +260,6 @@ class MultiPoly:
             if e:
                 base = base * base
         return out
-
-    def scale(self, c: FieldValue) -> "MultiPoly":
-        return self.term_mul((0,) * self.num_vars, c)
-
-    def term_mul(self, mono: tuple, coeff: FieldValue) -> "MultiPoly":
-        """Multiply by the single term coeff * x^mono."""
-        return self * MultiPoly.from_terms(self.field, self.num_vars, [(mono, coeff)])
 
     # -- structure -----------------------------------------------------
 

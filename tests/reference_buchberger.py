@@ -2,11 +2,12 @@
 
 This is the straightforward code ``ideals.buchberger`` ran before it
 kept (leading monomial, monic polynomial) pairs: ``monic`` and
-``s_polynomial`` invert a FieldValue leading coefficient and scale with
-``term_mul``, the basis keeps a parallel list of leading monomials, and
-a separate pass minimalizes and interreduces the result, recomputing
-each leading monomial where it is used.  Tests compare the library
-against it; it is slow on purpose and not part of the library.
+``s_polynomial`` invert a FieldValue leading coefficient and multiply
+by a single-term polynomial, the basis keeps a parallel list of
+leading monomials, and a separate pass minimalizes and interreduces the
+result, recomputing each leading monomial where it is used.  Tests
+compare the library against it; it is slow on purpose and not part of
+the library.
 """
 
 from dmlab.ideals import ReducedGroebnerBasis
@@ -21,15 +22,15 @@ def reference_monic(f, order):
     _, lc = f.leading_term(order)
     if lc.is_one():
         return f
-    return f.scale(lc.inverse())
+    return f * MultiPoly.from_terms(f.field, f.num_vars, [((0,) * f.num_vars, lc.inverse())])
 
 
 def reference_s_polynomial(f, g, order):
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     lcm = reference_lcm(mf, mg)
-    left = f.term_mul(mono_div(lcm, mf), cf.inverse())
-    right = g.term_mul(mono_div(lcm, mg), cg.inverse())
+    left = f * MultiPoly.from_terms(f.field, f.num_vars, [(mono_div(lcm, mf), cf.inverse())])
+    right = g * MultiPoly.from_terms(g.field, g.num_vars, [(mono_div(lcm, mg), cg.inverse())])
     return left - right
 
 

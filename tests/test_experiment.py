@@ -19,6 +19,7 @@ from dmlab import (
 )
 from dmlab.cli import main
 from dmlab.experiment import ReportDocument, certify_report, density_report
+from reference_diagnostics import reference_diagnostics
 
 
 def base_doc():
@@ -289,7 +290,7 @@ def test_index_lists_render_as_indented_dumps(horizon):
             assert doc.to_json() == json.dumps(doc.payload, indent=2) + "\n"
 
 
-def test_run_renders_index_lists_without_iterating_members(monkeypatch):
+def test_run_renders_index_lists_without_iterating_members(monkeypatch, tmp_path):
     # cycle-gf101's map: the whole cycle lies on V, so almost every index returns
     doc = {
         "field": "GF(101)",
@@ -306,14 +307,30 @@ def test_run_renders_index_lists_without_iterating_members(monkeypatch):
     def refuse(self):
         raise AssertionError("a ReturnSet was iterated member by member")
 
+    parsed = []
+    decode = json.JSONDecoder.decode
+
+    def record_decode(self, text, *rest):
+        parsed.append(text)
+        return decode(self, text, *rest)
+
     monkeypatch.setattr(ReturnSet, "__iter__", refuse)
+    monkeypatch.setattr(json.JSONDecoder, "decode", record_decode)
     report = run_experiment(spec)
     assert report.to_json() == expected
     assert len(report.returns) > 2900
     density_report(spec).to_json()
-    # the plain payload is built on its first read, not by the run
-    with pytest.raises(AssertionError, match="member by member"):
-        report.payload
+    assert parsed == []
+    # the plain payload is parsed back from the text on its first read
+    assert report.payload["return_set"]["count"] == str(len(report.returns))
+    assert report.payload is report.payload
+    assert parsed == [expected]
+    # dml run parses its experiment file, never its own report
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    del parsed[:]
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert parsed == [path.read_text(encoding="utf-8")]
 
 
 @pytest.mark.parametrize(
@@ -462,43 +479,45 @@ def test_golden_suite_reports(name, tmp_path):
     assert digest == WORKLOADS[name]["report_sha256"]
 
 
-@pytest.mark.parametrize(
-    "doc, notes, digest",
-    [
-        # The closure {x = 0} lies inside V, but its ideal differs from V's.
-        (
-            {"field": "QQ", "vars": ["x", "y"], "phi": ["x", "y+1"],
-             "alpha": ["0", "0"], "V": ["x*y"], "N": 40},
-            1,
-            "6d2c3e5577432fa866566da2cb5519b3913c4291f44e65c846d071cce1bb0e1a",
-        ),
-        # Every note comes from a derived instance whose depth ran out.
-        (
-            {"field": "GF(5)", "vars": ["x", "y"], "phi": ["x+y", "x*y+1"],
-             "alpha": ["4", "3"], "V": ["y-x"], "N": 200,
-             "analysis": {"depth_limit": 1}},
-            26,
-            "61f8147c91cfeffdbfbd21285f3e30eb0d52342ab27fee422eb16a5dad0776fe",
-        ),
-        # Certificates fail at the top level and inside a derived instance.
-        (
-            {"field": "GF(11)", "vars": ["x", "y"], "phi": ["y^2", "x"],
-             "alpha": ["0", "1"], "V": ["y*(y-1)"], "N": 24,
-             "analysis": {"initial_samples": 2, "sample_budget": 2, "degree_cap": 1}},
-            5,
-            "4767284ea81c6c82b8b501de4f6ee2f2391a41d23f742813978934c571faa924",
-        ),
-        # A chain whose closure dimension increases, with a failed
-        # certificate, unstabilized closures and an unverified case.
-        (
-            {"field": "GF(7)", "vars": ["x", "y"], "phi": ["2*y^2", "5*y+2*x^2"],
-             "alpha": ["6", "3"], "V": ["y"], "N": 40,
-             "analysis": {"initial_samples": 2, "sample_budget": 4, "degree_cap": 1}},
-            4,
-            "4d08e48b5cd81ed52cf6dc729c121a067e66088b5479dc9b92fde9646a8c8d8b",
-        ),
-    ],
-)
+# (experiment, diagnostic count, report digest) of reports whose notes
+# cover every code, at the top level and inside derived instances.
+DIAGNOSTIC_REPORTS = [
+    # The closure {x = 0} lies inside V, but its ideal differs from V's.
+    (
+        {"field": "QQ", "vars": ["x", "y"], "phi": ["x", "y+1"],
+         "alpha": ["0", "0"], "V": ["x*y"], "N": 40},
+        1,
+        "6d2c3e5577432fa866566da2cb5519b3913c4291f44e65c846d071cce1bb0e1a",
+    ),
+    # Every note comes from a derived instance whose depth ran out.
+    (
+        {"field": "GF(5)", "vars": ["x", "y"], "phi": ["x+y", "x*y+1"],
+         "alpha": ["4", "3"], "V": ["y-x"], "N": 200,
+         "analysis": {"depth_limit": 1}},
+        26,
+        "61f8147c91cfeffdbfbd21285f3e30eb0d52342ab27fee422eb16a5dad0776fe",
+    ),
+    # Certificates fail at the top level and inside a derived instance.
+    (
+        {"field": "GF(11)", "vars": ["x", "y"], "phi": ["y^2", "x"],
+         "alpha": ["0", "1"], "V": ["y*(y-1)"], "N": 24,
+         "analysis": {"initial_samples": 2, "sample_budget": 2, "degree_cap": 1}},
+        5,
+        "4767284ea81c6c82b8b501de4f6ee2f2391a41d23f742813978934c571faa924",
+    ),
+    # A chain whose closure dimension increases, with a failed
+    # certificate, unstabilized closures and an unverified case.
+    (
+        {"field": "GF(7)", "vars": ["x", "y"], "phi": ["2*y^2", "5*y+2*x^2"],
+         "alpha": ["6", "3"], "V": ["y"], "N": 40,
+         "analysis": {"initial_samples": 2, "sample_budget": 4, "degree_cap": 1}},
+        4,
+        "4d08e48b5cd81ed52cf6dc729c121a067e66088b5479dc9b92fde9646a8c8d8b",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, notes, digest", DIAGNOSTIC_REPORTS)
 def test_golden_diagnostic_reports(doc, notes, digest, tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -522,7 +541,7 @@ def test_notes_derive_from_closure_outcomes():
         closure_chain,
         refine_case_split,
     )
-    from dmlab.experiment import _collect_diagnostics, _fragment_json
+    from dmlab.experiment import _progression_json
 
     QQ = Field.rationals()
     spec = experiment_from_dict(base_doc())
@@ -555,14 +574,11 @@ def test_notes_derive_from_closure_outcomes():
     shift = Session(shifted.phi, shifted.start, 30)
     third = progression(shift, basis("x^2-x"), closure_chain(shift, 1, 0))
 
-    assert list(_collect_diagnostics([first, second, third])) == [
-        ("progression (2, 0)", "certificate-failed"),
-        ("progression (2, 0)", "dimension-increase"),
-        ("progression (2, 0)", "unstabilized"),
-        ("progression (2, 0)", "irreducibility-unverified"),
-        ("progression (2, 1)", "depth-exhausted"),
-        ("progression (1, 0)", "irreducibility-unverified"),
+    notes = []
+    rendered = [
+        _progression_json(p, {}, spec, notes, "")["case_split"] for p in (first, second, third)
     ]
+    failed = "periodicity certificate failed"
     increase = "closure dimension increased along the chain"
     unstable = "closure sampling did not stabilize within the sample budget"
     unverified = (
@@ -570,7 +586,15 @@ def test_notes_derive_from_closure_outcomes():
         "keeping the empirical decomposition"
     )
     depth = "recursion depth exhausted; keeping the empirical decomposition"
-    rendered = [_fragment_json(p, spec) for p in (first, second, third)]
+    assert notes == [
+        f"progression (2, 0): {failed}",
+        f"progression (2, 0): {increase}",
+        f"progression (2, 0): {unstable}",
+        f"progression (2, 0): {unverified}",
+        f"progression (2, 1): {depth}",
+        f"progression (1, 0): {unverified}",
+    ]
+    assert notes == reference_diagnostics([first, second, third])
     assert [r["flags"] for r in rendered] == [
         [increase, unstable, unverified],
         [depth],
@@ -586,6 +610,50 @@ def test_notes_derive_from_closure_outcomes():
         ["1", "2"],
         ["0"],
     ]
+
+
+def _rendered_progressions(node) -> int:
+    if isinstance(node, list):
+        return sum(map(_rendered_progressions, node))
+    if isinstance(node, dict):
+        return ("case_split" in node) + sum(map(_rendered_progressions, node.values()))
+    return 0
+
+
+def _reference_walk_specs():
+    from census import instance
+
+    rng = random.Random(7)  # the instances of test_census
+    census_docs = [instance(rng) for _ in range(28)]
+    docs = [doc for doc, _, _ in DIAGNOSTIC_REPORTS] + [ROTATION] + census_docs
+    return [experiment_from_dict(doc) for doc in docs]
+
+
+def test_render_walk_diagnostics_match_the_reference_walk(monkeypatch):
+    import dmlab.experiment
+
+    roots, decided = [], []
+    build, codes = dmlab.experiment._build_payload, dmlab.experiment._codes
+
+    def record_root(spec, profile, root):
+        roots.append(root)
+        return build(spec, profile, root)
+
+    def record_codes(p):
+        decided.append(p)
+        return codes(p)
+
+    monkeypatch.setattr(dmlab.experiment, "_build_payload", record_root)
+    monkeypatch.setattr(dmlab.experiment, "_codes", record_codes)
+    notes = 0
+    for spec in _reference_walk_specs():
+        del decided[:]
+        payload = run_experiment(spec).payload
+        assert payload["diagnostics"] == reference_diagnostics(roots.pop().progressions)
+        # one decision per rendered progression, derived ones included
+        assert len(decided) == len(set(map(id, decided))) == _rendered_progressions(payload)
+        notes += len(payload["diagnostics"])
+    assert notes >= 36  # the golden diagnostic reports alone carry 36
 
 
 @pytest.mark.parametrize(

@@ -233,7 +233,7 @@ def test_ring_axioms_random():
             ) or f.is_zero() or g.is_zero()
             mono = tuple(rng.randint(0, 2) for _ in range(2))
             c = _random_const(rng, field)
-            for r in (f + g, f - g, (f - g) + g, f * g, f.term_mul(mono, c)):
+            for r in (f + g, f - g, (f - g) + g, f * g, f * MultiPoly.from_terms(field, 2, [(mono, c)])):
                 _assert_canonical_terms(r)
 
 
