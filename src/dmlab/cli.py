@@ -120,13 +120,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
     except StageError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except ExperimentError as exc:
+    except (ExperimentError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .fields import Field, FieldKind
+from .fields import Field
 from .multipoly import MultiPoly
 
 __all__ = ["ExprSyntaxError", "parse_polynomial", "MAX_EXPONENT", "MAX_NESTING"]
@@ -148,7 +148,7 @@ class _Parser:
             idx = self.vars.get(text)
             if idx is not None:
                 return MultiPoly.variable(self.field, self.num_vars, idx)
-            if text == "t" and self.field.kind is FieldKind.RATIONAL_FUNCTIONS:
+            if text == "t" and self.field.has_generator:
                 return MultiPoly.constant(self.field, self.num_vars, self.field.t())
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "number":

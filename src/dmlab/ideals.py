@@ -159,19 +159,29 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     if not basis:
         return ReducedGroebnerBasis(order, (), num_vars, field)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # pending keys each pair once, by its lcm's order key and then the
+    # pair, sorted descending so pop() takes the least (the lcm rides
+    # along; pairs are distinct, so it is never compared); pairs holds the
+    # same pending pairs for the chain criterion's lookups.
+    pairs: set = set()
+    pending: list = []
 
-    def lcm_key(pair):
-        i, j = pair
-        return (order.key(mono_lcm(basis[i][0], basis[j][0])), pair)
+    def add_pairs(j):
+        lj = basis[j][0]
+        for i in range(j):
+            lcm = mono_lcm(basis[i][0], lj)
+            pairs.add((i, j))
+            pending.append((order.key(lcm), (i, j), lcm))
+        pending.sort(reverse=True)
 
-    while pairs:
-        i, j = min(pairs, key=lcm_key)
+    for j in range(1, len(basis)):
+        add_pairs(j)
+    while pending:
+        _, (i, j), lcm = pending.pop()
         pairs.discard((i, j))
         li, lj = basis[i][0], basis[j][0]
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
-        lcm = mono_lcm(li, lj)
         if any(
             k != i and k != j and mono_divides(lk, lcm)
             and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
@@ -181,9 +191,8 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
         rem = _remainder(_s_poly(basis[i], basis[j]), basis, order)
         if rem.is_zero():
             continue
-        idx = len(basis)
         basis.append(rem._monic_pair(order))
-        pairs.update((k, idx) for k in range(idx))
+        add_pairs(len(basis) - 1)
 
     # Minimalize: drop any generator whose leading monomial another kept
     # generator's divides, scanning small to large so the smallest

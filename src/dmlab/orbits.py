@@ -35,7 +35,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .fields import FieldKind, FieldMismatchError, FieldValue
-from .ideals import ReducedGroebnerBasis
 from .multipoly import MultiPoly, _point_payloads
 
 __all__ = [
@@ -317,7 +316,7 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    gens = tuple(target.generators if isinstance(target, ReducedGroebnerBasis) else target)
+    gens = tuple(getattr(target, "generators", target))
     for g in gens:
         if not isinstance(g, MultiPoly):
             raise TypeError("target generators must be MultiPoly")

@@ -7,6 +7,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "dmlab").glob("*.py"))
+# The modules whose public names the package re-exports, in its order.
+PACKAGE_MODULES = (
+    "closures", "density", "experiment", "exprparse", "fields", "ideals", "multipoly", "orbits",
+)
 
 
 def _imported_top_level_modules(path):
@@ -38,6 +42,42 @@ def test_every_exported_name_resolves():
         exported = importlib.import_module(name).__all__
         assert len(set(exported)) == len(exported), name
         assert set(exported) <= namespace.keys(), name
+
+
+def test_package_exports_each_module_public_name_once():
+    import dmlab
+
+    modules = [importlib.import_module(f"dmlab.{stem}") for stem in PACKAGE_MODULES]
+    expected = [name for module in modules for name in module.__all__]
+    assert dmlab.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(dmlab, name) is getattr(module, name), name
+
+
+def _relative_imports(stem):
+    path = SRC / "dmlab" / f"{stem}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:  # from . import x
+                yield from (alias.name for alias in node.names)
+
+
+def test_parser_and_orbit_layers_import_only_fields_and_multipoly():
+    # Checked on the source, not on sys.modules: importing any dmlab
+    # module first runs the package __init__, which imports them all.
+    reached = set()
+    todo = ["exprparse", "orbits"]
+    while todo:
+        stem = todo.pop()
+        if stem not in reached:
+            reached.add(stem)
+            todo.extend(_relative_imports(stem))
+    assert reached <= {"fields", "multipoly", "exprparse", "orbits"}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
