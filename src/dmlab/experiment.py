@@ -84,7 +84,6 @@ class StageError(ExperimentError):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_FIELD_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
 
@@ -140,16 +139,8 @@ def _require_str_list(value, name: str):
 def _parse_field(label) -> Field:
     if not isinstance(label, str):
         raise SchemaError("field must be a string")
-    if label == "QQ":
-        return Field.rationals()
-    m = _FIELD_RE.fullmatch(label)
-    if not m:
-        raise SchemaError(
-            f"field must be 'QQ', 'GF(p)' or 'GF(p)(t)', got {label!r}"
-        )
     try:
-        p = int(m.group(1))
-        return Field.rational_functions(p) if m.group(2) else Field.prime(p)
+        return Field.from_label(label)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -430,6 +421,7 @@ def run_experiment(spec: ExperimentSpec) -> ReportDocument:
     """Run the full pipeline as the root instance and assemble the report."""
     params = spec.analysis
     session = _session(spec)
+    # Stages call by this module's names: perfbench/child.py's STAGES wraps them.
     returns, profile = _scan(spec, session.cache)
     with _stage("progression-detection"):
         progressions = detect_progressions(

@@ -70,7 +70,6 @@ def _tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str, var_names, field: Field):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
         self.depth = 0  # open parentheses around the current token

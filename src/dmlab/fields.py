@@ -37,6 +37,10 @@ r*v - c*w (v's entries past w's only scaled), ``primitive`` divides out
 the content (a no-op over GF(p)) and ``quotient(a, b)`` is the payload
 of a / b.
 
+A field's text form is its :attr:`Field.label`, "QQ", "GF(p)" or
+"GF(p)(t)", and :meth:`Field.from_label` parses a label back; no other
+module knows the label grammar or what a :class:`FieldKind` means.
+
 Canonical payloads make equality structural, so values hash and compare
 bit-for-bit and can key dictionaries.  Mixing values from different
 fields raises :class:`FieldMismatchError`; there is no implicit
@@ -47,6 +51,7 @@ out of scope by design.
 from __future__ import annotations
 
 import enum
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -72,6 +77,7 @@ class FieldKind(enum.Enum):
 
 
 _MAX_CHARACTERISTIC = 2**31
+_LABEL_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 
 
 def _prime_characteristic(p: int) -> int:
@@ -569,6 +575,17 @@ class Field:
     def rational_functions(p: int) -> "Field":
         return Field(FieldKind.RATIONAL_FUNCTIONS, _prime_characteristic(p))
 
+    @staticmethod
+    def from_label(label: str) -> "Field":
+        """The field whose :attr:`label` is ``label``; ValueError otherwise."""
+        if label == "QQ":
+            return Field.rationals()
+        m = _LABEL_RE.fullmatch(label)
+        if not m:
+            raise ValueError(f"field must be 'QQ', 'GF(p)' or 'GF(p)(t)', got {label!r}")
+        p = int(m.group(1))  # a ValueError past the int digit limit
+        return Field.rational_functions(p) if m.group(2) else Field.prime(p)
+
     @property
     def label(self) -> str:
         if self.kind is FieldKind.RATIONALS:
@@ -580,6 +597,10 @@ class Field:
     @property
     def has_generator(self) -> bool:
         return self.kind is FieldKind.RATIONAL_FUNCTIONS
+
+    @property
+    def finite(self) -> bool:
+        return self.kind is FieldKind.PRIME
 
     def zero(self) -> "FieldValue":
         return FieldValue(self, self._ring.zero)

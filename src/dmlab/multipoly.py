@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import itemgetter, neg
 
-from .fields import Field, FieldKind, FieldMismatchError, FieldValue
+from .fields import Field, FieldMismatchError, FieldValue
 
 __all__ = [
     "MonomialOrder",
@@ -392,19 +392,12 @@ class MultiPoly:
             return "0"
         if order is None:
             order = MonomialOrder.grevlex(self.num_vars)
-        pieces = []
-        for mono in sorted(self.terms, key=order.key, reverse=True):
-            pieces.append(self._term_str(mono, self.terms[mono], names))
-        out = []
-        for i, (negative, body) in enumerate(pieces):
-            if i == 0:
-                out.append(f"-{body}" if negative else body)
-            else:
-                out.append(f" - {body}" if negative else f" + {body}")
-        return "".join(out)
+        monos = sorted(self.terms, key=order.key, reverse=True)
+        first, *rest = [self._term_str(mono, self.terms[mono], names) for mono in monos]
+        # Only a QQ coefficient prints a leading "-"; past the first term it becomes " - ".
+        return first + "".join(f" - {s[1:]}" if s[0] == "-" else f" + {s}" for s in rest)
 
-    def _term_str(self, mono: tuple, payload, names):
-        coeff = FieldValue(self.field, payload)
+    def _term_str(self, mono: tuple, payload, names) -> str:
         factors = []
         for i, e in enumerate(mono):
             if e == 1:
@@ -412,20 +405,14 @@ class MultiPoly:
             elif e:
                 factors.append(f"{names[i]}^{e}")
         mono_s = "*".join(factors)
-        negative = False
-        if self.field.kind is FieldKind.RATIONALS and coeff.payload < 0:
-            negative = True
-            coeff = -coeff
+        coeff_s = str(FieldValue(self.field, payload))
         if not mono_s:
-            return negative, str(coeff)
-        if coeff.is_one():
-            return negative, mono_s
-        coeff_s = str(coeff)
-        if self.field.kind is FieldKind.RATIONAL_FUNCTIONS and any(
-            ch in coeff_s for ch in "+*/"
-        ):
+            return coeff_s
+        if coeff_s in ("1", "-1"):
+            return coeff_s[:-1] + mono_s  # "x" or "-x"
+        if self.field.has_generator and any(ch in coeff_s for ch in "+*/"):
             coeff_s = f"({coeff_s})"
-        return negative, f"{coeff_s}*{mono_s}"
+        return f"{coeff_s}*{mono_s}"
 
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.num_vars))

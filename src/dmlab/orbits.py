@@ -34,7 +34,7 @@ from itertools import compress, islice
 from math import gcd
 from typing import NamedTuple
 
-from .fields import FieldKind, FieldMismatchError, FieldValue
+from .fields import FieldMismatchError, FieldValue
 from .multipoly import MultiPoly, _point_payloads
 
 __all__ = [
@@ -126,8 +126,7 @@ class OrbitCache:
         self.phi = phi
         self.cycle: CycleStructure | None = None
         self._points = [phi._payloads(start)]
-        prime = phi.field.kind is FieldKind.PRIME
-        self._seen = {self._points[0]: 0} if prime else None
+        self._seen = {self._points[0]: 0} if phi.field.finite else None
 
     @property
     def start(self) -> tuple:
@@ -211,7 +210,7 @@ def detect_cycle(phi: Morphism, point) -> CycleStructure:
     GF(p)(t) need not be eventually periodic, so there is nothing to
     detect.
     """
-    if phi.field.kind is not FieldKind.PRIME:
+    if not phi.field.finite:
         raise ValueError("cycle detection requires a finite field")
     start, step = phi._payloads(point), phi._step
     power = lam = 1

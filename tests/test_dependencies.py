@@ -80,6 +80,41 @@ def test_parser_and_orbit_layers_import_only_fields_and_multipoly():
     assert reached <= {"fields", "multipoly", "exprparse", "orbits"}
 
 
+def _field_kind_knowledge(path):
+    # Names of FieldKind (imported, read or looked up as an attribute)
+    # and compiled patterns that match a field label.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "FieldKind":
+            yield "imports FieldKind"
+        elif isinstance(node, ast.Name) and node.id == "FieldKind":
+            yield "reads FieldKind"
+        elif isinstance(node, ast.Attribute) and node.attr == "FieldKind":
+            yield "reads FieldKind"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compile":
+            if any(
+                isinstance(arg, ast.Constant) and "GF\\(" in str(arg.value)
+                for arg in node.args
+            ):
+                yield "compiles a field-label pattern"
+
+
+def test_only_fields_knows_what_a_field_kind_means():
+    # A new kind of field is added in fields.py alone: other modules ask
+    # Field.from_label, .label, .finite or .has_generator.
+    found = {
+        (path.name, what)
+        for path in SOURCES
+        if path.name != "fields.py"
+        for what in _field_kind_knowledge(path)
+    }
+    assert not found
+    assert set(_field_kind_knowledge(SRC / "dmlab" / "fields.py")) == {
+        "reads FieldKind",
+        "compiles a field-label pattern",
+    }
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every ``dml`` run imports the package first; these two modules
     # (and the ast/dis/tokenize that inspect drags in) cost milliseconds.

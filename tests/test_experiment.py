@@ -62,6 +62,11 @@ def test_field_label_checks():
     # A trailing newline is not part of a label.
     rejects({**base_doc(), "field": "GF(7)\n"}, "field must be")
     rejects({**base_doc(), "field": "GF(7)(t)\n"}, "field must be")
+    rejects({**base_doc(), "field": "gf(7)"}, "field must be")
+    rejects({**base_doc(), "field": "GF(7)(s)"}, "field must be")
+    rejects({**base_doc(), "field": "GF(2147483648)"}, "must be a prime below 2**31")
+    # Past the int digit limit the characteristic's digits fail to parse.
+    rejects({**base_doc(), "field": f"GF({'1' * 5000})"}, "")
 
 
 def test_variable_checks():

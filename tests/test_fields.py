@@ -33,6 +33,24 @@ def test_field_labels():
     assert QQ.label == "QQ"
     assert F7.label == "GF(7)"
     assert F2T.label == "GF(2)(t)"
+    for field in (
+        QQ,
+        F2,
+        Field.prime(101),
+        Field.prime(2147483647),
+        F2T,
+        Field.rational_functions(3),
+        Field.rational_functions(7),
+        Field.rational_functions(101),
+    ):
+        assert Field.from_label(field.label) == field
+    for bad in ("GF(seven)", "GF(\u0667)", "GF(7)\n", "GF(4)", "GF(2147483648)", "gf(7)", "GF(7)(s)"):
+        with pytest.raises(ValueError):
+            Field.from_label(bad)
+
+
+def test_only_prime_fields_are_finite():
+    assert [f.finite for f in (QQ, F2, F7, F2T, F5T)] == [False, True, True, False, False]
 
 
 def test_prime_validation():

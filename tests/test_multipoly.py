@@ -178,6 +178,12 @@ def test_render_fixed_strings():
     assert f.render(XY, MonomialOrder.lex(2, (1, 0))) == "y - 1/2"
     assert P("(1-t)*y", F2T).render(XY, lex) == "(t + 1)*y"
     assert P("t*x + (1-t)*y - 1", F2T).render(XY, lex) == "t*x + (t + 1)*y + 1"
+    assert (P("y") - half * P("x")).render(XY, lex) == "-1/2*x + y"
+    assert P("y - x").render(XY, lex) == "-x + y"
+    assert P("-x").render(XY, lex) == "-x"
+    assert P("-x - 2", F7).render(XY, lex) == "6*x + 5"
+    over_t = MultiPoly.constant(F2T, 2, F2T.t().inverse())
+    assert (over_t * P("x", F2T) + P("t^2*y", F2T)).render(XY, lex) == "(1/t)*x + t^2*y"
 
 
 def test_render_constant_tail_unparenthesized():
