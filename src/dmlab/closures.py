@@ -177,7 +177,10 @@ class Session:
     maps (stride, offset) to the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
     nothing else, so each one is sampled at most once per session;
     the memo only ever holds closures the session sampled itself.
-    Sessions compare by identity.
+    ``certificates`` likewise maps a chain's (modulus, base offset),
+    which fix its base closure, to that closure's
+    :class:`PeriodicityCertificate`, so :meth:`certificate` certifies
+    each one once.  Sessions compare by identity.
     """
 
     __slots__ = (
@@ -192,6 +195,7 @@ class Session:
         "cache",
         "order",
         "memo",
+        "certificates",
     )
 
     def __init__(
@@ -226,6 +230,7 @@ class Session:
         self.cache = OrbitCache(phi, start)
         self.order = MonomialOrder.grevlex(phi.num_vars)
         self.memo = {}
+        self.certificates = {}
 
     def __repr__(self):
         return (
@@ -234,6 +239,18 @@ class Session:
             f"initial_samples={self.initial_samples!r}, sample_budget={self.sample_budget!r}, "
             f"depth_limit={self.depth_limit!r})"
         )
+
+    def certificate(self, chain: ClosureChain, certify) -> PeriodicityCertificate:
+        """The certificate of the chain's base closure under its modulus,
+        from ``certify`` (:func:`certify_invariant`'s signature) the
+        first time the session meets that (modulus, base offset)."""
+        base = chain.entries[0]
+        key = (chain.modulus, base.offset)
+        certificate = self.certificates.get(key)
+        if certificate is None:
+            certificate = certify(base.ideal, self.phi, chain.modulus)
+            self.certificates[key] = certificate
+        return certificate
 
 
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
@@ -365,7 +382,7 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
         # The class prog.modulus * k + prog.offset in orbit indices.
         modulus, start = stride * prog.modulus, stride * prog.offset + offset
         chain = _chain(session, modulus, range(start, start + modulus, stride))
-        certificate = certify_invariant(chain.entries[0].ideal, session.phi, modulus)
+        certificate = session.certificate(chain, certify_invariant)
         fragment = _case_split(session, target, chain, depth)
         subs.append(SubProgression(prog.modulus, prog.offset, chain, certificate, fragment))
     dec = decompose_return_set(returns, progressions)

@@ -11,8 +11,12 @@ Only windows that start at a run start (a member n with n = 0 or
 n - 1 not a member) and the last window are counted.
 Sliding a window right past a non-member, or left onto a member, never
 lowers its count, so some fullest window is one of these candidates.
-Past one prefix-count table per set, each window length costs work up
-to the last run start, not up to the horizon.
+The last window is counted straight from the membership table, so a
+length L reads the prefix-count table only up to its last run start
+below N - L, plus L, and the table is built no further than the
+farthest such reach over the schedule.  Work follows the run starts,
+not the horizon: a set that is one run past a head, or a finite head,
+costs about the head plus the longest window below N.
 
 :func:`detect_progressions` certifies progressions a*k + b whose
 members beyond a tail offset all lie in S up to the horizon, dropping
@@ -139,35 +143,40 @@ def default_window_schedule(n: int) -> tuple:
     return tuple(sorted(lengths))
 
 
-def _window_tables(s: ReturnSet) -> tuple:
-    # prefix[i] = |S ∩ [0, i)|, so a window [k, k+L) holds prefix[k+L] - prefix[k];
-    # byte n of bits & ~(bits << 8) is flags[n] and not flags[n-1], so starts[n]
-    # is 1 exactly at the run starts, and to_bytes drops the zeros after the last.
-    # The prefix table comes first: with the big-int temporaries allocated before
-    # it, the heap of the tower-gf2t suite run was not trimmed once freed, and its
-    # peak RSS rose from 38.3 to 41.9 MB.
-    prefix = list(accumulate(s.flags, initial=0))
-    bits = int.from_bytes(s.flags, "little")
-    starts = bits & ~(bits << 8)
-    return prefix, starts.to_bytes((starts.bit_length() + 7) // 8, "little")
-
-
-def _window_max(prefix: list, starts: bytes, length: int) -> Fraction:
+def _window_maxima(s: ReturnSet, lengths) -> list:
     # Candidates: windows [k, k+L) with k a run start, and the last one, k = N-L.
     # From a fullest window, sliding right past a non-member or left onto a
     # member never lowers the count, so slide right until k is a member or
     # k = N-L, then left to the start of k's run: some fullest window is a candidate.
-    n = len(prefix) - 1
-    ends = compress(islice(prefix, length, None), starts)  # prefix[k+L] for run starts k <= N-L
-    best = max(map(sub, ends, compress(prefix, starts)), default=0)
-    return Fraction(max(best, prefix[n] - prefix[n - length]), length)
+    # Byte n of bits is flags[n], and byte n of bits & ~(bits << 8) is flags[n]
+    # and not flags[n-1]: starts[n] is 1 exactly at the run starts, and to_bytes
+    # drops the zeros after the last.  The last window holds the set bits of
+    # bits >> 8(N-L), so only run starts k < N-L read prefix[i] = |S ∩ [0, i)|,
+    # a window [k, k+L) holding prefix[k+L] - prefix[k]; the table stops at the
+    # farthest such k + L.
+    n, flags = s.horizon, s.flags
+    bits = int.from_bytes(flags, "little")
+    starts = bits & ~(bits << 8)
+    starts = starts.to_bytes((starts.bit_length() + 7) // 8, "little")
+    last_starts = [starts.rfind(1, 0, n - l) for l in lengths]  # -1: none below N-L
+    reach = max((k + l for k, l in zip(last_starts, lengths) if k >= 0), default=0)
+    prefix = list(accumulate(flags[:reach], initial=0))
+    # prefix[k] for every start that some length reads, ascending; each
+    # length reads a leading part of it.
+    at_starts = list(compress(prefix, starts[: max(last_starts) + 1]))
+    maxima = []
+    for k, l in zip(last_starts, lengths):
+        ends = compress(islice(prefix, l, None), starts[: k + 1])  # prefix[k+L]
+        best = max(map(sub, ends, at_starts), default=0)
+        maxima.append(Fraction(max(best, (bits >> 8 * (n - l)).bit_count()), l))
+    return maxima
 
 
 def window_density_max(s: ReturnSet, length: int) -> Fraction:
     """Exact max of |S ∩ I| / L over length-L windows I inside [0, N)."""
     if not 1 <= length <= s.horizon:
         raise ValueError("window length must lie in [1, horizon]")
-    return _window_max(*_window_tables(s), length)
+    return _window_maxima(s, (length,))[0]
 
 
 def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
@@ -179,9 +188,7 @@ def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
         raise ValueError("window schedule must be nonempty")
     if lengths[0] < 1 or lengths[-1] > s.horizon:
         raise ValueError("window length must lie in [1, horizon]")
-    prefix, starts = _window_tables(s)
-    entries = tuple((l, _window_max(prefix, starts, l)) for l in lengths)
-    return DensityProfile(s.horizon, entries)
+    return DensityProfile(s.horizon, tuple(zip(lengths, _window_maxima(s, lengths))))
 
 
 def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: int = 0) -> list:

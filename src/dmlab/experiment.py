@@ -413,8 +413,7 @@ def _scan(spec: ExperimentSpec, cache=None):
 def _certified_chain(session: Session, modulus: int, offset: int):
     """Closure chain of one progression and its base offset's certificate."""
     chain = closure_chain(session, modulus, offset)
-    certificate = certify_invariant(chain.entries[0].ideal, session.phi, modulus)
-    return chain, certificate
+    return chain, session.certificate(chain, certify_invariant)
 
 
 def run_experiment(spec: ExperimentSpec) -> ReportDocument:

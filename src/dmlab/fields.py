@@ -163,6 +163,8 @@ _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 _HEX = b"0123456789abcdef"
 _TO_DIGIT = bytes.maketrans(bytes(range(16)), _HEX)
 _FROM_DIGIT = bytes.maketrans(_HEX, bytes(range(16)))
+# Each byte's low bit: a GF(2)[t] coefficient read off a widened slot.
+_LOW_BIT = b"\0\1" * 128
 
 
 def _little(items: array) -> array:
@@ -331,9 +333,11 @@ class _PolyRing:
 class _GF2PolyRing(_PolyRing):
     """GF(2)[t] on the same 2-bit slots, each coefficient its slot's low bit.
 
-    Adding is XOR and negating does nothing.  A slot of a carry-free sum
-    or product holds at most 3, so reducing it mod 2 keeps its low bit:
-    one AND with ``_low``, 01 in every slot.  Every nonzero polynomial
+    Adding is XOR and negating does nothing.  A slot of a carry-free sum,
+    or of a product whose shorter operand has at most 3 slots, holds at
+    most 3, so reducing it mod 2 keeps its low bit: one AND with
+    ``_low``, 01 in every slot.  Longer products run on widened slots and
+    keep each one's low bit.  Every nonzero polynomial
     is monic, and its leading bit sits at an even position, so division
     is shift-and-XOR on the packed int.
     """
@@ -357,6 +361,19 @@ class _GF2PolyRing(_PolyRing):
 
     def neg(self, a: int) -> int:
         return a
+
+    def mul(self, a: int, b: int) -> int:
+        short = self.slots(min(a, b))
+        if short <= 3:
+            return self._fold(a * b)
+        # No coefficient of the integer product exceeds the shorter
+        # operand's slot count, so slots of ceil(bit_length / 8) bytes hold
+        # each without a carry, and a wide slot's low bit is its value mod 2.
+        la, lb = self.slots(a), self.slots(b)
+        wide = -(-short.bit_length() // 8)
+        product = self._widen(a, la, wide) * self._widen(b, lb, wide)
+        raw = product.to_bytes((la + lb - 1) * wide, "little")
+        return self.pack(raw[::wide].translate(_LOW_BIT))
 
     def divmod(self, a: int, b: int) -> tuple:
         if not b:

@@ -392,3 +392,59 @@ def test_progression_type():
     assert list(p.members_below(12)) == [2, 5, 8, 11]
     assert p.count_below(12) == 4
     assert p.count_below(2) == 0
+
+
+def _assert_profile_matches_brute_force(horizon, members, lengths):
+    s = rs(horizon, members)
+    assert density_profile(s, lengths).entries == tuple(
+        (l, _brute_window_max(members, horizon, l)) for l in sorted(set(lengths))
+    )
+    for length in lengths:
+        assert window_density_max(s, length) == _brute_window_max(members, horizon, length)
+
+
+def test_window_tables_that_end_in_a_run_or_a_finite_head():
+    # The prefix table reaches only the last run start below N - L, plus L;
+    # these tables put that start near 0, exactly at N - L, or nowhere.
+    rng = random.Random(0x7A11)
+    for horizon in (1, 2, 3, 7, 40, 97, 180):
+        every = range(1, horizon + 1)
+        for _ in range(6):
+            head = rng.randint(0, horizon)
+            sparse = [n for n in range(head) if rng.random() < 0.3]
+            lengths = {1, horizon, *rng.choices(every, k=3)}
+            # a head, then all ones to the horizon
+            full_tail = [*sparse, *range(head, horizon)]
+            _assert_profile_matches_brute_force(horizon, full_tail, lengths)
+            # a finite head, then nothing
+            _assert_profile_matches_brute_force(horizon, sparse, lengths)
+        # 0 in S, read by the window of length N alone
+        _assert_profile_matches_brute_force(horizon, [0], [horizon])
+        _assert_profile_matches_brute_force(horizon, [0, *range(horizon // 2, horizon)], [horizon])
+        for length in every:
+            k = horizon - length
+            # a run starting exactly at N - L: the last window, not a run-start candidate
+            for members in ([*range(k, horizon)], [*range(0, k - 1), *range(k, horizon)]):
+                _assert_profile_matches_brute_force(horizon, members, [length])
+            # a single run ending at N - 1, starting anywhere
+            members = range(rng.randint(0, horizon - 1), horizon)
+            _assert_profile_matches_brute_force(horizon, members, [length])
+
+
+def test_profile_of_a_full_tail_stays_small():
+    # S = [100, N): one run start, so the prefix table stops near 100 + N^(3/4)
+    # rather than holding N + 1 ints.
+    import tracemalloc
+
+    horizon = 10**6
+    s = ReturnSet.from_flags(bytes(100) + b"\1" * (horizon - 100))
+    tracemalloc.start()
+    try:
+        profile = density_profile(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert profile.entries == tuple(
+        (l, Fraction(min(l, horizon - 100), l)) for l in default_window_schedule(horizon)
+    )

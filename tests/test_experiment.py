@@ -484,6 +484,28 @@ def test_golden_suite_reports(name, tmp_path):
     assert digest == WORKLOADS[name]["report_sha256"]
 
 
+@pytest.mark.parametrize("name, calls", [("rotation-qq", 4), ("pullback-gf101", 1)])
+def test_each_certificate_is_computed_once_per_run(name, calls, monkeypatch):
+    # The root certifies through experiment's binding and derived
+    # instances through closures'; a (modulus, base offset) pair fixes
+    # the certificate, so neither binding sees a pair twice.
+    import dmlab.closures
+    import dmlab.experiment
+
+    seen = []
+    for module in (dmlab.closures, dmlab.experiment):
+        original = module.certify_invariant
+
+        def record(basis, phi, modulus, original=original):
+            seen.append((modulus, basis.generators))
+            return original(basis, phi, modulus)
+
+        monkeypatch.setattr(module, "certify_invariant", record)
+    run_experiment(experiment_from_dict(WORKLOADS[name]["experiment"]))
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+
+
 # (experiment, diagnostic count, report digest) of reports whose notes
 # cover every code, at the top level and inside derived instances.
 DIAGNOSTIC_REPORTS = [
