@@ -429,6 +429,19 @@ def test_golden_rotation_report():
     )
 
 
+def test_sparse_return_set_at_a_million():
+    # x -> x^2 + 1 from 0 over GF(10007) meets x = 5 once below 10^6, so
+    # detection runs a_max = 1000 moduli over a one-member table.
+    doc = {"field": "GF(10007)", "vars": ["x"], "phi": ["x^2+1"], "alpha": ["0"],
+           "V": ["x-5"], "N": 10**6}
+    report = run_experiment(experiment_from_dict(doc))
+    assert len(report.returns) == 1
+    assert report.payload["progressions"] == []
+    assert sha256(report.to_json()) == (
+        "bac64b80791d3397b5f4925229aa657c81f14fae3482cc824143db699eccc04b"
+    )
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
