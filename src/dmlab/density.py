@@ -20,7 +20,10 @@ costs about the head plus the longest window below N.
 
 :func:`detect_progressions` certifies progressions a*k + b whose
 members beyond a tail offset all lie in S up to the horizon, dropping
-progressions that a kept coarser one already covers;
+progressions that a kept coarser one already covers.  It visits only
+the uncovered members of S in each modulus's first window, so its
+cost is a_max, plus those members, plus the slices of the candidates
+whose second member is in S;
 :func:`decompose_return_set` splits S into the certified progression
 union and a residual, with a density profile of the residual.
 """
@@ -201,9 +204,15 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     progression with dividing modulus and matching offset class covers
     it, so the output has no redundant refinements: for each modulus a,
     every kept progression whose modulus divides a marks the offsets it
-    covers in a coverage mask with one slice assignment, and only the
-    unmarked offsets are visited, in ascending order.  Output is sorted
-    by (modulus, offset).
+    covers in a coverage mask with one slice assignment.  Only offsets
+    that are both members and unmarked are visited, in ascending order:
+    ``find`` on the membership table and on the mask leapfrog to the
+    next such offset, and a candidate whose second member b + a is
+    missing is dropped before its slice is read.  The work is a few
+    C-level calls per modulus, plus one step per uncovered member in
+    each modulus's first window, plus the slices of the candidates that
+    pass that test: linear in a_max on a sparse S, not quadratic.
+    Output is sorted by (modulus, offset).
     """
     if a_max < 1:
         raise ValueError("modulus bound must be positive")
@@ -220,14 +229,18 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
         for p in kept:
             if a % p.modulus == 0:
                 covered[(p.offset - tail_start) % p.modulus :: p.modulus] = b"\1" * (a // p.modulus)
-        r = covered.find(0)
+        r = covered.find(0)  # next uncovered offset
         while r != -1:
-            b = tail_start + r
+            b = flags.find(1, tail_start + r, tail_start + a)  # next member from there on
+            if b == -1:
+                break
             if len(range(b, n, a)) < m_min:
-                break  # later offsets have no more members
-            if flags[b] and 0 not in flags[b::a]:
-                kept.append(Progression(a, b))
-            r = covered.find(0, r + 1)
+                break  # later offsets have no more members; else b + a < n
+            r = covered.find(0, b - tail_start)
+            if tail_start + r == b:
+                if flags[b + a] and 0 not in flags[b::a]:
+                    kept.append(Progression(a, b))
+                r = covered.find(0, r + 1)
     return kept
 
 

@@ -20,6 +20,7 @@ as :class:`PointSet` coordinates.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .fields import Field, FieldValue
@@ -47,16 +48,28 @@ __all__ = [
 ]
 
 
-class ReducedGroebnerBasis(NamedTuple):
-    """Reduced Groebner basis; construct through :func:`buchberger` or
-    :func:`vanishing_ideal`, not directly.  Like every record, it is a
-    named tuple: ``len`` and iteration run over its four fields, so
-    count and walk ``generators`` instead."""
-
+class _BasisFields(NamedTuple):
     order: MonomialOrder
     generators: tuple
     num_vars: int
     field: Field
+
+
+class ReducedGroebnerBasis(_BasisFields):
+    """Reduced Groebner basis; construct through :func:`buchberger` or
+    :func:`vanishing_ideal`, not directly.  Like every record, it is a
+    named tuple: ``len`` and iteration run over its four fields, so
+    count and walk ``generators`` instead.  A basis never changes, so
+    its generators' leading monomials are found on first use and kept
+    beside the fields; they take no part in comparison or hashing."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def _divisors(self) -> tuple:
+        # (leading monomial, monic generator) pairs, as _remainder takes them.
+        return tuple((g.leading_monomial(self.order), g) for g in self.generators)
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -67,7 +80,7 @@ class ReducedGroebnerBasis(NamedTuple):
         return len(self.generators) == 1 and self.generators[0].is_constant()
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
+        return tuple(lm for lm, _ in self._divisors)
 
     def render(self, names) -> tuple:
         return tuple(g.render(names, self.order) for g in self.generators)
@@ -126,8 +139,7 @@ def normal_form(f: MultiPoly, basis: ReducedGroebnerBasis) -> MultiPoly:
     """
     if f.num_vars != basis.num_vars or f.field != basis.field:
         raise ValueError("polynomial does not live in the basis ring")
-    divisors = tuple(zip(basis.leading_monomials(), basis.generators))
-    return _remainder(f, divisors, basis.order)
+    return _remainder(f, basis._divisors, basis.order)
 
 
 def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:

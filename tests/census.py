@@ -18,7 +18,10 @@ each of its indices below max(b, tau) + lcm(a, P) is in S.
 A progression is flagged when a diagnostic of the report names it.  The
 census counts the progressions that carry each code, the false ones
 that carry no flag (unsound; there must be none) and the true ones that
-carry a flag (spurious).
+carry a flag (spurious).  It also decides every class b mod a with
+a <= a_max and b >= tail_start from the cycle, and lists each class
+that holds for every n and has at least m_min members below N but that
+no reported progression covers (missed; there must be none either).
 """
 
 import random
@@ -79,15 +82,45 @@ def instance(rng: random.Random) -> dict:
     }
 
 
-def holds_for_every_n(spec, modulus: int, offset: int) -> bool:
-    """Whether phi^n(alpha) lies on V for every n = offset + modulus*l."""
+def cycle_membership(spec) -> tuple:
+    """(tau, P, on): the orbit's preperiod and period, and whether each of
+    phi^0 .. phi^(tau + P - 1)(alpha) lies on V.  Index n >= tau is on V
+    exactly when tau + (n - tau) mod P is."""
     cache = _cycled_cache(spec.phi, spec.start, spec.field.characteristic)
     tau, period = cache.cycle.preperiod, cache.cycle.period
+    on = [
+        all(g.evaluate(cache.point(n)).is_zero() for g in spec.target_generators)
+        for n in range(tau + period)
+    ]
+    return tau, period, on
+
+
+def holds_for_every_n(membership, modulus: int, offset: int) -> bool:
+    """Whether phi^n(alpha) lies on V for every n = offset + modulus*l."""
+    tau, period, on = membership
     stop = max(offset, tau) + lcm(modulus, period)
     return all(
-        all(g.evaluate(cache.point(n)).is_zero() for g in spec.target_generators)
-        for n in range(offset, stop, modulus)
+        on[n if n < tau else tau + (n - tau) % period] for n in range(offset, stop, modulus)
     )
+
+
+def full_classes(spec, membership) -> list:
+    """The classes detection must keep or cover: each (a, b) with
+    a <= a_max and tail_start <= b < tail_start + a whose progression
+    b + a*l holds for every n and has at least m_min members below N."""
+    params = spec.analysis
+    return [
+        (a, b)
+        for a in range(1, params.a_max + 1)
+        for b in range(params.tail_start, params.tail_start + a)
+        if len(range(b, spec.horizon, a)) >= params.m_min
+        and holds_for_every_n(membership, a, b)
+    ]
+
+
+def is_covered(kept, modulus: int, offset: int) -> bool:
+    """Whether a kept (modulus, offset) progression contains offset + modulus*l."""
+    return any(modulus % m == 0 and (offset - o) % m == 0 for m, o in kept)
 
 
 def census(count: int, seed: int) -> dict:
@@ -95,13 +128,24 @@ def census(count: int, seed: int) -> dict:
     rng = random.Random(seed)
     code_of = {note: code for code, note in _NOTES.items()}
     codes = Counter()
-    tally = {"instances": count, "progressions": 0, "flagged": 0, "unsound": [], "spurious": 0}
+    tally = {
+        "instances": count,
+        "progressions": 0,
+        "flagged": 0,
+        "unsound": [],
+        "spurious": 0,
+        "full classes": 0,
+        "missed": [],
+    }
     for _ in range(count):
         doc = instance(rng)
         spec = experiment_from_dict(doc)
+        membership = cycle_membership(spec)
         payload = run_experiment(spec).payload
+        kept = []
         for p in payload["progressions"]:
             m, o = int(p["modulus"]), int(p["offset"])
+            kept.append((m, o))
             context = f"progression ({m}, {o})"
             # A derived progression's context extends its parent's.
             found = {
@@ -110,13 +154,16 @@ def census(count: int, seed: int) -> dict:
                 if line.startswith(context + ":") or line.startswith(context + ",")
             }
             codes.update(found)
-            truth = holds_for_every_n(spec, m, o)
+            truth = holds_for_every_n(membership, m, o)
             tally["progressions"] += 1
             tally["flagged"] += bool(found)
             if found and truth:
                 tally["spurious"] += 1
             if not found and not truth:
                 tally["unsound"].append((doc, m, o))
+        full = full_classes(spec, membership)
+        tally["full classes"] += len(full)
+        tally["missed"] += [(doc, a, b) for a, b in full if not is_covered(kept, a, b)]
     tally["codes"] = dict(sorted(codes.items()))
     return tally
 
@@ -134,8 +181,11 @@ def main(argv) -> int:
     print(f"unsound (false and unflagged): {len(tally['unsound'])}")
     for doc, m, o in tally["unsound"]:
         print(f"  ({m}, {o}) in {doc}")
+    print(f"full classes: {tally['full classes']}, missed by detection: {len(tally['missed'])}")
+    for doc, a, b in tally["missed"]:
+        print(f"  ({a}, {b}) in {doc}")
     print(f"time: {time.perf_counter() - start:.1f} s")
-    return 1 if tally["unsound"] else 0
+    return 1 if tally["unsound"] or tally["missed"] else 0
 
 
 if __name__ == "__main__":

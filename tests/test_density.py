@@ -215,6 +215,31 @@ def test_detect_huge_modulus_bound_stops_early():
     assert time.perf_counter() - start < 1.0
 
 
+class _CountingFlags(bytes):
+    # A membership table that counts the reads detection makes of it.
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def find(self, *args):
+        self.reads += 1
+        return super().find(*args)
+
+
+def test_detect_reads_a_sparse_table_a_few_times_per_modulus():
+    # One member, as in x -> x^2 + 1 from 0 over GF(10007) against x = 5.
+    # Visiting every offset of every modulus would read about
+    # a_max^2 / 2 = 500,000 flags; leapfrogging over non-members makes a
+    # few reads per modulus.
+    a_max = 1000
+    s = ReturnSet.from_flags(bytes(3) + b"\1" + bytes(10**6 - 4))
+    s.flags = _CountingFlags(s.flags)
+    assert detect_progressions(s, a_max) == []
+    assert s.flags.reads < 4 * a_max
+
+
 def test_detect_validation():
     s = rs(10, [1, 3])
     with pytest.raises(ValueError):
