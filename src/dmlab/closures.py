@@ -12,7 +12,7 @@ whether the doubling settled.  This module records such outcomes as
 facts and case codes; the report derives its flags and notes from them.
 
 Every entry point takes a :class:`Session`: the run's morphism, start
-point and horizon, its sampling settings, and a per-run memo.  A
+point and horizon, its :class:`AnalysisParams`, and a per-run memo.  A
 closure depends only on its (stride, offset) and those settings, so
 the session samples each one once, however often the top-level chains
 and the recursive case split reach it again.
@@ -55,6 +55,7 @@ from .multipoly import MonomialOrder, MultiPoly
 from .orbits import Morphism, OrbitCache, ReturnSet
 
 __all__ = [
+    "AnalysisParams",
     "CASE_CLOSURE_EQUALS_TARGET",
     "CASE_DEPTH_EXHAUSTED",
     "CASE_DIMENSION_DROP",
@@ -165,16 +166,37 @@ class SubProgression(NamedTuple):
     case_split: CaseSplitFragment
 
 
-class Session:
-    """One run's orbit, horizon and closure settings, plus its closure memo.
+class AnalysisParams(NamedTuple):
+    """One run's analysis settings, each defaulted on its field.
 
-    The run's values are ``phi``, ``start`` and ``horizon``; the
-    settings are the progression threshold ``m_min``, the closure
-    ``degree_cap``, the ``initial_samples``/``sample_budget`` of the
-    doubling loop and the case split's ``depth_limit``.  Construction
-    validates the settings and derives the shared :class:`OrbitCache`
-    (which checks ``start``), the grevlex ``order`` and ``memo``, which
-    maps (stride, offset) to the :class:`ClosureEntry` of that sub-orbit.  A closure depends on
+    ``a_max``, ``m_min``, ``tail_start`` and ``window_lengths`` bound
+    the progression search and the density profiles; ``degree_cap``,
+    ``initial_samples``, ``sample_budget`` and ``depth_limit`` bound
+    closure sampling and the case split.  ``a_max`` and
+    ``window_lengths`` default to None, meaning derived from the
+    horizon; a parsed experiment holds both resolved.
+    """
+
+    a_max: int | None = None
+    m_min: int = 5
+    tail_start: int = 0
+    degree_cap: int = 4
+    initial_samples: int = 4
+    sample_budget: int = 64
+    depth_limit: int = 3
+    window_lengths: tuple | None = None
+
+
+class Session:
+    """One run's orbit, horizon and analysis settings, plus its closure memo.
+
+    The run's values are ``phi``, ``start`` and ``horizon``; ``analysis``
+    is its :class:`AnalysisParams`, whose progression threshold, closure
+    degree cap, doubling-loop sample counts and case-split depth the
+    closure code reads.  Construction validates those settings and
+    derives the shared :class:`OrbitCache` (which checks ``start``), the
+    grevlex ``order`` and ``memo``, which maps (stride, offset) to the
+    :class:`ClosureEntry` of that sub-orbit.  A closure depends on
     nothing else, so each one is sampled at most once per session;
     the memo only ever holds closures the session sampled itself.
     ``certificates`` likewise maps a chain's (modulus, base offset),
@@ -183,50 +205,23 @@ class Session:
     each one once.  Sessions compare by identity.
     """
 
-    __slots__ = (
-        "phi",
-        "start",
-        "horizon",
-        "m_min",
-        "degree_cap",
-        "initial_samples",
-        "sample_budget",
-        "depth_limit",
-        "cache",
-        "order",
-        "memo",
-        "certificates",
-    )
+    __slots__ = ("phi", "start", "horizon", "analysis", "cache", "order", "memo", "certificates")
 
-    def __init__(
-        self,
-        phi: Morphism,
-        start: tuple,
-        horizon: int,
-        m_min: int = 5,
-        degree_cap: int = 4,
-        initial_samples: int = 4,
-        sample_budget: int = 64,
-        depth_limit: int = 3,
-    ):
-        if m_min < 2:
+    def __init__(self, phi: Morphism, start: tuple, horizon: int, analysis=AnalysisParams()):
+        if analysis.m_min < 2:
             raise ValueError("member minimum must be at least 2")
-        if depth_limit < 0:
+        if analysis.depth_limit < 0:
             raise ValueError("depth limit must be non-negative")
-        if initial_samples < 2:
+        if analysis.initial_samples < 2:
             raise ValueError("need at least two initial samples")
-        if sample_budget < initial_samples:
+        if analysis.sample_budget < analysis.initial_samples:
             raise ValueError("sample budget below the initial sample count")
-        if degree_cap < 1:
+        if analysis.degree_cap < 1:
             raise ValueError("degree cap must be positive")
         self.phi = phi
         self.start = start
         self.horizon = horizon
-        self.m_min = m_min
-        self.degree_cap = degree_cap
-        self.initial_samples = initial_samples
-        self.sample_budget = sample_budget
-        self.depth_limit = depth_limit
+        self.analysis = analysis
         self.cache = OrbitCache(phi, start)
         self.order = MonomialOrder.grevlex(phi.num_vars)
         self.memo = {}
@@ -235,9 +230,7 @@ class Session:
     def __repr__(self):
         return (
             f"Session(phi={self.phi!r}, start={self.start!r}, horizon={self.horizon!r}, "
-            f"m_min={self.m_min!r}, degree_cap={self.degree_cap!r}, "
-            f"initial_samples={self.initial_samples!r}, sample_budget={self.sample_budget!r}, "
-            f"depth_limit={self.depth_limit!r})"
+            f"analysis={self.analysis!r})"
         )
 
     def certificate(self, chain: ClosureChain, certify) -> PeriodicityCertificate:
@@ -254,22 +247,22 @@ class Session:
 
 
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
-    """Memoized sampled closure of {phi^(stride*k + offset)(start)};
-    each sample's Buchberger-Moller walk stops at ``session.degree_cap``."""
+    """Memoized sampled closure of {phi^(stride*k + offset)(start)}; each
+    sample's Buchberger-Moller walk stops at the session's ``degree_cap``."""
     entry = session.memo.get((stride, offset))
     if entry is not None:
         return entry
-    order = session.order
-    samples = session.initial_samples
+    order, params = session.order, session.analysis
+    samples = params.initial_samples
     previous = None
     while True:
         points = [session.cache.point(stride * k + offset) for k in range(samples)]
-        basis = vanishing_ideal(points, order, session.degree_cap)
+        basis = vanishing_ideal(points, order, params.degree_cap)
         stabilized = previous is not None and ideal_equal(basis, previous)
-        if stabilized or samples >= session.sample_budget:
+        if stabilized or samples >= params.sample_budget:
             break
         previous = basis
-        samples = min(samples * 2, session.sample_budget)
+        samples = min(samples * 2, params.sample_budget)
     entry = ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
     session.memo[(stride, offset)] = entry
     return entry
@@ -277,7 +270,7 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
 
 def _chain(session: Session, stride: int, offsets) -> ClosureChain:
     entries = tuple(_closure(session, stride, offset) for offset in offsets)
-    return ClosureChain(stride, session.degree_cap, entries)
+    return ClosureChain(stride, session.analysis.degree_cap, entries)
 
 
 def closure_chain(session: Session, modulus: int, base_offset: int) -> ClosureChain:
@@ -343,7 +336,7 @@ def refine_case_split(
     code.  The report derives its flags from the case codes, the entries'
     ``stabilized`` and the chain's ``dimension_nonincreasing``.
     """
-    return _case_split(session, target, chain, session.depth_limit)
+    return _case_split(session, target, chain, session.analysis.depth_limit)
 
 
 def _case_split(session, target, chain, depth) -> CaseSplitFragment:
@@ -376,7 +369,7 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
         empty = ReturnSet(0, ())
         return SubInstance(stride, offset, empty, (), empty, DensityProfile(0, ()))
     returns = session.cache.scan(target.generators, count, stride, offset)
-    progressions = detect_progressions(returns, ceil_sqrt(count), m_min=session.m_min)
+    progressions = detect_progressions(returns, ceil_sqrt(count), session.analysis.m_min)
     subs = []
     for prog in progressions:
         # The class prog.modulus * k + prog.offset in orbit indices.

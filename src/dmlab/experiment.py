@@ -32,6 +32,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .closures import (
+    AnalysisParams,
     CASE_DEPTH_EXHAUSTED,
     CASE_IRREDUCIBILITY_UNVERIFIED,
     ClosureChain,
@@ -57,7 +58,6 @@ from .ideals import buchberger
 from .orbits import Morphism, ReturnSet, return_set
 
 __all__ = [
-    "AnalysisParams",
     "ExperimentError",
     "ExperimentSpec",
     "ReportDocument",
@@ -86,24 +86,6 @@ class StageError(ExperimentError):
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
-
-
-class AnalysisParams(NamedTuple):
-    """Resolved tuning knobs for one experiment.
-
-    Defaults: a_max = ceil(sqrt(N)), m_min = 5, tail_start = 0,
-    degree_cap = 4, initial_samples = 4, sample_budget = 64,
-    depth_limit = 3, window_lengths = the quarter-power schedule of N.
-    """
-
-    a_max: int
-    m_min: int
-    tail_start: int
-    degree_cap: int
-    initial_samples: int
-    sample_budget: int
-    depth_limit: int
-    window_lengths: tuple
 
 
 class ExperimentSpec(NamedTuple):
@@ -219,18 +201,17 @@ def _parse_analysis(raw, horizon: int) -> AnalysisParams:
     unknown = set(raw) - set(AnalysisParams._fields)
     if unknown:
         raise SchemaError(f"unknown analysis key {sorted(unknown)[0]!r}")
-    a_max = _require_int(raw.get("a_max", ceil_sqrt(horizon)), "a_max", 1)
-    m_min = _require_int(raw.get("m_min", 5), "m_min", 2)
-    tail_start = _require_int(raw.get("tail_start", 0), "tail_start", 0)
+    values = {**AnalysisParams()._asdict(), "a_max": ceil_sqrt(horizon), **raw}
+    a_max = _require_int(values["a_max"], "a_max", 1)
+    m_min = _require_int(values["m_min"], "m_min", 2)
+    tail_start = _require_int(values["tail_start"], "tail_start", 0)
     if tail_start >= horizon:
         raise SchemaError("tail_start must be below N")
-    degree_cap = _require_int(raw.get("degree_cap", 4), "degree_cap", 1)
-    initial_samples = _require_int(raw.get("initial_samples", 4), "initial_samples", 2)
-    sample_budget = _require_int(
-        raw.get("sample_budget", 64), "sample_budget", initial_samples
-    )
-    depth_limit = _require_int(raw.get("depth_limit", 3), "depth_limit", 0)
-    lengths = raw.get("window_lengths")
+    degree_cap = _require_int(values["degree_cap"], "degree_cap", 1)
+    initial_samples = _require_int(values["initial_samples"], "initial_samples", 2)
+    sample_budget = _require_int(values["sample_budget"], "sample_budget", initial_samples)
+    depth_limit = _require_int(values["depth_limit"], "depth_limit", 0)
+    lengths = values["window_lengths"]
     if lengths is None:
         window_lengths = default_window_schedule(horizon)
     else:
@@ -385,20 +366,6 @@ def _stage(name: str):
         raise StageError(f"{name} stage: {exc}") from exc
 
 
-def _session(spec: ExperimentSpec) -> Session:
-    params = spec.analysis
-    return Session(
-        spec.phi,
-        spec.start,
-        spec.horizon,
-        params.m_min,
-        params.degree_cap,
-        params.initial_samples,
-        params.sample_budget,
-        params.depth_limit,
-    )
-
-
 def _scan(spec: ExperimentSpec, cache=None):
     """The return-set and density-profile stages."""
     with _stage("return-set"):
@@ -419,7 +386,7 @@ def _certified_chain(session: Session, modulus: int, offset: int):
 def run_experiment(spec: ExperimentSpec) -> ReportDocument:
     """Run the full pipeline as the root instance and assemble the report."""
     params = spec.analysis
-    session = _session(spec)
+    session = Session(spec.phi, spec.start, spec.horizon, params)
     # Stages call by this module's names: perfbench/child.py's STAGES wraps them.
     returns, profile = _scan(spec, session.cache)
     with _stage("progression-detection"):
@@ -454,7 +421,8 @@ def density_report(spec: ExperimentSpec) -> ReportDocument:
 def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDocument:
     """Closure chain and certificate of one progression, without detection."""
     with _stage("closure-certification"):
-        chain, certificate = _certified_chain(_session(spec), modulus, offset)
+        session = Session(spec.phi, spec.start, spec.horizon, spec.analysis)
+        chain, certificate = _certified_chain(session, modulus, offset)
     payload = {
         "experiment": _experiment_json(spec),
         "progression": {"modulus": str(modulus), "offset": str(offset)},

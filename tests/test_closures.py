@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dmlab import (
+    AnalysisParams,
     DensityProfile,
     Field,
     Morphism,
@@ -85,7 +86,7 @@ def test_infinite_orbit_closure_fills_the_line():
 def test_degree_cap_one_chain_sees_no_linear_relation():
     phi = mk_morphism(["t*x", "(1-t)*y"], XY, F2T)
     start = (F2T.one(), F2T.one())
-    chain = closure_chain(Session(phi, start, 20, degree_cap=1), 2, 1)
+    chain = closure_chain(Session(phi, start, 20, AnalysisParams(degree_cap=1)), 2, 1)
     assert [e.offset for e in chain.entries] == [1, 2]
     for entry in chain.entries:
         assert entry.ideal.is_zero_ideal
@@ -100,7 +101,8 @@ def test_unstabilized_when_budget_runs_out():
     # cap, and the budget stops the doubling before the bases can agree
     phi = mk_morphism(["x+1"], ("x",), QQ)
     session = Session(
-        phi, (QQ.from_int(0),), 20, degree_cap=4, initial_samples=4, sample_budget=8
+        phi, (QQ.from_int(0),), 20,
+        AnalysisParams(degree_cap=4, initial_samples=4, sample_budget=8),
     )
     entry = closure_chain(session, 1, 0).entries[0]
     basis, stabilized = entry.ideal, entry.stabilized
@@ -116,22 +118,22 @@ def test_closure_parameter_validation():
     with pytest.raises(ValueError):
         closure_chain(session, 1, -1)
     with pytest.raises(ValueError):
-        Session(phi, start, 20, initial_samples=1)
+        Session(phi, start, 20, AnalysisParams(initial_samples=1))
     with pytest.raises(ValueError):
-        Session(phi, start, 20, initial_samples=4, sample_budget=3)
+        Session(phi, start, 20, AnalysisParams(initial_samples=4, sample_budget=3))
     with pytest.raises(ValueError):
-        Session(phi, start, 20, degree_cap=0)
+        Session(phi, start, 20, AnalysisParams(degree_cap=0))
     with pytest.raises(ValueError, match="member minimum"):
-        Session(phi, start, 20, m_min=1)
+        Session(phi, start, 20, AnalysisParams(m_min=1))
     with pytest.raises(ValueError, match="depth limit"):
-        Session(phi, start, 20, depth_limit=-1)
+        Session(phi, start, 20, AnalysisParams(depth_limit=-1))
     with pytest.raises(ValueError):
         closure_chain(session, 0, 0)
     with pytest.raises(ValueError):
         closure_chain(session, 2, -1)
     # a budget below the default four initial samples
     with pytest.raises(ValueError):
-        Session(phi, start, 20, sample_budget=2)
+        Session(phi, start, 20, AnalysisParams(sample_budget=2))
 
 
 def test_dimension_nonincreasing_on_hand_built_chains():
@@ -346,7 +348,7 @@ def test_refine_chain_past_the_horizon():
 def test_refine_depth_exhausted():
     phi, start = swap_fixture()
     target = mk_basis(["x-1"], XY, QQ, ORDER2)
-    session = Session(phi, start, 20, depth_limit=0)
+    session = Session(phi, start, 20, AnalysisParams(depth_limit=0))
     chain = closure_chain(session, 2, 0)
     frag = refine_case_split(session, target, chain)
     assert [c.case for c in frag.offsets] == [CASE_DEPTH_EXHAUSTED] * 2

@@ -1,11 +1,14 @@
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "dmlab").glob("*.py"))
 # The modules whose public names the package re-exports, in its order.
 PACKAGE_MODULES = (
@@ -128,3 +131,36 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _bench_stages():
+    # perfbench/child.py, loaded without running it: it times each stage
+    # of a run by wrapping these names where dmlab.experiment binds them.
+    spec = importlib.util.spec_from_file_location("_bench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.STAGES
+
+
+def test_run_experiment_calls_every_traced_stage_through_its_own_binding(monkeypatch):
+    # A stage name that run_experiment stops calling through
+    # dmlab.experiment would still be wrapped, and would time as zero.
+    import dmlab.experiment as experiment
+
+    stages = _bench_stages()
+    assert [name for name in stages if name not in vars(experiment)] == []
+    calls = dict.fromkeys(stages, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in stages:
+        monkeypatch.setattr(experiment, name, counted(name, vars(experiment)[name]))
+    suite = json.loads((ROOT / "perfbench" / "suite.json").read_text(encoding="utf-8"))
+    doc = next(w for w in suite["workloads"] if w["name"] == "pullback-gf101")["experiment"]
+    experiment.run_experiment(experiment.experiment_from_dict(doc))
+    assert [name for name, n in calls.items() if n == 0] == []

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,11 @@ from dmlab import (
     Field,
     ReturnSet,
     SchemaError,
+    Session,
     StageError,
+    ceil_sqrt,
+    default_window_schedule,
+    detect_progressions,
     experiment_from_dict,
     load_experiment,
     parse_polynomial,
@@ -122,6 +128,24 @@ def test_analysis_defaults():
     big = experiment_from_dict({**base_doc(), "N": 1100})
     assert big.analysis.a_max == 34
     assert big.analysis.window_lengths == (6, 34, 192, 1100)
+
+
+def test_every_analysis_default_lives_on_the_record():
+    defaults = AnalysisParams()
+    spec = experiment_from_dict(base_doc())
+    assert Session(spec.phi, spec.start, spec.horizon).analysis == defaults
+    assert spec.analysis == defaults._replace(
+        a_max=ceil_sqrt(spec.horizon), window_lengths=default_window_schedule(spec.horizon)
+    )
+    params = inspect.signature(detect_progressions).parameters
+    assert params["m_min"].default == defaults.m_min
+    assert params["tail_start"].default == defaults.tail_start
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `(\w+)` +\| `(\d+)` +\|", readme, re.MULTILINE))
+    constant = (
+        "m_min", "tail_start", "degree_cap", "initial_samples", "sample_budget", "depth_limit"
+    )
+    assert table == {key: str(getattr(defaults, key)) for key in constant}
 
 
 def test_analysis_overrides():
@@ -607,7 +631,7 @@ def test_notes_derive_from_closure_outcomes():
     swap = Session(spec.phi, spec.start, 20)
     first = progression(swap, line, hand_built, invariant=False)
     # Both classes drop in dimension, but the depth is exhausted.
-    shallow = Session(spec.phi, spec.start, 20, depth_limit=0)
+    shallow = Session(spec.phi, spec.start, 20, AnalysisParams(depth_limit=0))
     second = progression(shallow, line, closure_chain(shallow, 2, 1))
     # The closure {x = 0} has the dimension of V: x^2 = x, not its ideal.
     shifted = experiment_from_dict({**base_doc(), "phi": ["x", "y+1"], "alpha": ["0", "0"]})

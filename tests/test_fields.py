@@ -636,13 +636,13 @@ def test_rotation_run_keeps_every_rational_payload_canonical(monkeypatch):
     )
     doc = next(w for w in suite["workloads"] if w["name"] == "rotation-qq")["experiment"]
     sessions = []
-    make_session = dmlab.experiment._session
+    make_session = dmlab.experiment.Session
 
-    def record(spec):
-        sessions.append(make_session(spec))
+    def record(*args):
+        sessions.append(make_session(*args))
         return sessions[-1]
 
-    monkeypatch.setattr(dmlab.experiment, "_session", record)
+    monkeypatch.setattr(dmlab.experiment, "Session", record)
     run_experiment(experiment_from_dict(doc))
     (session,) = sessions
     assert session.memo

@@ -80,8 +80,9 @@ def test_sessions_compare_by_identity_and_print_their_settings():
     a, b = Session(phi, start, 20), Session(phi, start, 20)
     assert a == a and a != b and hash(a) != hash(b)
     assert repr(a) == (
-        f"Session(phi={phi!r}, start={start!r}, horizon=20, m_min=5, degree_cap=4, "
-        "initial_samples=4, sample_budget=64, depth_limit=3)"
+        f"Session(phi={phi!r}, start={start!r}, horizon=20, analysis=AnalysisParams("
+        "a_max=None, m_min=5, tail_start=0, degree_cap=4, initial_samples=4, "
+        "sample_budget=64, depth_limit=3, window_lengths=None))"
     )
     with pytest.raises(AttributeError):
         a.not_a_field = 1
