@@ -39,8 +39,10 @@ from typing import NamedTuple
 from .density import (
     DensityProfile,
     Progression,
+    _require_int,
     ceil_sqrt,
     decompose_return_set,
+    default_window_schedule,
     detect_progressions,
 )
 from .ideals import (
@@ -174,7 +176,10 @@ class AnalysisParams(NamedTuple):
     ``initial_samples``, ``sample_budget`` and ``depth_limit`` bound
     closure sampling and the case split.  ``a_max`` and
     ``window_lengths`` default to None, meaning derived from the
-    horizon; a parsed experiment holds both resolved.
+    horizon; a parsed experiment holds both resolved.  The record
+    checks itself: :meth:`resolved` is the one place a setting's range
+    is written, so an experiment file and a :class:`Session` reject the
+    same values with the same text.
     """
 
     a_max: int | None = None
@@ -186,6 +191,33 @@ class AnalysisParams(NamedTuple):
     depth_limit: int = 3
     window_lengths: tuple | None = None
 
+    def resolved(self, horizon: int) -> "AnalysisParams":
+        """The record checked against the horizon N: a None ``a_max`` or
+        ``window_lengths`` derived from N, the lengths sorted without repeats.
+
+        Fields are checked in field order, each integer against its
+        minimum (``sample_budget``'s is ``initial_samples``), ``tail_start``
+        below N and the window lengths, a nonempty list or tuple, in [1, N];
+        the first failure raises ValueError naming the field.
+        """
+        _require_int(horizon, "N", 1)
+        params = self._replace(a_max=ceil_sqrt(horizon)) if self.a_max is None else self
+        # The integer fields' minimums, in field order.
+        minimums = (1, 2, 0, 1, 2, params.initial_samples, 0)
+        for name, value, minimum in zip(self._fields, params, minimums):
+            _require_int(value, name, minimum)
+            if name == "tail_start" and value >= horizon:
+                raise ValueError("tail_start must be below N")
+        lengths = params.window_lengths
+        if lengths is None:
+            lengths = default_window_schedule(horizon)
+        elif not isinstance(lengths, (list, tuple)) or not lengths:
+            raise ValueError("window_lengths must be a nonempty list of integers")
+        for length in lengths:
+            if _require_int(length, "window_lengths entry", 1) > horizon:
+                raise ValueError("window_lengths entries must not exceed N")
+        return params._replace(window_lengths=tuple(sorted(set(lengths))))
+
 
 class Session:
     """One run's orbit, horizon and analysis settings, plus its closure memo.
@@ -193,7 +225,8 @@ class Session:
     The run's values are ``phi``, ``start`` and ``horizon``; ``analysis``
     is its :class:`AnalysisParams`, whose progression threshold, closure
     degree cap, doubling-loop sample counts and case-split depth the
-    closure code reads.  Construction validates those settings and
+    closure code reads.  Construction checks those settings with
+    :meth:`AnalysisParams.resolved`, but keeps the record as given, and
     derives the shared :class:`OrbitCache` (which checks ``start``), the
     grevlex ``order`` and ``memo``, which maps (stride, offset) to the
     :class:`ClosureEntry` of that sub-orbit.  A closure depends on
@@ -208,16 +241,7 @@ class Session:
     __slots__ = ("phi", "start", "horizon", "analysis", "cache", "order", "memo", "certificates")
 
     def __init__(self, phi: Morphism, start: tuple, horizon: int, analysis=AnalysisParams()):
-        if analysis.m_min < 2:
-            raise ValueError("member minimum must be at least 2")
-        if analysis.depth_limit < 0:
-            raise ValueError("depth limit must be non-negative")
-        if analysis.initial_samples < 2:
-            raise ValueError("need at least two initial samples")
-        if analysis.sample_budget < analysis.initial_samples:
-            raise ValueError("sample budget below the initial sample count")
-        if analysis.degree_cap < 1:
-            raise ValueError("degree cap must be positive")
+        analysis.resolved(horizon)
         self.phi = phi
         self.start = start
         self.horizon = horizon

@@ -122,6 +122,16 @@ def ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def _require_int(value, name: str, minimum: int) -> int:
+    """``value``, if it is an int (not a bool) of at least ``minimum``; else
+    ValueError naming ``name``, in the texts every setting check shares."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
 def default_window_schedule(n: int) -> tuple:
     """Window lengths near N^(1/4), N^(1/2), N^(3/4) and N itself.
 
@@ -212,14 +222,13 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     C-level calls per modulus, plus one step per uncovered member in
     each modulus's first window, plus the slices of the candidates that
     pass that test: linear in a_max on a sparse S, not quadratic.
-    Output is sorted by (modulus, offset).
+    Output is sorted by (modulus, offset).  The arguments are checked
+    with the texts of the run's settings, N being ``s.horizon``.
     """
-    if a_max < 1:
-        raise ValueError("modulus bound must be positive")
-    if m_min < 2:
-        raise ValueError("member minimum must be at least 2")
-    if not 0 <= tail_start < s.horizon:
-        raise ValueError("tail offset must lie in [0, horizon)")
+    _require_int(a_max, "a_max", 1)
+    _require_int(m_min, "m_min", 2)
+    if _require_int(tail_start, "tail_start", 0) >= s.horizon:
+        raise ValueError("tail_start must be below N")
     n, flags = s.horizon, s.flags
     kept: list = []
     for a in range(1, a_max + 1):

@@ -46,9 +46,8 @@ from .closures import (
 )
 from .density import (
     DensityProfile,
-    ceil_sqrt,
+    _require_int,
     decompose_return_set,
-    default_window_schedule,
     density_profile,
     detect_progressions,
 )
@@ -104,12 +103,12 @@ class ExperimentSpec(NamedTuple):
     analysis: AnalysisParams
 
 
-def _require_int(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer")
-    if value < minimum:
-        raise SchemaError(f"{name} must be at least {minimum}")
-    return value
+def _schema(check, *args):
+    """``check(*args)``, its ValueError raised as a SchemaError of the same text."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _require_str_list(value, name: str):
@@ -121,10 +120,7 @@ def _require_str_list(value, name: str):
 def _parse_field(label) -> Field:
     if not isinstance(label, str):
         raise SchemaError("field must be a string")
-    try:
-        return Field.from_label(label)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _schema(Field.from_label, label)
 
 
 def experiment_from_dict(doc) -> ExperimentSpec:
@@ -160,7 +156,7 @@ def experiment_from_dict(doc) -> ExperimentSpec:
     target_sources = tuple(_require_str_list(doc["V"], "V"))
     if not target_sources:
         raise SchemaError("V must be nonempty")
-    horizon = _require_int(doc["N"], "N", 1)
+    horizon = _schema(_require_int, doc["N"], "N", 1)
 
     def parse_named(source, name):
         try:
@@ -201,39 +197,9 @@ def _parse_analysis(raw, horizon: int) -> AnalysisParams:
     unknown = set(raw) - set(AnalysisParams._fields)
     if unknown:
         raise SchemaError(f"unknown analysis key {sorted(unknown)[0]!r}")
-    values = {**AnalysisParams()._asdict(), "a_max": ceil_sqrt(horizon), **raw}
-    a_max = _require_int(values["a_max"], "a_max", 1)
-    m_min = _require_int(values["m_min"], "m_min", 2)
-    tail_start = _require_int(values["tail_start"], "tail_start", 0)
-    if tail_start >= horizon:
-        raise SchemaError("tail_start must be below N")
-    degree_cap = _require_int(values["degree_cap"], "degree_cap", 1)
-    initial_samples = _require_int(values["initial_samples"], "initial_samples", 2)
-    sample_budget = _require_int(values["sample_budget"], "sample_budget", initial_samples)
-    depth_limit = _require_int(values["depth_limit"], "depth_limit", 0)
-    lengths = values["window_lengths"]
-    if lengths is None:
-        window_lengths = default_window_schedule(horizon)
-    else:
-        if not isinstance(lengths, list) or not lengths:
-            raise SchemaError("window_lengths must be a nonempty list of integers")
-        out = []
-        for l in lengths:
-            l = _require_int(l, "window_lengths entry", 1)
-            if l > horizon:
-                raise SchemaError("window_lengths entries must not exceed N")
-            out.append(l)
-        window_lengths = tuple(sorted(set(out)))
-    return AnalysisParams(
-        a_max,
-        m_min,
-        tail_start,
-        degree_cap,
-        initial_samples,
-        sample_budget,
-        depth_limit,
-        window_lengths,
-    )
+    if raw.get("a_max", 1) is None:  # the record derives a None a_max; a file may not
+        raise SchemaError("a_max must be an integer")
+    return _schema(AnalysisParams(**raw).resolved, horizon)
 
 
 def load_experiment(path) -> ExperimentSpec:

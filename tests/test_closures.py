@@ -123,9 +123,9 @@ def test_closure_parameter_validation():
         Session(phi, start, 20, AnalysisParams(initial_samples=4, sample_budget=3))
     with pytest.raises(ValueError):
         Session(phi, start, 20, AnalysisParams(degree_cap=0))
-    with pytest.raises(ValueError, match="member minimum"):
+    with pytest.raises(ValueError, match="m_min must be at least 2"):
         Session(phi, start, 20, AnalysisParams(m_min=1))
-    with pytest.raises(ValueError, match="depth limit"):
+    with pytest.raises(ValueError, match="depth_limit must be at least 0"):
         Session(phi, start, 20, AnalysisParams(depth_limit=-1))
     with pytest.raises(ValueError):
         closure_chain(session, 0, 0)

@@ -116,6 +116,86 @@ def test_analysis_checks():
     rejects({**base_doc(), "analysis": {"window_lengths": [0]}}, "at least 1")
 
 
+# One bad analysis setting per row, at N = 20, with the parser's full text.
+BAD_ANALYSIS = [
+    ({"a_max": 0}, "a_max must be at least 1"),
+    ({"a_max": True}, "a_max must be an integer"),
+    ({"a_max": 2.0}, "a_max must be an integer"),
+    ({"m_min": 1}, "m_min must be at least 2"),
+    ({"m_min": "5"}, "m_min must be an integer"),
+    ({"m_min": False}, "m_min must be an integer"),
+    ({"tail_start": -1}, "tail_start must be at least 0"),
+    ({"tail_start": 20}, "tail_start must be below N"),
+    ({"tail_start": 25}, "tail_start must be below N"),
+    ({"tail_start": 2.0}, "tail_start must be an integer"),
+    ({"degree_cap": 0}, "degree_cap must be at least 1"),
+    # A Session once took these three: a float cap or budget reached the
+    # sampling loop, and a bool depth counted as 1.
+    ({"degree_cap": 1.5}, "degree_cap must be an integer"),
+    ({"sample_budget": 10.5}, "sample_budget must be an integer"),
+    ({"depth_limit": True}, "depth_limit must be an integer"),
+    ({"degree_cap": True}, "degree_cap must be an integer"),
+    ({"initial_samples": 1}, "initial_samples must be at least 2"),
+    ({"initial_samples": 4.0}, "initial_samples must be an integer"),
+    ({"sample_budget": 3}, "sample_budget must be at least 4"),
+    ({"initial_samples": 2, "sample_budget": 1}, "sample_budget must be at least 2"),
+    ({"depth_limit": -1}, "depth_limit must be at least 0"),
+    ({"depth_limit": None}, "depth_limit must be an integer"),
+    ({"window_lengths": []}, "window_lengths must be a nonempty list of integers"),
+    ({"window_lengths": 5}, "window_lengths must be a nonempty list of integers"),
+    ({"window_lengths": "3"}, "window_lengths must be a nonempty list of integers"),
+    ({"window_lengths": [0]}, "window_lengths entry must be at least 1"),
+    ({"window_lengths": [3, 21]}, "window_lengths entries must not exceed N"),
+    ({"window_lengths": [3, True]}, "window_lengths entry must be an integer"),
+    ({"window_lengths": [3.0]}, "window_lengths entry must be an integer"),
+    # Two bad settings: the first in field order is the one named.
+    ({"depth_limit": -1, "m_min": 1}, "m_min must be at least 2"),
+    ({"window_lengths": [0], "a_max": 0}, "a_max must be at least 1"),
+    ({"sample_budget": 1, "tail_start": 20}, "tail_start must be below N"),
+    ({"sample_budget": 1, "initial_samples": "4"}, "initial_samples must be an integer"),
+]
+
+
+@pytest.mark.parametrize("analysis, message", BAD_ANALYSIS)
+def test_each_bad_analysis_setting_has_one_text(analysis, message):
+    with pytest.raises(SchemaError) as exc:
+        experiment_from_dict({**base_doc(), "analysis": analysis})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"analysis": {"a_max": None}}, "a_max must be an integer"),
+        ({"N": 0}, "N must be at least 1"),
+        ({"N": True}, "N must be an integer"),
+        ({"N": "5"}, "N must be an integer"),
+        # N is checked before the expressions and the analysis settings.
+        ({"N": 0, "phi": ["y", "x++"], "analysis": {"m_min": 1}}, "N must be at least 1"),
+    ],
+)
+def test_parser_only_texts(doc, message):
+    with pytest.raises(SchemaError) as exc:
+        experiment_from_dict({**base_doc(), **doc})
+    assert str(exc.value) == message
+
+
+def test_null_window_lengths_resolve_from_n():
+    spec = experiment_from_dict({**base_doc(), "analysis": {"window_lengths": None}})
+    assert spec.analysis.window_lengths == default_window_schedule(20) == (3, 5, 10, 20)
+    edge = {"tail_start": 19, "window_lengths": [20], "initial_samples": 2, "sample_budget": 2}
+    spec = experiment_from_dict({**base_doc(), "analysis": edge})
+    assert spec.analysis == AnalysisParams(5, 5, 19, 4, 2, 2, 3, (20,))
+
+
+@pytest.mark.parametrize("analysis, message", BAD_ANALYSIS)
+def test_file_and_session_reject_a_setting_with_one_text(analysis, message):
+    spec = experiment_from_dict(base_doc())
+    with pytest.raises(ValueError) as exc:
+        Session(spec.phi, spec.start, spec.horizon, AnalysisParams(**analysis))
+    assert str(exc.value) == message
+
+
 def test_error_hierarchy():
     assert issubclass(SchemaError, ExperimentError)
     assert issubclass(StageError, ExperimentError)
