@@ -27,9 +27,11 @@ dimension comparisons into either certified whole progressions, derived
 sub-instances analyzed recursively, or fallbacks recorded by case code.
 
 The run itself is the root :class:`SubInstance` (stride 1, offset 0),
-whose progressions are :class:`SubProgression` records like those of
-any derived instance, so a report treats every depth of the recursion
-alike.
+and one function builds every instance's progressions and decomposition:
+the root's under the run's settings, a derived one's under the defaults
+for its own horizon.  It calls its stages through a table of names, this
+module's for derived instances and the experiment module's for the root,
+so a report treats every depth of the recursion alike.
 """
 
 from __future__ import annotations
@@ -292,20 +294,19 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     return entry
 
 
-def _chain(session: Session, stride: int, offsets) -> ClosureChain:
-    entries = tuple(_closure(session, stride, offset) for offset in offsets)
-    return ClosureChain(stride, session.analysis.degree_cap, entries)
-
-
-def closure_chain(session: Session, modulus: int, base_offset: int) -> ClosureChain:
-    """Closures of all offset classes base_offset + i, i < modulus.
+def closure_chain(session: Session, modulus: int, base_offset: int, step: int = 1) -> ClosureChain:
+    """Closures of the offset classes base_offset + i, i < modulus a
+    multiple of ``step``, which a derived instance sets to its stride.
 
     Along the true chain each closure maps onto a dense subset of the
     next, so dimensions cannot increase; check
     ``dimension_nonincreasing`` to see whether the samples honor that.
     """
     Progression(modulus, base_offset)  # validates the frame
-    return _chain(session, modulus, range(base_offset, base_offset + modulus))
+    _require_int(step, "step", 1)
+    offsets = range(base_offset, base_offset + modulus, step)
+    entries = tuple(_closure(session, modulus, offset) for offset in offsets)
+    return ClosureChain(modulus, session.analysis.degree_cap, entries)
 
 
 def certify_invariant(
@@ -346,24 +347,23 @@ def certify_invariant(
 
 
 def refine_case_split(
-    session: Session, target: ReducedGroebnerBasis, chain: ClosureChain
+    session: Session, target: ReducedGroebnerBasis, chain: ClosureChain, depth: int | None = None
 ) -> CaseSplitFragment:
     """Resolve each offset class of a chain against the target variety.
 
     Per offset, with W the sampled closure and V the target: when
     dim(V ∩ W) < dim(V), the class descends to a derived instance (the
     modulus-fold iterate started at the class offset, against V ∩ W)
-    analyzed recursively up to the session's ``depth_limit``; when the
-    ideals of W and V agree, the entire class is inside the return set;
-    equal dimensions with distinct ideals would need irreducibility of
-    the target to conclude, so that outcome is only recorded by its case
-    code.  The report derives its flags from the case codes, the entries'
-    ``stabilized`` and the chain's ``dimension_nonincreasing``.
+    analyzed recursively while ``depth`` levels remain, the session's
+    ``depth_limit`` when None; when the ideals of W and V agree, the
+    entire class is inside the return set; equal dimensions with
+    distinct ideals would need irreducibility of the target to conclude,
+    so that outcome is only recorded by its case code.  The report
+    derives its flags from the case codes, the entries' ``stabilized``
+    and the chain's ``dimension_nonincreasing``.
     """
-    return _case_split(session, target, chain, session.analysis.depth_limit)
-
-
-def _case_split(session, target, chain, depth) -> CaseSplitFragment:
+    if depth is None:
+        depth = session.analysis.depth_limit
     target_dim = ideal_dimension(target)
     cases = []
     for entry in chain.entries:
@@ -385,6 +385,28 @@ def _case_split(session, target, chain, depth) -> CaseSplitFragment:
     return CaseSplitFragment(target_dim, tuple(cases))
 
 
+def _analyze(session, target, returns, stride, offset, depth, params, names=globals()):
+    """The instance of the given stride and offset whose return set is
+    ``returns``, and its decomposition: progressions detected and
+    decomposed under ``params``, each with its closure chain, certificate
+    and case split at ``depth``.  Every stage is called through ``names``;
+    the run passes the experiment module's, derived instances this one's."""
+    progressions = names["detect_progressions"](
+        returns, params.a_max, params.m_min, params.tail_start
+    )
+    subs = []
+    for prog in progressions:
+        # The class prog.modulus * k + prog.offset in orbit indices.
+        base = stride * prog.offset + offset
+        chain = names["closure_chain"](session, stride * prog.modulus, base, stride)
+        certificate = session.certificate(chain, names["certify_invariant"])
+        fragment = names["refine_case_split"](session, target, chain, depth)
+        subs.append(SubProgression(prog.modulus, prog.offset, chain, certificate, fragment))
+    dec = names["decompose_return_set"](returns, progressions, params.window_lengths)
+    instance = SubInstance(stride, offset, returns, tuple(subs), dec.residual, dec.residual_profile)
+    return instance, dec
+
+
 def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
     # Instance index l maps to orbit index stride * l + offset; the
     # derived horizon is the number of such indices below the original.
@@ -393,14 +415,6 @@ def _analyze_subinstance(session, target, stride, offset, depth) -> SubInstance:
         empty = ReturnSet(0, ())
         return SubInstance(stride, offset, empty, (), empty, DensityProfile(0, ()))
     returns = session.cache.scan(target.generators, count, stride, offset)
-    progressions = detect_progressions(returns, ceil_sqrt(count), session.analysis.m_min)
-    subs = []
-    for prog in progressions:
-        # The class prog.modulus * k + prog.offset in orbit indices.
-        modulus, start = stride * prog.modulus, stride * prog.offset + offset
-        chain = _chain(session, modulus, range(start, start + modulus, stride))
-        certificate = session.certificate(chain, certify_invariant)
-        fragment = _case_split(session, target, chain, depth)
-        subs.append(SubProgression(prog.modulus, prog.offset, chain, certificate, fragment))
-    dec = decompose_return_set(returns, progressions)
-    return SubInstance(stride, offset, returns, tuple(subs), dec.residual, dec.residual_profile)
+    # The run's search bounds and windows are its own, not a derived instance's.
+    params = session.analysis._replace(a_max=None, tail_start=0, window_lengths=None)
+    return _analyze(session, target, returns, stride, offset, depth, params.resolved(count))[0]

@@ -40,17 +40,15 @@ from .closures import (
     Session,
     SubInstance,
     SubProgression,
+    _analyze,
     certify_invariant,
     closure_chain,
-    refine_case_split,
 )
-from .density import (
-    DensityProfile,
-    _require_int,
-    decompose_return_set,
-    density_profile,
-    detect_progressions,
-)
+from .density import DensityProfile, _require_int, density_profile
+# Never called by name here: bound for perfbench/child.py's STAGES, which
+# wraps them, and reached by run_experiment through globals().
+from .closures import refine_case_split
+from .density import decompose_return_set, detect_progressions
 from .exprparse import ExprSyntaxError, parse_polynomial
 from .fields import Field
 from .ideals import buchberger
@@ -343,33 +341,17 @@ def _scan(spec: ExperimentSpec, cache=None):
     return returns, profile
 
 
-def _certified_chain(session: Session, modulus: int, offset: int):
-    """Closure chain of one progression and its base offset's certificate."""
-    chain = closure_chain(session, modulus, offset)
-    return chain, session.certificate(chain, certify_invariant)
-
-
 def run_experiment(spec: ExperimentSpec) -> ReportDocument:
     """Run the full pipeline as the root instance and assemble the report."""
     params = spec.analysis
     session = Session(spec.phi, spec.start, spec.horizon, params)
-    # Stages call by this module's names: perfbench/child.py's STAGES wraps them.
+    # perfbench/child.py's STAGES wraps this module's names; _analyze reads them in globals().
     returns, profile = _scan(spec, session.cache)
-    with _stage("progression-detection"):
-        progressions = detect_progressions(
-            returns, params.a_max, params.m_min, params.tail_start
-        )
     with _stage("closure-certification"):
         target_basis = buchberger(spec.target_generators, session.order)
-        analyses = []
-        for prog in progressions:
-            m, o = prog.modulus, prog.offset
-            chain, certificate = _certified_chain(session, m, o)
-            fragment = refine_case_split(session, target_basis, chain)
-            analyses.append(SubProgression(m, o, chain, certificate, fragment))
-    with _stage("decomposition"):
-        dec = decompose_return_set(returns, progressions, params.window_lengths)
-    root = SubInstance(1, 0, returns, tuple(analyses), dec.residual, dec.residual_profile)
+        root, dec = _analyze(
+            session, target_basis, returns, 1, 0, params.depth_limit, params, globals()
+        )
     return ReportDocument(_build_payload(spec, profile, root), returns, profile, dec)
 
 
@@ -388,7 +370,8 @@ def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDoc
     """Closure chain and certificate of one progression, without detection."""
     with _stage("closure-certification"):
         session = Session(spec.phi, spec.start, spec.horizon, spec.analysis)
-        chain, certificate = _certified_chain(session, modulus, offset)
+        chain = closure_chain(session, modulus, offset)
+        certificate = session.certificate(chain, certify_invariant)
     payload = {
         "experiment": _experiment_json(spec),
         "progression": {"modulus": str(modulus), "offset": str(offset)},

@@ -1,14 +1,17 @@
 import sys
+from collections import Counter
 
 import pytest
 
 
 class CountingRing:
-    """Stands in for a field's payload ring and counts the operations run."""
+    """Stands in for a field's payload ring and counts the operations run:
+    ``calls`` in all, ``counts`` per operation name."""
 
     def __init__(self, ring):
         self.ring = ring
         self.calls = 0
+        self.counts = Counter()
 
     def __getattr__(self, name):
         attr = getattr(self.ring, name)
@@ -17,6 +20,7 @@ class CountingRing:
 
         def counted(*args):
             self.calls += 1
+            self.counts[name] += 1
             return attr(*args)
 
         return counted

@@ -326,6 +326,31 @@ def test_refine_swap_against_line():
     assert odd.child.progressions == ()
 
 
+def test_refine_depth_argument_overrides_the_session_limit():
+    phi, start = swap_fixture()
+    target = mk_basis(["x-1"], XY, QQ, ORDER2)
+    session = Session(phi, start, 20)
+    chain = closure_chain(session, 2, 0)
+    frag = refine_case_split(session, target, chain, 0)
+    assert [c.case for c in frag.offsets] == [CASE_DEPTH_EXHAUSTED] * 2
+    assert [c.child for c in frag.offsets] == [None, None]
+    assert refine_case_split(session, target, chain, 3) == refine_case_split(session, target, chain)
+
+
+def test_chain_step_walks_every_step_th_class():
+    # A derived instance of stride 2 walks its progression 2l + 0 as the
+    # orbit classes 4k + 1 and 4k + 3 when it starts at orbit offset 1.
+    phi, start = swap_fixture()
+    session = Session(phi, start, 20)
+    chain = closure_chain(session, 4, 1, 2)
+    assert chain.modulus == 4
+    assert [e.offset for e in chain.entries] == [1, 3]
+    assert chain.entries == closure_chain(session, 4, 1).entries[::2]
+    for step in (0, -2):
+        with pytest.raises(ValueError, match="step must be at least 1"):
+            closure_chain(session, 4, 1, step)
+
+
 def test_refine_chain_past_the_horizon():
     # Offsets 20 and 21 lie at or past the horizon 20, so both derived
     # instances have no indices at all.

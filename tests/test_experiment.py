@@ -623,6 +623,61 @@ def test_each_certificate_is_computed_once_per_run(name, calls, monkeypatch):
     assert len(set(seen)) == calls
 
 
+# One run of each suite workload: its payload-ring operations by name,
+# and its calls to normal_form, vanishing_ideal, buchberger and
+# certify_invariant.  The analysis is deterministic, so a count moves
+# only when the run does different work.
+COUNTED = ("normal_form", "vanishing_ideal", "buchberger", "certify_invariant")
+OPERATION_COUNTS = {
+    "tower-gf2t": ({"add": 8800, "mul": 8798}, (0, 0, 1, 0)),
+    "rotation-qq": (
+        {"add": 4508, "mul": 3144, "dmul": 2076, "pow": 400, "combine": 358,
+         "primitive": 358, "quotient": 137, "neg": 85, "clear": 80, "inverse": 3},
+        (84, 20, 26, 4),
+    ),
+    "cycle-gf101": (
+        {"add": 344, "mul": 206, "pow": 84, "dmul": 80, "combine": 36, "primitive": 36,
+         "quotient": 10, "clear": 6, "neg": 3, "inverse": 1},
+        (5, 3, 4, 1),
+    ),
+    "pullback-gf101": (
+        {"add": 276, "mul": 157, "pow": 84, "clear": 24, "combine": 24, "dmul": 24,
+         "primitive": 24, "quotient": 24, "neg": 10, "inverse": 5},
+        (16, 12, 8, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATION_COUNTS))
+def test_suite_operation_counts(name, monkeypatch):
+    import sys
+
+    import dmlab
+    from conftest import CountingRing
+
+    spec = experiment_from_dict(WORKLOADS[name]["experiment"])
+    ring = CountingRing(spec.field._ring)
+    monkeypatch.setattr(spec.field, "_ring", ring)
+    calls = dict.fromkeys(COUNTED, 0)
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dmlab"]
+    for counted in COUNTED:
+        original = getattr(dmlab, counted)
+
+        def wrapper(*args, counted=counted, original=original):
+            calls[counted] += 1
+            return original(*args)
+
+        for module in modules:
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, wrapper)
+    run_experiment(spec)
+    operations, functions = OPERATION_COUNTS[name]
+    assert dict(ring.counts) == operations
+    assert ring.calls == sum(operations.values())
+    assert tuple(calls.values()) == functions
+
+
 # (experiment, diagnostic count, report digest) of reports whose notes
 # cover every code, at the top level and inside derived instances.
 DIAGNOSTIC_REPORTS = [
@@ -851,3 +906,66 @@ def test_subinstance_scan_tests_each_stored_point_once(monkeypatch):
     assert min(map(len, calls)) >= 1
     assert max(map(len, calls)) <= 84
     assert all(len(set(tested)) == len(tested) for tested in calls)
+
+
+def _derived_instances(node, out):
+    if isinstance(node, dict):
+        if node.get("derived"):
+            out.append(node["derived"])
+        for value in node.values():
+            _derived_instances(value, out)
+    elif isinstance(node, list):
+        for value in node:
+            _derived_instances(value, out)
+    return out
+
+
+def test_derived_instances_do_not_inherit_the_root_settings():
+    # The root's a_max, tail_start and windows bound the run's own
+    # search; each derived instance derives them from its own horizon.
+    analysis = {"tail_start": 78, "a_max": 30, "window_lengths": [7, 100, 5000]}
+    doc = {**WORKLOADS["pullback-gf101"]["experiment"], "analysis": analysis}
+    report = run_experiment(experiment_from_dict(doc))
+    assert sha256(report.to_json()) == (
+        "2e5a0f67e0b2f383ea3e33660af6db667a22a826c8b64d2f4b6dbe8d956637b1"
+    )
+    root_windows = report.payload["decomposition"]["residual_profile"]["entries"]
+    assert [e["window"] for e in root_windows] == ["7", "100", "5000"]
+    derived = _derived_instances(report.payload["progressions"], [])
+    assert len(derived) == 6
+    for sub in derived:
+        windows = [int(e["window"]) for e in sub["residual_profile"]["entries"]]
+        assert windows == list(default_window_schedule(int(sub["horizon"])))
+
+
+def test_derived_instances_never_call_the_root_bindings(monkeypatch):
+    # perfbench/child.py times the root's stages through these bindings;
+    # a derived instance calling one would nest its spans.
+    import dmlab.experiment
+
+    names = ("detect_progressions", "decompose_return_set", "closure_chain",
+             "refine_case_split", "certify_invariant")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(dmlab.experiment, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dmlab.experiment, name, wrapper)
+    run_experiment(experiment_from_dict(WORKLOADS["pullback-gf101"]["experiment"]))
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_derived_instance_failure_names_the_certification_stage(monkeypatch):
+    # Only derived instances detect through closures' binding.
+    import dmlab.closures
+
+    def failing(*args):
+        raise RuntimeError("detection failed")
+
+    monkeypatch.setattr(dmlab.closures, "detect_progressions", failing)
+    with pytest.raises(StageError) as exc:
+        run_experiment(experiment_from_dict(WORKLOADS["pullback-gf101"]["experiment"]))
+    assert str(exc.value) == "closure-certification stage: detection failed"
