@@ -23,8 +23,11 @@ increase marks sampling noise.  :func:`certify_invariant` checks
 algebraically that a subvariety W maps into itself under the a-th
 iterate, composing phi a times modulo I(W), so for finite W the work
 is linear in a.  :func:`refine_case_split` turns chain-versus-target
-dimension comparisons into either certified whole progressions, derived
+comparisons into either certified whole progressions, derived
 sub-instances analyzed recursively, or fallbacks recorded by case code.
+A class lies in V when its closure W has I(V) ⊆ I(W); reduced bases are
+unique, so that is I(V) + I(W) = I(W), read off the sum the dimension
+comparison already computes.
 
 The run itself is the root :class:`SubInstance` (stride 1, offset 0),
 and one function builds every instance's progressions and decomposition:
@@ -41,12 +44,12 @@ from typing import NamedTuple
 from .density import (
     DensityProfile,
     Progression,
-    _require_int,
     ceil_sqrt,
     decompose_return_set,
     default_window_schedule,
     detect_progressions,
 )
+from .fields import _require_int
 from .ideals import (
     ReducedGroebnerBasis,
     ideal_dimension,
@@ -61,6 +64,7 @@ from .orbits import Morphism, OrbitCache, ReturnSet
 __all__ = [
     "AnalysisParams",
     "CASE_CLOSURE_EQUALS_TARGET",
+    "CASE_CLOSURE_IN_TARGET",
     "CASE_DEPTH_EXHAUSTED",
     "CASE_DIMENSION_DROP",
     "CASE_IRREDUCIBILITY_UNVERIFIED",
@@ -79,6 +83,7 @@ __all__ = [
 
 CASE_DIMENSION_DROP = "dimension-drop"
 CASE_CLOSURE_EQUALS_TARGET = "closure-equals-target"
+CASE_CLOSURE_IN_TARGET = "closure-in-target"
 CASE_IRREDUCIBILITY_UNVERIFIED = "irreducibility-unverified"
 CASE_DEPTH_EXHAUSTED = "depth-exhausted"
 
@@ -325,8 +330,7 @@ def certify_invariant(
     as given, which for the vanishing ideals produced here (finite
     point sets) is exact containment.
     """
-    if modulus < 1:
-        raise ValueError("iterate count must be positive")
+    _require_int(modulus, "modulus", 1)
     if basis.num_vars != phi.num_vars or basis.field != phi.field:
         raise ValueError("basis and morphism do not share a ring")
     witnesses = []
@@ -355,10 +359,11 @@ def refine_case_split(
     dim(V ∩ W) < dim(V), the class descends to a derived instance (the
     modulus-fold iterate started at the class offset, against V ∩ W)
     analyzed recursively while ``depth`` levels remain, the session's
-    ``depth_limit`` when None; when the ideals of W and V agree, the
-    entire class is inside the return set; equal dimensions with
-    distinct ideals would need irreducibility of the target to conclude,
-    so that outcome is only recorded by its case code.  The report
+    ``depth_limit`` when None.  When the ideals of W and V agree, or
+    I(V) ⊆ I(W), so that I(V) + I(W) is I(W) and W lies in V, the entire
+    class is inside the return set.  Equal dimensions with W not inside
+    V would need irreducibility of the target to conclude, so that
+    outcome is only recorded by its case code.  The report
     derives its flags from the case codes, the entries' ``stabilized``
     and the chain's ``dimension_nonincreasing``.
     """
@@ -379,6 +384,8 @@ def refine_case_split(
             case = CASE_DEPTH_EXHAUSTED
         elif ideal_equal(entry.ideal, target):
             case = CASE_CLOSURE_EQUALS_TARGET
+        elif ideal_equal(intersection, entry.ideal):
+            case = CASE_CLOSURE_IN_TARGET
         else:
             case = CASE_IRREDUCIBILITY_UNVERIFIED
         cases.append(OffsetCase(inter_dim, intersection, case, child))

@@ -36,6 +36,7 @@ from math import isqrt
 from operator import sub
 from typing import NamedTuple
 
+from .fields import _require_int
 from .orbits import ReturnSet
 
 __all__ = [
@@ -60,12 +61,8 @@ class Progression:
     __slots__ = ("modulus", "offset")
 
     def __init__(self, modulus: int, offset: int):
-        if modulus < 1:
-            raise ValueError("progression modulus must be positive")
-        if offset < 0:
-            raise ValueError("progression offset must be non-negative")
-        self.modulus = modulus
-        self.offset = offset
+        self.modulus = _require_int(modulus, "modulus", 1)
+        self.offset = _require_int(offset, "offset", 0)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,20 +113,8 @@ class Decomposition(NamedTuple):
 
 def ceil_sqrt(n: int) -> int:
     """Smallest integer r with r*r >= n."""
-    if n < 0:
-        raise ValueError("negative input")
-    r = isqrt(n)
+    r = isqrt(_require_int(n, "n", 0))
     return r if r * r == n else r + 1
-
-
-def _require_int(value, name: str, minimum: int) -> int:
-    """``value``, if it is an int (not a bool) of at least ``minimum``; else
-    ValueError naming ``name``, in the texts every setting check shares."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}")
-    return value
 
 
 def default_window_schedule(n: int) -> tuple:
@@ -138,8 +123,7 @@ def default_window_schedule(n: int) -> tuple:
     Exact integer arithmetic: the k/4 entry is the smallest L with
     L^4 >= N^k.  Duplicates collapse for small N.
     """
-    if n < 1:
-        raise ValueError("horizon must be positive")
+    _require_int(n, "N", 1)
 
     def ceil_quarter_root(target: int) -> int:
         r = isqrt(isqrt(target))
@@ -187,20 +171,18 @@ def _window_maxima(s: ReturnSet, lengths) -> list:
 
 def window_density_max(s: ReturnSet, length: int) -> Fraction:
     """Exact max of |S ∩ I| / L over length-L windows I inside [0, N)."""
-    if not 1 <= length <= s.horizon:
-        raise ValueError("window length must lie in [1, horizon]")
-    return _window_maxima(s, (length,))[0]
+    return density_profile(s, (length,)).entries[0][1]
 
 
 def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
     """Profile of max window ratios over a schedule of lengths."""
     if lengths is None:
         lengths = default_window_schedule(s.horizon)
-    lengths = sorted(set(lengths))
+    lengths = sorted({_require_int(length, "window length", 1) for length in lengths})
     if not lengths:
         raise ValueError("window schedule must be nonempty")
-    if lengths[0] < 1 or lengths[-1] > s.horizon:
-        raise ValueError("window length must lie in [1, horizon]")
+    if lengths[-1] > s.horizon:
+        raise ValueError("window length must not exceed N")
     return DensityProfile(s.horizon, tuple(zip(lengths, _window_maxima(s, lengths))))
 
 

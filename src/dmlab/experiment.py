@@ -44,13 +44,13 @@ from .closures import (
     certify_invariant,
     closure_chain,
 )
-from .density import DensityProfile, _require_int, density_profile
+from .density import DensityProfile, Progression, density_profile
 # Never called by name here: bound for perfbench/child.py's STAGES, which
 # wraps them, and reached by run_experiment through globals().
 from .closures import refine_case_split
 from .density import decompose_return_set, detect_progressions
 from .exprparse import ExprSyntaxError, parse_polynomial
-from .fields import Field
+from .fields import Field, _require_int
 from .ideals import buchberger
 from .orbits import Morphism, ReturnSet, return_set
 
@@ -368,6 +368,7 @@ def density_report(spec: ExperimentSpec) -> ReportDocument:
 
 def certify_report(spec: ExperimentSpec, modulus: int, offset: int) -> ReportDocument:
     """Closure chain and certificate of one progression, without detection."""
+    _schema(Progression, modulus, offset)
     with _stage("closure-certification"):
         session = Session(spec.phi, spec.start, spec.horizon, spec.analysis)
         chain = closure_chain(session, modulus, offset)

@@ -80,6 +80,16 @@ _MAX_CHARACTERISTIC = 2**31
 _LABEL_RE = re.compile(r"GF\(([0-9]+)\)(\(t\))?")
 
 
+def _require_int(value, name: str, minimum: int) -> int:
+    """``value``, if it is an int (not a bool) of at least ``minimum``; else
+    ValueError naming ``name``, in the texts every integer check shares."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
 def _prime_characteristic(p: int) -> int:
     """``p``, checked to be a prime below 2**31."""
     # Trial division; at the 2**31 cap this is about 46,000 divisions,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .fields import Field, FieldValue
+from .fields import Field, FieldValue, _require_int
 from .multipoly import (
     GREVLEX,
     MonomialOrder,
@@ -334,8 +334,7 @@ def vanishing_ideal(
     if max_degree is not None:
         if order.kind != GREVLEX:
             raise ValueError("a degree cap needs a grevlex order")
-        if max_degree < 0:
-            raise ValueError("degree cap must be non-negative")
+        _require_int(max_degree, "degree cap", 0)
     if not isinstance(points, PointSet):
         points = PointSet.of(points)
     if order.num_vars != points.num_vars:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import itemgetter, neg
 
-from .fields import Field, FieldMismatchError, FieldValue
+from .fields import Field, FieldMismatchError, FieldValue, _require_int
 
 __all__ = [
     "MonomialOrder",
@@ -249,8 +249,7 @@ class MultiPoly:
         return MultiPoly(self.field, self.num_vars, _merge(self.field._ring, {}, products))
 
     def __pow__(self, e: int) -> "MultiPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial exponents must be non-negative integers")
+        _require_int(e, "exponent", 0)
         out = MultiPoly.from_int(self.field, self.num_vars, 1)
         base = self
         while e:

@@ -34,7 +34,7 @@ from itertools import compress, islice
 from math import gcd
 from typing import NamedTuple
 
-from .fields import FieldMismatchError, FieldValue
+from .fields import FieldMismatchError, FieldValue, _require_int
 from .multipoly import MultiPoly, _point_payloads
 
 __all__ = [
@@ -97,8 +97,7 @@ class Morphism:
 
 def orbit_prefix(phi: Morphism, point, n: int) -> list:
     """First n orbit points [point, phi(point), ..., phi^(n-1)(point)]."""
-    if n < 0:
-        raise ValueError("prefix length must be non-negative")
+    _require_int(n, "n", 0)
     out = []
     current = phi._payloads(point)
     for _ in range(n):
@@ -138,8 +137,7 @@ class OrbitCache:
         This is n itself until the orbit is known to repeat, and
         preperiod + (n - preperiod) % period beyond the stored cycle.
         """
-        if n < 0:
-            raise ValueError("orbit index must be non-negative")
+        _require_int(n, "n", 0)
         pts, seen, step = self._points, self._seen, self.phi._step
         while self.cycle is None and len(pts) <= n:
             nxt = step(pts[-1])
@@ -249,8 +247,7 @@ class ReturnSet:
     __slots__ = ("horizon", "flags")
 
     def __init__(self, horizon: int, indices):
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        _require_int(horizon, "horizon", 0)
         members = set(indices)
         if members and not (0 <= min(members) and max(members) < horizon):
             raise ValueError("indices must lie in [0, horizon)")
@@ -313,8 +310,7 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
     a given cache must belong to this map and start; both are checked
     before any iterate is computed.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    _require_int(horizon, "horizon", 1)
     gens = tuple(getattr(target, "generators", target))
     for g in gens:
         if not isinstance(g, MultiPoly):

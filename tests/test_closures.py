@@ -24,6 +24,7 @@ from dmlab import (
 )
 from dmlab.closures import (
     CASE_CLOSURE_EQUALS_TARGET,
+    CASE_CLOSURE_IN_TARGET,
     CASE_DEPTH_EXHAUSTED,
     CASE_DIMENSION_DROP,
     CASE_IRREDUCIBILITY_UNVERIFIED,
@@ -397,7 +398,8 @@ def test_refine_closure_equal_to_target():
 
 def test_refine_equal_dimension_distinct_ideals():
     # vertical shift: closure of the orbit is the axis x = 0, the
-    # target x^2 = x is a pair of lines of the same dimension
+    # target x^2 = x is a pair of lines of the same dimension, one of
+    # them the axis: I(V) + I(W) = I(W), so the class lies in V
     phi = mk_morphism(["x", "y+1"], XY, QQ)
     start = (QQ.from_int(0), QQ.from_int(0))
     target = mk_basis(["x^2-x"], XY, QQ, ORDER2)
@@ -408,7 +410,7 @@ def test_refine_equal_dimension_distinct_ideals():
     frag = refine_case_split(session, target, chain)
     case = frag.offsets[0]
     assert frag.target_dimension == 1
-    assert case.case == CASE_IRREDUCIBILITY_UNVERIFIED
+    assert case.case == CASE_CLOSURE_IN_TARGET
     assert chain.entries[0].stabilized
     assert case.child is None
 

@@ -118,6 +118,31 @@ def test_only_fields_knows_what_a_field_kind_means():
     }
 
 
+def _integer_checks(path):
+    # Definitions of _require_int, and ValueErrors raised with a literal
+    # text in the wording the integer rule replaced.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_require_int":
+            yield "defines _require_int"
+        elif (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ValueError"
+        ):
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    if "must be positive" in part.value or "must be non-negative" in part.value:
+                        yield "raises a hand-written integer check"
+
+
+def test_one_integer_check_lives_in_fields():
+    # Counts, indices, moduli, degrees and horizons all go through
+    # fields._require_int and share its texts.
+    found = [(path.name, what) for path in SOURCES for what in _integer_checks(path)]
+    assert found == [("fields.py", "defines _require_int")]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every ``dml`` run imports the package first; these two modules
     # (and the ast/dis/tokenize that inspect drags in) cost milliseconds.

@@ -681,12 +681,13 @@ def test_suite_operation_counts(name, monkeypatch):
 # (experiment, diagnostic count, report digest) of reports whose notes
 # cover every code, at the top level and inside derived instances.
 DIAGNOSTIC_REPORTS = [
-    # The closure {x = 0} lies inside V, but its ideal differs from V's.
+    # The closure {x = 0} lies inside V, but its ideal differs from V's:
+    # closure-in-target, which is a success and has no note.
     (
         {"field": "QQ", "vars": ["x", "y"], "phi": ["x", "y+1"],
          "alpha": ["0", "0"], "V": ["x*y"], "N": 40},
-        1,
-        "6d2c3e5577432fa866566da2cb5519b3913c4291f44e65c846d071cce1bb0e1a",
+        0,
+        "d412e6988e7a4f19dcd153c073f4f6703e7d90d6a15770dc43201219d43c0e74",
     ),
     # Every note comes from a derived instance whose depth ran out.
     (
@@ -723,6 +724,29 @@ def test_golden_diagnostic_reports(doc, notes, digest, tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert len(json.loads(out.read_text(encoding="utf-8"))["diagnostics"]) == notes
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_containment_report(tmp_path):
+    # The swap-and-shift orbit alternates between the line x = y + 1, a
+    # component of V with its own ideal, and x = y - 2, which misses V:
+    # closure-in-target at offset 1, a dimension drop at offset 2, and no
+    # spurious flag.
+    doc = {"field": "QQ", "vars": ["x", "y"], "phi": ["y", "x+1"],
+           "alpha": ["0", "2"], "V": ["(x-y)*(x-y-1)"], "N": 40}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["diagnostics"] == []
+    (progression,) = payload["progressions"]
+    assert (progression["modulus"], progression["offset"]) == ("2", "1")
+    assert [(o["offset"], o["case"]) for o in progression["case_split"]["offsets"]] == [
+        ("1", "closure-in-target"),
+        ("2", "dimension-drop"),
+    ]
+    digest = "4b02b24f03546b706c466e2acf5d267af60494ea574f510c3127a2db0375b503"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -768,7 +792,7 @@ def test_notes_derive_from_closure_outcomes():
     # Both classes drop in dimension, but the depth is exhausted.
     shallow = Session(spec.phi, spec.start, 20, AnalysisParams(depth_limit=0))
     second = progression(shallow, line, closure_chain(shallow, 2, 1))
-    # The closure {x = 0} has the dimension of V: x^2 = x, not its ideal.
+    # The closure {x = 0} lies inside V: x^2 = x, but has another ideal.
     shifted = experiment_from_dict({**base_doc(), "phi": ["x", "y+1"], "alpha": ["0", "0"]})
     shift = Session(shifted.phi, shifted.start, 30)
     third = progression(shift, basis("x^2-x"), closure_chain(shift, 1, 0))
@@ -791,18 +815,17 @@ def test_notes_derive_from_closure_outcomes():
         f"progression (2, 0): {unstable}",
         f"progression (2, 0): {unverified}",
         f"progression (2, 1): {depth}",
-        f"progression (1, 0): {unverified}",
     ]
     assert notes == reference_diagnostics([first, second, third])
     assert [r["flags"] for r in rendered] == [
         [increase, unstable, unverified],
         [depth],
-        [unverified],
+        [],
     ]
     assert [[o["flags"] for o in r["offsets"]] for r in rendered] == [
         [[], [unstable, unverified]],
         [[depth], [depth]],
-        [[unverified]],
+        [[]],
     ]
     assert [[o["offset"] for o in r["offsets"]] for r in rendered] == [
         ["0", "1"],
