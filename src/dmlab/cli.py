@@ -1,8 +1,4 @@
-"""Command line front end.
-
-    dml run <file> [--out PATH] [--format json|csv]
-    dml density <file> [--out PATH]
-    dml certify <file> --a A --b B [--out PATH]
+"""Command line front end; the usage is ``_USAGE``, which ``-h`` prints.
 
 ``run`` executes the whole pipeline; ``density`` stops after the
 return-set scan and window profile; ``certify`` builds the closure
@@ -13,14 +9,15 @@ detection.  CSV format emits the (n, in_V) table and the
 Every report is built in :mod:`dmlab.experiment`; this module only
 parses arguments, dispatches and maps errors to exit codes.
 
-Exit codes: 0 success, 1 bad input (file, JSON, schema, expression,
-usage), 2 internal failure.
+Options may come before or after the file, as ``--opt VALUE`` or
+``--opt=VALUE``.  Exit codes: 0 success, 1 bad input (file, JSON,
+schema, expression, usage), 2 internal failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .experiment import (
     ExperimentError,
@@ -33,40 +30,15 @@ from .experiment import (
 
 __all__ = ["main"]
 
+_USAGE = """\
+dml run <file> [--out PATH] [--format json|csv]
+dml density <file> [--out PATH]
+dml certify <file> --a A --b B [--out PATH]
+"""
+
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="dml",
-        description="exact-arithmetic return-set decomposition for polynomial orbits",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="full analysis pipeline")
-    p_run.add_argument("file", help="experiment JSON file")
-    p_run.add_argument("--out", help="output path (csv: path prefix); default stdout")
-    p_run.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_density = sub.add_parser("density", help="return set and density profile only")
-    p_density.add_argument("file", help="experiment JSON file")
-    p_density.add_argument("--out", help="output path; default stdout")
-
-    p_certify = sub.add_parser(
-        "certify", help="closure chain and certificate for one progression"
-    )
-    p_certify.add_argument("file", help="experiment JSON file")
-    p_certify.add_argument("--a", type=int, required=True, help="progression modulus")
-    p_certify.add_argument("--b", type=int, required=True, help="progression offset")
-    p_certify.add_argument("--out", help="output path; default stdout")
-    return parser
 
 
 def _emit(text: str, out) -> None:
@@ -77,13 +49,10 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
-def _cmd_run(args) -> None:
-    spec = load_experiment(args.file)
-    report = run_experiment(spec)
+def _write(report, args) -> None:
     if args.format == "json":
         _emit(report.to_json(), args.out)
-        return
-    if args.out is None:
+    elif args.out is None:
         sys.stdout.write(report.returns_csv())
         sys.stdout.write("\n")
         sys.stdout.write(report.density_csv())
@@ -92,26 +61,60 @@ def _cmd_run(args) -> None:
         _emit(report.density_csv(), f"{args.out}_density.csv")
 
 
-def _cmd_density(args) -> None:
-    spec = load_experiment(args.file)
-    _emit(density_report(spec).to_json(), args.out)
+# Each command's options, and the report it builds from the experiment.
+_COMMANDS = {
+    "run": (("out", "format"), lambda spec, args: run_experiment(spec)),
+    "density": (("out",), lambda spec, args: density_report(spec)),
+    "certify": (("a", "b", "out"), lambda spec, args: certify_report(spec, args.a, args.b)),
+}
 
 
-def _cmd_certify(args) -> None:
-    spec = load_experiment(args.file)
-    _emit(certify_report(spec, args.a, args.b).to_json(), args.out)
+def _parse(argv) -> SimpleNamespace:
+    """The fields a command reads: ``command``, ``file``, ``out``,
+    ``format`` (default json), and ``a`` and ``b`` as ints (certify only).
+    Raises _UsageError for any command line ``_USAGE`` does not allow."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError("the command must be run, density or certify")
+    command, *rest = argv
+    options, files, tokens = {}, [], iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        key = name[2:]
+        if not name.startswith("--") or key not in _COMMANDS[command][0]:
+            raise _UsageError(f"{command} takes no option {name}")
+        if key in options:
+            raise _UsageError(f"{name} is given twice")
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise _UsageError(f"{name} needs a value")
+        if key in ("a", "b"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{name} must be an integer, got {value!r}") from None
+        options[key] = value
+    if len(files) != 1:
+        raise _UsageError(f"{command} takes one file, got {len(files)}")
+    args = {"out": None, "format": "json", "a": None, "b": None, **options}
+    if args["format"] not in ("json", "csv"):
+        raise _UsageError(f"--format must be json or csv, got {args['format']!r}")
+    if command == "certify" and not {"a", "b"} <= options.keys():
+        raise _UsageError("certify needs both --a and --b")
+    return SimpleNamespace(command=command, file=files[0], **args)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            _cmd_run(args)
-        elif args.command == "density":
-            _cmd_density(args)
-        else:
-            _cmd_certify(args)
+        args = _parse(argv)
+        _write(_COMMANDS[args.command][1](load_experiment(args.file), args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

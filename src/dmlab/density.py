@@ -76,10 +76,10 @@ class Progression:
         return f"Progression(modulus={self.modulus!r}, offset={self.offset!r})"
 
     def members_below(self, horizon: int) -> range:
-        return range(self.offset, horizon, self.modulus)
+        return range(self.offset, _require_int(horizon, "horizon", 0), self.modulus)
 
     def count_below(self, horizon: int) -> int:
-        if self.offset >= horizon:
+        if self.offset >= _require_int(horizon, "horizon", 0):
             return 0
         return (horizon - 1 - self.offset) // self.modulus + 1
 

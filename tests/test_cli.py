@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from dmlab import StageError
-from dmlab.cli import main
+from dmlab.cli import _USAGE, main
 
 
 @pytest.fixture
@@ -185,3 +186,65 @@ def test_report_commands_name_the_failed_stage(
     err = capsys.readouterr().err
     assert "internal error" in err
     assert stage in err
+
+
+def test_option_with_equals_sign(swap_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", str(swap_file), f"--out={out}", "--format=json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["return_set"]["count"] == "10"
+
+
+def test_options_before_the_file(swap_file, capsys):
+    assert main(["certify", "--b", "0", "--a", "2", str(swap_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["invariant"] is True
+    assert main(["run", "--format", "csv", str(swap_file)]) == 0
+    assert capsys.readouterr().out.startswith("n,in_V\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--help"], ["certify", "-h"]])
+def test_help_prints_the_usage_and_succeeds(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == _USAGE and err == ""
+
+
+def test_main_without_arguments_reads_sys_argv(swap_file, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["dml", "density", str(swap_file)])
+    assert main() == 0
+    assert "density_profile" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "FILE", "--a", "x", "--b", "0"],
+        ["certify", "FILE", "--a", "2", "--b=1.5"],
+        ["density", "FILE", "--format", "csv"],
+        ["run", "FILE", "--a", "2"],
+        ["run", "FILE", "-o", "x"],
+        ["run", "FILE", "--out", "a", "--out", "b"],
+        ["run", "FILE", "--out"],
+        ["run", "FILE", "--out", "--format", "csv"],
+        ["run", "FILE", "FILE"],
+        ["run", "--format", "csv"],
+        ["run", "FILE", "--format", "xml"],
+        ["run", "FILE", "--form", "csv"],
+        ["certify", "FILE", "--b", "0"],
+        ["Run", "FILE"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_malformed_command_lines_are_usage_errors(args, swap_file, tmp_path, capsys):
+    argv = [str(swap_file) if arg == "FILE" else arg for arg in args]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == [swap_file]
+
+
+def test_readme_usage_is_the_help_text():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert block == _USAGE

@@ -144,10 +144,12 @@ def test_one_integer_check_lives_in_fields():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Every ``dml`` run imports the package first; these two modules
-    # (and the ast/dis/tokenize that inspect drags in) cost milliseconds.
-    # ``-S`` keeps site hooks from loading either one beforehand.
-    code = "import sys, dmlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Every ``dml`` run imports the package first; these modules (and the
+    # ast/dis/tokenize that inspect drags in) cost milliseconds, and the
+    # command line needs no argparse, nor the gettext and locale it loads.
+    # ``-S`` keeps site hooks from loading any of them beforehand.
+    unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
+    code = f"import sys, dmlab.cli; print(sorted({unwanted} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),

@@ -46,6 +46,8 @@ DOC = {"field": "QQ", "vars": ["x", "y"], "phi": ["y", "x"], "alpha": ["1", "2"]
 SITES = [
     ("Progression modulus", lambda v: Progression(v, 0), "modulus", 1),
     ("Progression offset", lambda v: Progression(2, v), "offset", 0),
+    ("Progression.count_below", lambda v: Progression(2, 0).count_below(v), "horizon", 0),
+    ("Progression.members_below", lambda v: Progression(2, 0).members_below(v), "horizon", 0),
     ("ceil_sqrt", ceil_sqrt, "n", 0),
     ("default_window_schedule", default_window_schedule, "N", 1),
     ("density_profile", lambda v: density_profile(RETURNS, (3, v)), "window length", 1),
