@@ -311,14 +311,17 @@ class MultiPoly:
     def _value(self, pt: tuple, powers: dict):
         """Payload of the value at the payload tuple ``pt``, unchecked.
 
-        ``powers`` caches (variable, exponent) -> payload for exponents
-        above one; polynomials evaluated at one point may share it.  The
-        sum starts at the first term's value, not at the ring's zero, so
-        a one-term polynomial costs no addition (over GF(p)(t) that saves
-        a fold of an already reduced bignum); only the zero polynomial
-        evaluates to zero without a term.  Each term is planned once per
-        polynomial as its payload (None for one) and its (variable,
-        exponent) pairs with exponent above zero.
+        This interpreted evaluator serves :meth:`evaluate` and short
+        orbit loops; long ones run a :func:`_kernel`, which makes the
+        same ring calls.  ``powers`` caches (variable, exponent) ->
+        payload for exponents above one; polynomials evaluated at one
+        point may share it.  The sum starts at the first term's value,
+        not at the ring's zero, so a one-term polynomial costs no
+        addition (over GF(p)(t) that saves a fold of an already reduced
+        bignum); only the zero polynomial evaluates to zero without a
+        term.  Each term is planned once per polynomial as its payload
+        (None for one) and its (variable, exponent) pairs with exponent
+        above zero.
         """
         ring = self.field._ring
         plan = self._plan
@@ -416,3 +419,62 @@ class MultiPoly:
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.num_vars))
         return f"<{self.render(names)} over {self.field.label}>"
+
+
+def _kernel(polys, zero_test: bool = False):
+    """One compiled function of a payload tuple that evaluates ``polys``.
+
+    The function runs as flat statements, one per power, product and
+    sum, and makes exactly the ring calls of :meth:`MultiPoly._value`
+    with one powers dict shared across the tuple, in the same order: a
+    (variable, exponent > 1) power is computed at its first use, a sum
+    starts at its first term, and a factorless term with coefficient
+    one is ``one``.  It returns the tuple of values, or with
+    ``zero_test`` whether every value is zero, answering False at the
+    first nonzero one as ``all`` does.  Building one costs 40-130 us,
+    as much as 30-140 interpreted evaluations, so the orbit cache
+    compiles only long loops.
+
+    The source names variables, powers and coefficients by integer
+    index and writes exponents as int literals; coefficients and the
+    ring's methods, read now, are bound in the namespace, so no payload
+    or user text enters the source.
+    """
+    polys = tuple(polys)
+    env = {}
+    lines = ["def kernel(pt):"]
+    if polys:
+        ring = polys[0].field._ring
+        env.update(add=ring.add, mul=ring.mul, pow=ring.pow, one=ring.one, zero=ring.zero)
+        lines.append("    " + "".join(f"x{i}, " for i in range(polys[0].num_vars)) + "= pt")
+    powers = set()
+    for k, poly in enumerate(polys):
+        total = f"s{k}"
+        if not poly.terms:
+            lines.append(f"    {total} = zero")
+        for n, (mono, c) in enumerate(poly.terms.items()):
+            v = None
+            if c != ring.one:
+                v = f"c{len(env)}"
+                env[v] = c
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                pw = f"x{i}" if e == 1 else f"p{i}_{e}"
+                if e > 1 and pw not in powers:
+                    powers.add(pw)
+                    lines.append(f"    {pw} = pow(x{i}, {e})")
+                if v is not None:
+                    lines.append(f"    t = mul({v}, {pw})")
+                    pw = "t"
+                v = pw
+            v = v or "one"
+            lines.append(f"    {total} = {v}" if n == 0 else f"    {total} = add({total}, {v})")
+        if zero_test:
+            lines.append(f"    if {total} != zero: return False")
+    if zero_test:
+        lines.append("    return True")
+    else:
+        lines.append("    return (" + "".join(f"s{k}, " for k in range(len(polys))) + ")")
+    exec("\n".join(lines), env)
+    return env["kernel"]

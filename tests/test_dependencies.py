@@ -143,6 +143,35 @@ def test_one_integer_check_lives_in_fields():
     assert found == [("fields.py", "defines _require_int")]
 
 
+def _calls_by_function(node, scope):
+    # (name of the innermost enclosing function, call) for each call below node.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls_by_function(child, scope)
+
+
+def _code_generation(path):
+    # (function, callee) of each call to exec, eval or compile, builtin or
+    # through a module attribute; re.compile builds a pattern, not code.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for scope, call in _calls_by_function(tree, "<module>"):
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in ("exec", "eval", "compile") and not (
+            isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "re"
+        ):
+            yield scope, name
+
+
+def test_only_the_kernel_generator_runs_generated_code():
+    found = [(path.name, *call) for path in SOURCES for call in _code_generation(path)]
+    assert found == [("multipoly.py", "_kernel", "exec")]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every ``dml`` run imports the package first; these modules (and the
     # ast/dis/tokenize that inspect drags in) cost milliseconds, and the

@@ -399,6 +399,12 @@ def test_index_lists_render_as_indented_dumps(horizon):
             assert doc.to_json() == json.dumps(doc.payload, indent=2) + "\n"
 
 
+def test_low_digits_are_the_zero_padded_triples():
+    from dmlab.experiment import _low_digits
+
+    assert _low_digits() == tuple(f"{i:03d}" for i in range(1000))
+
+
 def test_run_renders_index_lists_without_iterating_members(monkeypatch, tmp_path):
     # cycle-gf101's map: the whole cycle lies on V, so almost every index returns
     doc = {

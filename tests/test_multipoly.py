@@ -11,6 +11,7 @@ from dmlab import (
     MultiPoly,
     parse_polynomial,
 )
+from dmlab.multipoly import _kernel
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -329,3 +330,138 @@ def test_evaluate_sums_from_the_first_term():
                 if field is QQ:
                     q = got.payload
                     assert type(q) is (int if q.denominator == 1 else Fraction)
+
+
+def _interpreted(polys, pt, zero_test):
+    # What the orbit loops run without a kernel: one powers dict per point.
+    powers = {}
+    if zero_test:
+        return all(g._value(pt, powers) == g.field._ring.zero for g in polys)
+    return tuple(g._value(pt, powers) for g in polys)
+
+
+class _CallLog:
+    """Stands in for a ring and records each operation and its arguments."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.ring, name)
+        if not callable(attr):
+            return attr
+
+        def logged(*args):
+            self.calls.append((name, args))
+            return attr(*args)
+
+        return logged
+
+
+def _assert_kernel_replays_value(polys, pt, ring):
+    # Same payloads, of the same types, from the same ring calls: equal
+    # CountingRing counts, and the same calls in the same order.
+    field = polys[0].field
+    try:
+        for zero_test in (False, True):
+            log = field._ring = _CallLog(ring)
+            kernel = _kernel(polys, zero_test)
+            ring.counts.clear()
+            want = _interpreted(polys, pt, zero_test)
+            want_counts, want_calls = dict(ring.counts), log.calls
+            ring.counts.clear()
+            log.calls = []
+            got = kernel(pt)
+            assert got == want and type(got) is type(want)
+            if not zero_test:
+                assert list(map(type, got)) == list(map(type, want))
+            assert dict(ring.counts) == want_counts, (polys, zero_test)
+            assert log.calls == want_calls
+    finally:
+        field._ring = ring
+
+
+def test_kernel_replays_value_with_the_same_ring_calls(counted_field):
+    rng = random.Random(0xC0DE)
+    for field in (QQ, F7, F2T, F5T):
+        counted, ring = counted_field(field)
+        one = field.one()
+        for k in range(40):
+            num_vars = rng.randint(1, 3)
+            pt = tuple(_random_const(rng, field).payload for _ in range(num_vars))
+            if k % 5 == 0:
+                pt = (field.zero().payload,) + pt[1:]
+            square = tuple(2 if i == 0 else 0 for i in range(num_vars))
+            polys = [
+                _random_poly(rng, field, num_vars, max_terms=6, max_exp=4)
+                for _ in range(rng.randint(1, 3))
+            ]
+            polys += [
+                MultiPoly.zero(field, num_vars),
+                MultiPoly.from_int(field, num_vars, 1),
+                MultiPoly.constant(field, num_vars, _random_const(rng, field)),
+                # the square of the first variable, shared across the tuple
+                MultiPoly.from_terms(field, num_vars, [(square, one)]),
+                MultiPoly.from_terms(field, num_vars, [(square, _random_const(rng, field))]),
+            ]
+            rng.shuffle(polys)
+            polys = [MultiPoly(counted, num_vars, f.terms) for f in polys]
+            _assert_kernel_replays_value(tuple(polys), pt, ring)
+            # every generator vanishing: the zero test runs to its end
+            powers = {}
+            vanishing = tuple(
+                f - MultiPoly(counted, num_vars, {(0,) * num_vars: f._value(pt, powers)})
+                if f.terms
+                else f
+                for f in polys
+            )
+            _assert_kernel_replays_value(vanishing, pt, ring)
+            assert _kernel(vanishing, True)(pt) is True
+
+
+def test_kernel_zero_test_stops_at_the_first_nonzero_generator(counted_field):
+    counted, ring = counted_field(F5T)
+    x, y = (MultiPoly.variable(counted, 2, i) for i in range(2))
+    nonzero = MultiPoly.from_int(counted, 2, 3)
+    rest = x**3 * y + y**2 + x
+    pt = (F5T.from_coefficients([1, 2]).payload, F5T.from_int(4).payload)
+    kernel = _kernel((nonzero, rest), True)
+    ring.counts.clear()
+    assert kernel(pt) is False
+    assert not ring.counts
+    _assert_kernel_replays_value((rest, nonzero, rest), pt, ring)
+
+
+def test_kernel_of_no_polynomials():
+    assert _kernel(())((1, 2)) == ()
+    assert _kernel((), True)((1, 2)) is True
+
+
+def test_kernel_source_holds_no_payload():
+    # Coefficients are bound by name: the code's only constants besides
+    # None are the exponents above one, never a coefficient.
+    f = MultiPoly.from_terms(QQ, 2, [
+        ((5, 1), QQ.from_fraction(Fraction(3, 2))),
+        ((0, 4), QQ.from_int(7)),
+        ((1, 0), QQ.from_int(-1)),
+    ])
+    assert set(_kernel((f,)).__code__.co_consts) - {None} == {4, 5}
+
+
+def test_kernel_of_long_and_wide_polynomials(counted_field):
+    # Flat statements: neither 2,000 terms nor 300 variables nest.
+    rng = random.Random(0x2000)
+    counted, ring = counted_field(F7)
+    items = [((i, j), F7.from_int(rng.randrange(1, 7))) for i in range(45) for j in range(45)]
+    long = MultiPoly.from_terms(counted, 2, items[:2000])
+    assert len(long.terms) == 2000
+    pt = (F7.from_int(3).payload, F7.from_int(5).payload)
+    _assert_kernel_replays_value((long, long), pt, ring)
+    n = 300
+    variables = [MultiPoly.variable(counted, n, i) for i in range(n)]
+    wide = MultiPoly.zero(counted, n)
+    for i in range(n):
+        wide = wide + variables[i] ** (i % 3 + 1) * variables[(i + 1) % n]
+    pt = tuple(F7.from_int(rng.randrange(7)).payload for _ in range(n))
+    _assert_kernel_replays_value((wide, variables[0] ** 2 - wide), pt, ring)

@@ -545,3 +545,66 @@ def test_scan_against_orbit_prefix_over_rationals():
         assert got.indices == _scan_oracle(phi, start, gens, count, stride, offset)
     assert cache.scan(gens, 12, 1, 0).indices == (0, 1, 3, 5, 7, 9, 11)
     assert cache.cycle is None
+
+
+def _threshold_orbits():
+    # (map, start) over QQ, GF(p) and GF(p)(t), each with at least
+    # _COMPILE_AT + 1 distinct points.  The GF(227) orbit has preperiod 85
+    # and period 67: its step loop crosses _COMPILE_AT inside the cycle,
+    # before the first repeat.
+    F227 = Field.prime(227)
+    yield (
+        mk_morphism(["2*x + y + 1", "y + 3"], XY, QQ),
+        (QQ.from_fraction(Fraction(1, 2)), QQ.zero()),
+    )
+    yield mk_morphism(["x^2+y", "x*y+1"], XY, F227), (F227.from_int(4), F227.from_int(2))
+    yield (
+        mk_morphism(["t*x + y", "y + t^2 + 1"], XY, F2T),
+        (F2T.from_coefficients([1, 1]), F2T.one()),
+    )
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_scans_around_the_compile_threshold(case, monkeypatch):
+    import dmlab.orbits as orbits
+
+    phi, start = list(_threshold_orbits())[case]
+    built = []
+    kernel = orbits._kernel
+
+    def recording(polys, zero_test=False):
+        built.append(zero_test)
+        return kernel(polys, zero_test)
+
+    monkeypatch.setattr(orbits, "_kernel", recording)
+    at = orbits._COMPILE_AT
+    orbit = orbit_prefix(phi, start, at + 1)
+    x, y = (MultiPoly.variable(phi.field, 2, i) for i in range(2))
+
+    def through(n, i):
+        return (x, y)[i] - MultiPoly.constant(phi.field, 2, orbit[n][i])
+
+    targets = (
+        [through(3, 0) * through(at - 1, 0) * through(at, 0)],
+        [through(at - 2, 1), through(at - 2, 0) * through(5, 0)],
+        [through(7, 0), x * x - y],
+    )
+    cache = OrbitCache(phi, start)
+    for count in (at - 1, at, at + 1):  # the scan tests count points
+        built.clear()
+        for gens in targets:
+            got = cache.scan(gens, count, 1, 0)
+            assert got.indices == _scan_oracle(phi, start, gens, count, 1, 0), count
+        assert built.count(True) == (3 if count >= at else 0)
+        # the step compiles once, when the stored prefix reaches at points
+        assert built.count(False) == (count == at + 1)
+    assert cache.scan(targets[0], at + 1, 1, 0).indices[-2:] == (at - 1, at)
+    if phi.field.finite:
+        cycle = detect_cycle(phi, start)
+        assert cycle == CycleStructure(85, 67)
+        for stride, offset, count in ((1, 0, 1000), (2, 0, 400), (1, 90, 200), (67, 3, 20)):
+            for gens in targets:
+                got = cache.scan(gens, count, stride, offset)
+                assert got.indices == _scan_oracle(phi, start, gens, count, stride, offset)
+        assert cache.cycle == cycle
+        assert len(cache._points) == 85 + 67
