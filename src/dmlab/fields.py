@@ -346,10 +346,14 @@ class _GF2PolyRing(_PolyRing):
     Adding is XOR and negating does nothing.  A slot of a carry-free sum,
     or of a product whose shorter operand has at most 3 slots, holds at
     most 3, so reducing it mod 2 keeps its low bit: one AND with
-    ``_low``, 01 in every slot.  Longer products run on widened slots and
-    keep each one's low bit.  Every nonzero polynomial
-    is monic, and its leading bit sits at an even position, so division
-    is shift-and-XOR on the packed int.
+    ``_low``, 01 in every slot.  :meth:`mul` runs that short case
+    inline, one multiply and one AND, as the orbit loops hit it on
+    nearly every step; it tests the shorter operand against 64 (below
+    64 means at most 3 slots) and calls :meth:`_fold` only when the
+    mask has to grow.  Longer products run on widened slots and keep
+    each one's low bit.  Every nonzero polynomial is monic, and its
+    leading bit sits at an even position, so division is shift-and-XOR
+    on the packed int.
     """
 
     __slots__ = ("_low",)
@@ -373,9 +377,13 @@ class _GF2PolyRing(_PolyRing):
         return a
 
     def mul(self, a: int, b: int) -> int:
+        if (a if a < b else b) < 64:  # the shorter operand has at most 3 slots
+            x = a * b
+            low = self._low
+            if x.bit_length() > low.bit_length():
+                return self._fold(x)  # grows the mask
+            return x & low
         short = self.slots(min(a, b))
-        if short <= 3:
-            return self._fold(a * b)
         # No coefficient of the integer product exceeds the shorter
         # operand's slot count, so slots of ceil(bit_length / 8) bytes hold
         # each without a carry, and a wide slot's low bit is its value mod 2.
@@ -536,6 +544,8 @@ class _FunctionRing:
 
     def pow(self, a, e: int):
         num, den = a
+        if den == 1:
+            return (self.polys.pow(num, e), 1)
         return (self.polys.pow(num, e), self.polys.pow(den, e))
 
     def clear(self, values):

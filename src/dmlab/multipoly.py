@@ -313,7 +313,9 @@ class MultiPoly:
 
         This interpreted evaluator serves :meth:`evaluate` and short
         orbit loops; long ones run a :func:`_kernel`, which makes the
-        same ring calls.  ``powers`` caches (variable, exponent) ->
+        same ring calls, or on polynomial GF(p)(t) data the same calls
+        on ``ring.polys`` with each (num, 1) operand replaced by num.
+        ``powers`` caches (variable, exponent) ->
         payload for exponents above one; polynomials evaluated at one
         point may share it.  The sum starts at the first term's value,
         not at the ring's zero, so a one-term polynomial costs no
@@ -421,12 +423,12 @@ class MultiPoly:
         return f"<{self.render(names)} over {self.field.label}>"
 
 
-def _kernel(polys, zero_test: bool = False):
+def _kernel(polys, zero_test: bool = False, packed: bool = True):
     """One compiled function of a payload tuple that evaluates ``polys``.
 
     The function runs as flat statements, one per power, product and
-    sum, and makes exactly the ring calls of :meth:`MultiPoly._value`
-    with one powers dict shared across the tuple, in the same order: a
+    sum, and makes the ring calls of :meth:`MultiPoly._value` with one
+    powers dict shared across the tuple, in the same order: a
     (variable, exponent > 1) power is computed at its first use, a sum
     starts at its first term, and a factorless term with coefficient
     one is ``one``.  It returns the tuple of values, or with
@@ -435,26 +437,54 @@ def _kernel(polys, zero_test: bool = False):
     as much as 30-140 interpreted evaluations, so the orbit cache
     compiles only long loops.
 
+    Over GF(p)(t), when every coefficient has denominator 1, the
+    function steps on the packed numerators instead: a polynomial map
+    with polynomial coefficients sends GF(p)[t]^n into itself, so at a
+    point whose denominators are all 1 it makes the same calls on
+    ``ring.polys``, with each (num, 1) operand replaced by num, and
+    wraps each value back as (num, 1).  A point with another
+    denominator goes to the pair kernel, built at the first such point;
+    ``packed=False`` builds that kernel directly.
+
     The source names variables, powers and coefficients by integer
     index and writes exponents as int literals; coefficients and the
-    ring's methods, read now, are bound in the namespace, so no payload
-    or user text enters the source.
+    ring's methods, read when the kernel is built, are bound in the
+    namespace, so no payload or user text enters the source.
     """
     polys = tuple(polys)
     env = {}
     lines = ["def kernel(pt):"]
     if polys:
-        ring = polys[0].field._ring
-        env.update(add=ring.add, mul=ring.mul, pow=ring.pow, one=ring.one, zero=ring.zero)
-        lines.append("    " + "".join(f"x{i}, " for i in range(polys[0].num_vars)) + "= pt")
+        field, num_vars = polys[0].field, polys[0].num_vars
+        ring = field._ring
+        packed = packed and field.has_generator and all(
+            c[1] == 1 for f in polys for c in f.terms.values()
+        )
+        if packed:
+            ops, one, zero = ring.polys, 1, 0
+
+            def pairs(pt):
+                kernel = env["pairs"] = _kernel(polys, zero_test, False)
+                return kernel(pt)
+
+            env["pairs"] = pairs
+            lines.append("    " + "".join(f"(x{i}, d{i}), " for i in range(num_vars)) + "= pt")
+            lines.append("    if " + " or ".join(f"d{i} != 1" for i in range(num_vars)) + ":")
+            lines.append("        return pairs(pt)")
+        else:
+            ops, one, zero = ring, ring.one, ring.zero
+            lines.append("    " + "".join(f"x{i}, " for i in range(num_vars)) + "= pt")
+        env.update(add=ops.add, mul=ops.mul, pow=ops.pow, one=one, zero=zero)
     powers = set()
     for k, poly in enumerate(polys):
         total = f"s{k}"
         if not poly.terms:
             lines.append(f"    {total} = zero")
         for n, (mono, c) in enumerate(poly.terms.items()):
+            if packed:
+                c = c[0]
             v = None
-            if c != ring.one:
+            if c != one:
                 v = f"c{len(env)}"
                 env[v] = c
             for i, e in enumerate(mono):
@@ -475,6 +505,7 @@ def _kernel(polys, zero_test: bool = False):
     if zero_test:
         lines.append("    return True")
     else:
-        lines.append("    return (" + "".join(f"s{k}, " for k in range(len(polys))) + ")")
+        value = "(s{}, 1), " if packed else "s{}, "
+        lines.append("    return (" + "".join(value.format(k) for k in range(len(polys))) + ")")
     exec("\n".join(lines), env)
     return env["kernel"]

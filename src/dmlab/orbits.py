@@ -32,7 +32,9 @@ Long loops run compiled code.  Once the stored prefix reaches
 :func:`~dmlab.multipoly._kernel` of the map's components, and a scan
 that will test at least ``_COMPILE_AT`` points tests them with one
 zero-test kernel of the target.  A kernel makes the same ring calls as
-:meth:`MultiPoly._value` without re-reading a term plan per point.  One
+:meth:`MultiPoly._value` without re-reading a term plan per point; on
+polynomial GF(p)(t) data (every coefficient and coordinate over 1) it
+makes the same calls on ``ring.polys``, on the numerators.  One
 compile costs 40-130 us, and together the two kernels save 3-4 us per
 point on the suite's maps, so they break even after 75-90 points
 (Python 3.11, 2-vCPU Xeon); shorter loops, :func:`detect_cycle`,

@@ -6,21 +6,27 @@ import pytest
 
 class CountingRing:
     """Stands in for a field's payload ring and counts the operations run:
-    ``calls`` in all, ``counts`` per operation name."""
+    ``calls`` in all, ``counts`` per operation name.  Calls on a GF(p)(t)
+    ring's packed polynomials, ``ring.polys``, count as ``polys.<op>``."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, prefix="", root=None):
         self.ring = ring
+        self.prefix = prefix
+        self.root = root or self
         self.calls = 0
         self.counts = Counter()
 
     def __getattr__(self, name):
         attr = getattr(self.ring, name)
+        if name == "polys":
+            return CountingRing(attr, "polys.", self.root)
         if not callable(attr):
             return attr
+        root, key = self.root, self.prefix + name
 
         def counted(*args):
-            self.calls += 1
-            self.counts[name] += 1
+            root.calls += 1
+            root.counts[key] += 1
             return attr(*args)
 
         return counted

@@ -3,6 +3,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -506,11 +507,32 @@ def test_gf2_kernel_matches_the_generic_ring():
                 assert kernel.divmod(a, b) == generic.divmod(a, b)
                 assert kernel.canonical(a, b) == generic.canonical(a, b)
     assert fast > 100 and kronecker > 100
+    # The inline short path ends at 3 slots: 0b010101 = 1 + t + t^2 is
+    # the largest 3-slot polynomial, 1 << 6 = t^3 the smallest 4-slot one.
+    # The square of 1 + t + t^2 + t^3 has 4 at t^3, which a 2-bit slot
+    # cannot hold.
+    for a, b in product([0, 0b010101, 1 << 6, 0b01010101], repeat=2):
+        assert kernel.mul(a, b) == generic.mul(a, b)
     for a in polys:
         with pytest.raises(ZeroDivisionError):
             kernel.divmod(a, 0)
         with pytest.raises(ZeroDivisionError):
             kernel.canonical(a, 0)
+
+
+def test_polynomial_operations_make_one_packed_call():
+    # On (num, 1) pairs each GF(p)(t) operation is one call on the packed
+    # ring, the call a compiled orbit kernel makes in its place.
+    from conftest import CountingRing
+
+    for p in (2, 5):
+        ring = Field.rational_functions(p)._ring
+        counter = ring.polys = CountingRing(ring.polys)
+        a, b = (ring.polys.pack([1, 1, 1]), 1), (ring.polys.pack([0, 1]), 1)
+        for op, args in (("add", (a, b)), ("mul", (a, b)), ("pow", (a, 5)), ("neg", (a,))):
+            counter.counts.clear()
+            assert getattr(ring, op)(*args)[1] == 1
+            assert dict(counter.counts) == {op: 1}
 
 
 def test_gf2_kernel_is_chosen_by_the_characteristic_alone():

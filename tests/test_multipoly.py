@@ -341,37 +341,59 @@ def _interpreted(polys, pt, zero_test):
 
 
 class _CallLog:
-    """Stands in for a ring and records each operation and its arguments."""
+    """Stands in for a ring and records each operation and its arguments;
+    calls on a GF(p)(t) ring's ``polys`` are recorded as ``polys.<op>``."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, prefix="", calls=None):
         self.ring = ring
-        self.calls = []
+        self.prefix = prefix
+        self.calls = [] if calls is None else calls
 
     def __getattr__(self, name):
         attr = getattr(self.ring, name)
+        if name == "polys":
+            return _CallLog(attr, "polys.", self.calls)
         if not callable(attr):
             return attr
+        key = self.prefix + name
 
         def logged(*args):
-            self.calls.append((name, args))
+            self.calls.append((key, args))
             return attr(*args)
 
         return logged
 
 
+def _on_numerators(calls):
+    # Pair-level ring calls as the same calls on ring.polys: each (num, 1)
+    # argument becomes num.
+    return [
+        (f"polys.{name}", tuple(a[0] if type(a) is tuple else a for a in args))
+        for name, args in calls
+    ]
+
+
 def _assert_kernel_replays_value(polys, pt, ring):
     # Same payloads, of the same types, from the same ring calls: equal
-    # CountingRing counts, and the same calls in the same order.
+    # CountingRing counts, and the same calls in the same order.  On
+    # polynomial GF(p)(t) data (every coefficient and coordinate over 1)
+    # the kernel makes those calls on ring.polys, on the numerators.
     field = polys[0].field
+    packed = field.has_generator and all(
+        c[1] == 1 for c in (*pt, *(c for f in polys for c in f.terms.values()))
+    )
     try:
         for zero_test in (False, True):
             log = field._ring = _CallLog(ring)
             kernel = _kernel(polys, zero_test)
             ring.counts.clear()
             want = _interpreted(polys, pt, zero_test)
-            want_counts, want_calls = dict(ring.counts), log.calls
+            want_counts, want_calls = dict(ring.counts), list(log.calls)
+            if packed:
+                want_counts = {f"polys.{op}": n for op, n in want_counts.items()}
+                want_calls = _on_numerators(want_calls)
             ring.counts.clear()
-            log.calls = []
+            log.calls.clear()
             got = kernel(pt)
             assert got == want and type(got) is type(want)
             if not zero_test:
@@ -380,6 +402,16 @@ def _assert_kernel_replays_value(polys, pt, ring):
             assert log.calls == want_calls
     finally:
         field._ring = ring
+
+
+def _numerators(polys, pt):
+    # The same data with every denominator dropped: polynomial GF(p)(t)
+    # coefficients and coordinates.  A nonzero numerator stays nonzero.
+    field = polys[0].field
+    polys = tuple(
+        MultiPoly(field, f.num_vars, {m: (c[0], 1) for m, c in f.terms.items()}) for f in polys
+    )
+    return polys, tuple((num, 1) for num, _ in pt)
 
 
 def test_kernel_replays_value_with_the_same_ring_calls(counted_field):
@@ -406,18 +438,26 @@ def test_kernel_replays_value_with_the_same_ring_calls(counted_field):
                 MultiPoly.from_terms(field, num_vars, [(square, _random_const(rng, field))]),
             ]
             rng.shuffle(polys)
-            polys = [MultiPoly(counted, num_vars, f.terms) for f in polys]
-            _assert_kernel_replays_value(tuple(polys), pt, ring)
-            # every generator vanishing: the zero test runs to its end
-            powers = {}
-            vanishing = tuple(
-                f - MultiPoly(counted, num_vars, {(0,) * num_vars: f._value(pt, powers)})
-                if f.terms
-                else f
-                for f in polys
-            )
-            _assert_kernel_replays_value(vanishing, pt, ring)
-            assert _kernel(vanishing, True)(pt) is True
+            polys = tuple(MultiPoly(counted, num_vars, f.terms) for f in polys)
+            cases = [(polys, pt)]
+            if field.has_generator:
+                # polynomial data, which runs on the numerators, and
+                # polynomial coefficients at the first point, whose
+                # denominators send it to the pair kernel
+                numerators, plain = _numerators(polys, pt)
+                cases += [(numerators, plain), (numerators, pt)]
+            for polys, pt in cases:
+                _assert_kernel_replays_value(polys, pt, ring)
+                # every generator vanishing: the zero test runs to its end
+                powers = {}
+                vanishing = tuple(
+                    f - MultiPoly(counted, num_vars, {(0,) * num_vars: f._value(pt, powers)})
+                    if f.terms
+                    else f
+                    for f in polys
+                )
+                _assert_kernel_replays_value(vanishing, pt, ring)
+                assert _kernel(vanishing, True)(pt) is True
 
 
 def test_kernel_zero_test_stops_at_the_first_nonzero_generator(counted_field):
@@ -425,12 +465,33 @@ def test_kernel_zero_test_stops_at_the_first_nonzero_generator(counted_field):
     x, y = (MultiPoly.variable(counted, 2, i) for i in range(2))
     nonzero = MultiPoly.from_int(counted, 2, 3)
     rest = x**3 * y + y**2 + x
-    pt = (F5T.from_coefficients([1, 2]).payload, F5T.from_int(4).payload)
-    kernel = _kernel((nonzero, rest), True)
-    ring.counts.clear()
-    assert kernel(pt) is False
-    assert not ring.counts
-    _assert_kernel_replays_value((rest, nonzero, rest), pt, ring)
+    # a polynomial point, and one with a denominator
+    for first in (F5T.from_coefficients([1, 2]), F5T.from_coefficients([1], [2, 1])):
+        pt = (first.payload, F5T.from_int(4).payload)
+        kernel = _kernel((nonzero, rest), True)
+        ring.counts.clear()
+        assert kernel(pt) is False
+        assert not ring.counts
+        _assert_kernel_replays_value((rest, nonzero, rest), pt, ring)
+
+
+def test_kernel_switches_between_numerators_and_pairs(counted_field):
+    # One kernel takes both kinds of point: the pair kernel is built at
+    # the first point with a denominator and serves every later one,
+    # while polynomial points stay on the numerators.
+    counted, ring = counted_field(F3T)
+    x, y = (MultiPoly.variable(counted, 2, i) for i in range(2))
+    t = MultiPoly.constant(counted, 2, F3T.t())
+    polys = (t * x**2 + y, x * y + MultiPoly.from_int(counted, 2, 1))
+    kernel = _kernel(polys)
+    plain = (F3T.from_coefficients([1, 1]).payload, F3T.t().payload)
+    fraction = (F3T.from_coefficients([1], [0, 1]).payload, F3T.one().payload)
+    for pt in (plain, fraction, plain, fraction):
+        want = tuple(f._value(pt, {}) for f in polys)
+        ring.counts.clear()
+        assert kernel(pt) == want
+        assert {c.startswith("polys.") for c in ring.counts} == {pt is plain}
+    assert kernel.__globals__["pairs"].__name__ == "kernel"
 
 
 def test_kernel_of_no_polynomials():

@@ -562,9 +562,28 @@ def _threshold_orbits():
         mk_morphism(["t*x + y", "y + t^2 + 1"], XY, F2T),
         (F2T.from_coefficients([1, 1]), F2T.one()),
     )
+    # GF(5)(t), whose packed ring is the generic one, with a square
+    F5T = Field.rational_functions(5)
+    yield (
+        mk_morphism(["t*x + y^2", "y + t^2 + 1"], XY, F5T),
+        (F5T.from_coefficients([2, 1]), F5T.one()),
+    )
+    # a polynomial map whose start has a denominator: every point takes
+    # the pair kernel
+    F3T = Field.rational_functions(3)
+    yield (
+        mk_morphism(["t*x + y", "y + t^2 + 1"], XY, F3T),
+        (F3T.from_coefficients([1], [1, 1]), F3T.t()),
+    )
+    # a coefficient 1/t: t*x + y/t, y + 1, whose denominators stay t
+    tx, y, y1 = (parse_polynomial(s, XY, F3T) for s in ("t*x", "y", "y + 1"))
+    yield (
+        Morphism([tx + MultiPoly.constant(F3T, 2, F3T.t().inverse()) * y, y1]),
+        (F3T.one(), F3T.t()),
+    )
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(6))
 def test_scans_around_the_compile_threshold(case, monkeypatch):
     import dmlab.orbits as orbits
 
