@@ -4,12 +4,15 @@ For a progression of iterate indices a*k + j, the closure ideal is
 approximated from below: take the ideal generated by the polynomials
 of total degree at most a cap that vanish on the first m sampled
 points (hypersurfaces of unbounded degree say nothing stable about an
-infinite orbit), and double m until two consecutive bases agree or the
-sample budget runs out.  The Buchberger-Moller walk stops at the cap,
-so no generator above it is ever computed.  The final basis always
-vanishes on every sampled point; the ``stabilized`` flag records
-whether the doubling settled.  This module records such outcomes as
-facts and case codes; the report derives its flags and notes from them.
+infinite orbit), and double m until the basis J_m vanishes on the next
+m samples or the sample budget runs out.  That check is exact: J_2m ⊆
+J_m since the first m points are among the 2m, and J_m ⊆ J_2m when J_m
+vanishes on the new ones, so the walk on 2m points is never made.  The
+Buchberger-Moller walk stops at the cap, so no generator above it is
+ever computed.  The final basis always vanishes on every sampled point;
+the ``stabilized`` flag records whether the doubling settled.  This
+module records such outcomes as facts and case codes; the report
+derives its flags and notes from them.
 
 Every entry point takes a :class:`Session`: the run's morphism, start
 point and horizon, its :class:`AnalysisParams`, and a per-run memo.  A
@@ -279,21 +282,33 @@ class Session:
 
 def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     """Memoized sampled closure of {phi^(stride*k + offset)(start)}; each
-    sample's Buchberger-Moller walk stops at the session's ``degree_cap``."""
+    sample's Buchberger-Moller walk stops at the session's ``degree_cap``.
+
+    The basis J_m of m samples is evaluated at samples m to min(2m,
+    budget) - 1.  Where it vanishes it is also the basis of that count
+    (J_2m ⊆ J_m ⊆ J_2m) and the closure is stabilized; otherwise that
+    count is walked, and a walk at the budget ends unstabilized.
+    """
     entry = session.memo.get((stride, offset))
     if entry is not None:
         return entry
-    order, params = session.order, session.analysis
-    samples = params.initial_samples
-    previous = None
-    while True:
-        points = [session.cache.point(stride * k + offset) for k in range(samples)]
-        basis = vanishing_ideal(points, order, params.degree_cap)
-        stabilized = previous is not None and ideal_equal(basis, previous)
-        if stabilized or samples >= params.sample_budget:
+    cache, params = session.cache, session.analysis
+    zero = session.phi.field._ring.zero
+
+    def vanishes(gens, k):  # payloads are canonical: zero is ring.zero
+        pt, powers = cache._points[cache.index(stride * k + offset)], {}
+        return all(g._value(pt, powers) == zero for g in gens)
+
+    samples, budget = params.initial_samples, params.sample_budget
+    stabilized = False
+    while not stabilized:
+        points = [cache.point(stride * k + offset) for k in range(samples)]
+        basis = vanishing_ideal(points, session.order, params.degree_cap)
+        if samples >= budget:
             break
-        previous = basis
-        samples = min(samples * 2, params.sample_budget)
+        more = min(samples * 2, budget)
+        stabilized = all(vanishes(basis.generators, k) for k in range(samples, more))
+        samples = more
     entry = ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
     session.memo[(stride, offset)] = entry
     return entry

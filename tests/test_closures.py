@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import dmlab.closures
+from census import instance
 from dmlab import (
     AnalysisParams,
     DensityProfile,
@@ -15,11 +17,14 @@ from dmlab import (
     buchberger,
     certify_invariant,
     closure_chain,
+    experiment_from_dict,
     ideal_dimension,
+    ideal_equal,
     normal_form,
     orbit_prefix,
     parse_polynomial,
     refine_case_split,
+    run_experiment,
     vanishing_ideal,
 )
 from dmlab.closures import (
@@ -30,6 +35,7 @@ from dmlab.closures import (
     CASE_IRREDUCIBILITY_UNVERIFIED,
     ClosureChain,
     ClosureEntry,
+    _closure,
 )
 from reference_walk import reference_vanishing_ideal
 
@@ -135,6 +141,138 @@ def test_closure_parameter_validation():
     # a budget below the default four initial samples
     with pytest.raises(ValueError):
         Session(phi, start, 20, AnalysisParams(sample_budget=2))
+
+
+def _doubling_closure(session, stride, offset):
+    # The closure loop before stability was proved by evaluation: double
+    # the samples until two consecutive walks give the same basis.
+    order, params = session.order, session.analysis
+    samples, previous = params.initial_samples, None
+    while True:
+        points = [session.cache.point(stride * k + offset) for k in range(samples)]
+        basis = vanishing_ideal(points, order, params.degree_cap)
+        stabilized = previous is not None and ideal_equal(basis, previous)
+        if stabilized or samples >= params.sample_budget:
+            break
+        previous = basis
+        samples = min(samples * 2, params.sample_budget)
+    return ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
+
+
+# name -> (map, variables, field, start, settings, stride, and the
+# (samples_used, stabilized) of the offset-0 closure).
+DOUBLING_EDGES = {
+    "one walk at the budget": (
+        ["y", "x"], XY, QQ, (1, 2),
+        AnalysisParams(initial_samples=4, sample_budget=4), 1, (4, False),
+    ),
+    "budget 3 -> 10, confirmed at the budget": (
+        ["x+1"], ("x",), QQ, (0,),
+        AnalysisParams(initial_samples=3, sample_budget=10), 1, (10, True),
+    ),
+    "budget 3 -> 10, unconfirmed": (
+        ["x+1", "y+x"], XY, QQ, (0, 0),
+        AnalysisParams(initial_samples=3, sample_budget=10), 1, (10, False),
+    ),
+    "degree cap 1": (
+        ["t*x", "(1-t)*y"], XY, F2T, (1, 1), AnalysisParams(degree_cap=1), 2, (8, True),
+    ),
+    "out of budget": (
+        ["x+1"], ("x",), QQ, (0,),
+        AnalysisParams(initial_samples=4, sample_budget=8), 1, (8, False),
+    ),
+    # (n, n(n-1)(n-2)): the line y = 0 through the first two samples
+    # passes through the third but not the fourth
+    "a later new sample off the basis": (
+        ["x+1", "y+3*x^2-3*x"], XY, QQ, (0, 0),
+        AnalysisParams(degree_cap=1, initial_samples=2), 1, (8, True),
+    ),
+    # period 6 after 3 steps: 16 samples of stride 7 run far past the cycle
+    "samples wrap the cycle": (
+        ["x*y+1", "x+y"], XY, Field.prime(5), (1, 2),
+        AnalysisParams(initial_samples=2, sample_budget=40), 7, (16, True),
+    ),
+}
+
+
+def _edge_session(name):
+    sources, names, field, start, params, stride, _ = DOUBLING_EDGES[name]
+    phi = mk_morphism(sources, names, field)
+    return Session(phi, tuple(field.from_int(c) for c in start), 400, params), stride
+
+
+@pytest.mark.parametrize("name", list(DOUBLING_EDGES))
+def test_closure_matches_the_doubling_loop_on_edge_settings(name):
+    session, stride = _edge_session(name)
+    for offset in range(stride):
+        entry = _closure(session, stride, offset)
+        assert entry == _doubling_closure(session, stride, offset)
+    first = session.memo[stride, 0]
+    assert (first.samples_used, first.stabilized) == DOUBLING_EDGES[name][-1]
+
+
+def test_closure_matches_the_doubling_loop_on_the_census(monkeypatch):
+    # Every closure the pipeline samples on the 40 instances of
+    # tests/census.py 40 7, at the top level and in derived instances.
+    # Each of them settles at the first check, 4 samples confirmed on 8;
+    # the edge settings above reach the later branches.
+    sessions = []
+    original = dmlab.closures._closure
+
+    def record(session, stride, offset):
+        sessions.append(session)
+        return original(session, stride, offset)
+
+    monkeypatch.setattr(dmlab.closures, "_closure", record)
+    rng = random.Random(7)
+    closures = 0
+    for _ in range(40):
+        sessions.clear()
+        run_experiment(experiment_from_dict(instance(rng)))
+        for session in set(sessions):
+            for (stride, offset), entry in session.memo.items():
+                assert entry == _doubling_closure(session, stride, offset)
+                closures += 1
+    assert closures >= 800
+
+
+def _walk_counts(params, entry):
+    # m_0 = initial_samples < ... < m_k = samples_used, each the double of
+    # the one before up to the budget.
+    counts = [params.initial_samples]
+    while counts[-1] < entry.samples_used:
+        counts.append(min(2 * counts[-1], params.sample_budget))
+    assert counts[-1] == entry.samples_used
+    return counts
+
+
+def test_closure_walks_each_sample_count_but_the_confirmed_one(monkeypatch):
+    # A stabilized closure walks m_0 .. m_(k-1) and confirms m_k by
+    # evaluation; an unstabilized one also walks m_k.
+    walks = []
+    original = dmlab.closures.vanishing_ideal
+
+    def record(points, order, cap):
+        walks.append(len(points))
+        return original(points, order, cap)
+
+    monkeypatch.setattr(dmlab.closures, "vanishing_ideal", record)
+    for name in DOUBLING_EDGES:
+        session, stride = _edge_session(name)
+        for offset in range(stride):
+            walks.clear()
+            entry = _closure(session, stride, offset)
+            counts = _walk_counts(session.analysis, entry)
+            assert walks == (counts[:-1] if entry.stabilized else counts)
+    # Over GF(7)(t) the orbit (t^n, n) outgrows every cubic at 16 samples;
+    # the 32-sample walk the old loop made to confirm that is skipped.
+    f7t = Field.rational_functions(7)
+    phi = mk_morphism(["t*x", "y+1"], XY, f7t)
+    session = Session(phi, (f7t.one(), f7t.zero()), 400, AnalysisParams(degree_cap=3))
+    walks.clear()
+    entry = _closure(session, 1, 0)
+    assert entry == ClosureEntry(0, ReducedGroebnerBasis(ORDER2, (), 2, f7t), 2, 32, True)
+    assert walks == [4, 8, 16]
 
 
 def test_dimension_nonincreasing_on_hand_built_chains():

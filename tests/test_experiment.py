@@ -637,19 +637,19 @@ COUNTED = ("normal_form", "vanishing_ideal", "buchberger", "certify_invariant")
 OPERATION_COUNTS = {
     "tower-gf2t": ({"mul": 254, "polys.mul": 8544, "polys.add": 8800}, (0, 0, 1, 0)),
     "rotation-qq": (
-        {"add": 4508, "mul": 3144, "dmul": 2076, "pow": 400, "combine": 358,
-         "primitive": 358, "quotient": 137, "neg": 85, "clear": 80, "inverse": 3},
-        (84, 20, 26, 4),
+        {"add": 4898, "mul": 3435, "dmul": 924, "pow": 487, "combine": 245,
+         "primitive": 245, "quotient": 106, "neg": 85, "clear": 56, "inverse": 3},
+        (84, 14, 20, 4),
     ),
     "cycle-gf101": (
-        {"add": 344, "mul": 206, "pow": 84, "dmul": 80, "combine": 36, "primitive": 36,
-         "quotient": 10, "clear": 6, "neg": 3, "inverse": 1},
-        (5, 3, 4, 1),
+        {"add": 364, "mul": 217, "pow": 87, "dmul": 50, "combine": 24, "primitive": 24,
+         "quotient": 8, "clear": 4, "neg": 3, "inverse": 1},
+        (5, 2, 3, 1),
     ),
     "pullback-gf101": (
-        {"add": 276, "mul": 157, "pow": 84, "clear": 24, "combine": 24, "dmul": 24,
-         "primitive": 24, "quotient": 24, "neg": 10, "inverse": 5},
-        (16, 12, 8, 1),
+        {"add": 324, "mul": 157, "pow": 84, "clear": 12, "combine": 12, "dmul": 12,
+         "primitive": 12, "quotient": 12, "neg": 10, "inverse": 5},
+        (16, 6, 8, 1),
     ),
 }
 

@@ -437,3 +437,60 @@ def test_groebner_layer_builds_no_field_value(monkeypatch):
         gens[-1].monic(order)
         vanishing_ideal(points, order, 1)
         vanishing_ideal(points, order)
+
+
+# -- sample doubling: stability by evaluation --------------------------------
+
+
+def _doubling_coordinate(rng, field):
+    # Over GF(p)(t), a constant or c*t + d: on twelve points of higher
+    # height the capped basis's Buchberger pass takes seconds.
+    if field.has_generator:
+        p = field.characteristic
+        return field.from_coefficients([rng.randrange(p)] + [rng.randrange(p)] * (rng.random() < 0.3))
+    return _random_coefficient(rng, field)
+
+
+def _doubling_points(rng, field, shape):
+    # Twelve points of one shape: general position, on a random conic or
+    # line y = a*x^2 + b*x + c, or drawn with repeats from a pool of four.
+
+    def coordinate():
+        return _doubling_coordinate(rng, field)
+
+    if shape == "pool":
+        pool = [(coordinate(), coordinate()) for _ in range(4)]
+        return [rng.choice(pool) for _ in range(12)]
+    points = []
+    a, b, c = coordinate(), coordinate(), coordinate()
+    for _ in range(12):
+        x, y = coordinate(), coordinate()
+        points.append((x, a * x * x + b * x + c) if shape == "curve" else (x, y))
+    return points
+
+
+def test_doubled_capped_ideal_is_unchanged_exactly_when_the_basis_vanishes_on_new_points():
+    # P[:m] is inside P[:2m], so I(P[:2m]) <= I(P[:m]) in degree at most the
+    # cap; if the capped basis of P[:m] vanishes on P[m:2m] it lies in
+    # I(P[:2m]) too, so the two capped ideals and their reduced bases are
+    # equal.  Conversely an equal basis vanishes on every point of P[:2m].
+    # A zero basis vanishes vacuously, so the doubled one must be zero too.
+    rng = random.Random(0xD0B1)
+    fields = (QQ, Field.prime(101), Field.rational_functions(7))
+    order = MonomialOrder.grevlex(2)
+    outcomes = dict.fromkeys(
+        ((field.label, kind) for field in fields for kind in ("equal", "grew", "zero")), 0
+    )
+    for case in range(90):
+        field = fields[case % 3]
+        points = _doubling_points(rng, field, ("general", "curve", "pool")[case // 3 % 3])
+        cap = rng.randint(1, 4)
+        for m in (1, 2, 3, 4, 6):
+            basis = vanishing_ideal(points[:m], order, cap)
+            vanishes = all(
+                g.evaluate(p).is_zero() for g in basis.generators for p in points[m : 2 * m]
+            )
+            assert (vanishing_ideal(points[: 2 * m], order, cap) == basis) is vanishes
+            kind = "zero" if basis.is_zero_ideal else "equal" if vanishes else "grew"
+            outcomes[field.label, kind] += 1
+    assert min(outcomes.values()) >= 10, outcomes
