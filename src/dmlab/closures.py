@@ -62,7 +62,7 @@ from .ideals import (
     vanishing_ideal,
 )
 from .multipoly import MonomialOrder, MultiPoly
-from .orbits import Morphism, OrbitCache, ReturnSet
+from .orbits import Morphism, OrbitCache, ReturnSet, _vanishing_test
 
 __all__ = [
     "AnalysisParams",
@@ -293,12 +293,6 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
     if entry is not None:
         return entry
     cache, params = session.cache, session.analysis
-    zero = session.phi.field._ring.zero
-
-    def vanishes(gens, k):  # payloads are canonical: zero is ring.zero
-        pt, powers = cache._points[cache.index(stride * k + offset)], {}
-        return all(g._value(pt, powers) == zero for g in gens)
-
     samples, budget = params.initial_samples, params.sample_budget
     stabilized = False
     while not stabilized:
@@ -307,7 +301,9 @@ def _closure(session: Session, stride: int, offset: int) -> ClosureEntry:
         if samples >= budget:
             break
         more = min(samples * 2, budget)
-        stabilized = all(vanishes(basis.generators, k) for k in range(samples, more))
+        on = _vanishing_test(basis.generators, session.phi.field)
+        new = (cache._points[cache.index(stride * k + offset)] for k in range(samples, more))
+        stabilized = all(map(on, new))
         samples = more
     entry = ClosureEntry(offset, basis, ideal_dimension(basis), samples, stabilized)
     session.memo[(stride, offset)] = entry

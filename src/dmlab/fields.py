@@ -16,9 +16,11 @@ pairs a descriptor with a canonical payload:
   so two residues add without a carry into the next slot: addition is
   one bignum add and a masked per-slot subtraction of p, and
   multiplication is one bignum multiply (Kronecker substitution on
-  slots widened to whole bytes).  GF(2)[t] keeps the same 2-bit slots
-  but adds by XOR and reduces a slot mod 2 by masking its low bit, and
-  divides by shift-and-XOR on the packed int.  den is monic,
+  slots widened to whole bytes).  Division and gcd run on the packed
+  int for every p: each step of the long division adds a shifted
+  multiple of the divisor, one folded sum.  GF(2)[t] keeps the same
+  2-bit slots but adds by XOR, reduces a slot mod 2 by masking its low
+  bit, and divides by shift-and-XOR.  den is monic,
   gcd(num, den) = 1, and zero is (0, 1); :meth:`FieldValue.coefficients`
   reads the pair back as coefficient tuples.
 
@@ -97,51 +99,6 @@ def _prime_characteristic(p: int) -> int:
     if not (2 <= p < _MAX_CHARACTERISTIC) or not all(p % q for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
     return p
-
-
-# ---------------------------------------------------------------------------
-# GF(p)[t] on coefficient sequences, low degree first, no trailing zeros;
-# the zero polynomial is ().  Division and gcd for p > 2 run on these;
-# _PolyRing unpacks to them and packs the results.
-
-
-def _fp_trim(coeffs) -> tuple:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def _fp_divmod(a: tuple, b: tuple, p: int) -> tuple:
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    if len(a) < len(b):
-        return (), a
-    rem = list(a)
-    quo = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
-        if c:
-            f = c * inv_lead % p
-            quo[k] = f
-            for i, cb in enumerate(b):
-                if cb:
-                    rem[k + i] = (rem[k + i] - f * cb) % p
-    return _fp_trim(quo), _fp_trim(rem)
-
-
-def _fp_monic(a: tuple, p: int) -> tuple:
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return tuple(c * inv % p for c in a)
-
-
-def _fp_gcd(a: tuple, b: tuple, p: int) -> tuple:
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    return _fp_monic(a, p)
 
 
 def _fp_str(coeffs: tuple) -> str:
@@ -315,11 +272,48 @@ class _PolyRing:
         return out
 
     def divmod(self, a: int, b: int) -> tuple:
-        quo, rem = _fp_divmod(self.unpack(a), self.unpack(b), self.p)
-        return self.pack(quo), self.pack(rem)
+        # Long division on the packed int.  Each step cancels the
+        # remainder's leading slot n: it adds k*b shifted n - top slots,
+        # k = -c/lc(b) for the slot's coefficient c, and writes p - k into
+        # that quotient slot.  The remainder only shrinks, so a's masks
+        # fold every sum (past a sum's length a mask slot adds
+        # half - p >= 0 and never sets its top bit).  Each k*b is a sum
+        # of doublings of b, made once per call.
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        p, bits, hb = self.p, self.bits, self.bits - 1
+        top, n = (b.bit_length() - 1) // bits, (a.bit_length() - 1) // bits
+        if n < top:
+            return 0, a
+        neg = p - pow(b >> bits * top, p - 2, p)
+        offset, high = self._slot_masks(a)
+        doubles, multiples, quo = [b], {}, 0
+        while n >= top:
+            k = (a >> bits * n) * neg % p
+            m = multiples.get(k)
+            if m is None:
+                while len(doubles) < k.bit_length():
+                    x = doubles[-1] << 1
+                    doubles.append(x - (((x + offset) & high) >> hb) * p)
+                m = 0
+                for j, d in enumerate(doubles):
+                    if k >> j & 1:
+                        x = m + d
+                        m = x - (((x + offset) & high) >> hb) * p
+                multiples[k] = m
+            s = bits * (n - top)
+            quo |= (p - k) << s
+            x = a + (m << s)
+            a = x - (((x + offset) & high) >> hb) * p
+            n = (a.bit_length() - 1) // bits
+        return quo, a
 
     def gcd(self, a: int, b: int) -> int:
-        return self.pack(_fp_gcd(self.unpack(a), self.unpack(b), self.p))
+        # Euclid, then monic by the inverse of the leading coefficient.
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        lead = a >> self.bits * max(self.slots(a) - 1, 0)
+        return a if lead <= 1 else self.mul(a, pow(lead, self.p - 2, self.p))
 
     def canonical(self, num: int, den: int) -> tuple:
         # Reduce a fraction of polynomials to coprime/monic form.

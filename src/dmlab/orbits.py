@@ -64,6 +64,19 @@ __all__ = [
 _COMPILE_AT = 128
 
 
+def _vanishing_test(gens, field):
+    """Interpreted test of a payload tuple: whether every generator in
+    ``gens`` vanishes there.  Payloads are canonical, so zero is the
+    ring's ``zero``; the generators share one powers dict per point."""
+    zero = field._ring.zero
+
+    def test(pt):
+        powers = {}
+        return all(g._value(pt, powers) == zero for g in gens)
+
+    return test
+
+
 class Morphism:
     """Polynomial self-map of affine n-space, one component per coordinate."""
 
@@ -190,12 +203,7 @@ class OrbitCache:
         ``count`` is.  Over QQ and GF(p)(t) it tests every index l.
         """
         self.index(stride * max(count - 1, 0) + offset)
-        pts, zero = self._points, self.phi.field._ring.zero
-
-        def test(pt):  # payloads are canonical: zero is ring.zero
-            powers = {}
-            return all(g._value(pt, powers) == zero for g in gens)
-
+        pts, test = self._points, _vanishing_test(gens, self.phi.field)
         head, period = count, 0
         if self.cycle is not None:  # the l with stride * l + offset below the preperiod
             head = min(count, len(range(offset, self.cycle.preperiod, stride)))

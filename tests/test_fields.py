@@ -445,6 +445,49 @@ def test_packed_polynomials_match_the_schoolbook_reference():
         _check_packed_against_reference(field, short, long, 3)
 
 
+# One prime of each slot width of the generic packed ring: 4 bits (3, 7),
+# 1, 2 and 4 bytes (101; 257; 65537 and 2**31 - 1).
+DIVISION_PRIMES = (3, 7, 101, 257, 65537, 2147483647)
+
+
+def test_packed_division_matches_the_schoolbook_reference():
+    rng = random.Random(0xD1F5)
+    for p in DIVISION_PRIMES:
+        polys = _PolyRing(p)
+
+        def lead_not_one(length):
+            return tuple(rng.randrange(p) for _ in range(length - 1)) + (rng.randrange(2, p),)
+
+        # Pairs with a planted common factor of degree 20 and degrees
+        # 300-470, so Euclid runs hundreds of steps and ends above degree 0.
+        pairs = []
+        for _ in range(2):
+            common = lead_not_one(21)
+            a = _reference_fp_mul(common, lead_not_one(rng.randint(280, 450)), p)
+            b = _reference_fp_mul(common, _random_poly(rng, p, rng.randint(280, 450)), p)
+            pairs += [(a, b), (b, a)]
+        # Zero, constants, a dividend shorter than the divisor, and short
+        # random pairs.
+        constants = [(), (1,), (p - 1,), (rng.randrange(2, p),)]
+        pairs += [(a, b) for a in constants for b in constants]
+        pairs += [(lead_not_one(5), lead_not_one(9)), (lead_not_one(40), (rng.randrange(2, p),))]
+        pairs += [(_random_poly(rng, p, rng.randint(0, 30)), lead_not_one(rng.randint(1, 12)))
+                  for _ in range(40)]
+        planted = 0
+        for a, b in pairs:
+            pa, pb = polys.pack(a), polys.pack(b)
+            gcd = tuple(polys.unpack(polys.gcd(pa, pb)))
+            assert gcd == _reference_fp_gcd(a, b, p)
+            planted += len(gcd) > 20
+            if b:
+                quo, rem = (tuple(polys.unpack(c)) for c in polys.divmod(pa, pb))
+                assert (quo, rem) == _reference_fp_divmod(a, b, p)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    polys.divmod(pa, pb)
+        assert planted >= 4
+
+
 def test_slot_width_is_the_least_power_of_two_with_a_spare_bit():
     widths = {p: Field.rational_functions(p)._ring.polys.bits for p in (2, 3, 7, 11, 131, 32771)}
     assert widths == {2: 2, 3: 4, 7: 4, 11: 8, 131: 16, 32771: 32}
@@ -459,8 +502,9 @@ def test_gf2_powers_take_two_bits_per_coefficient():
 
 # -- the GF(2)[t] kernel against the generic packed ring --------------------
 #
-# _PolyRing(2) runs the generic slot arithmetic and the list-based division on
-# the same packing, so it is the oracle for every method the kernel overrides.
+# _PolyRing(2) runs the generic slot arithmetic and the generic packed
+# division on the same packing, so it is the oracle for every method the
+# kernel overrides.
 
 
 def _random_gf2(rng, slots):
@@ -500,7 +544,7 @@ def test_gf2_kernel_matches_the_generic_ring():
             short = generic.slots(min(a, b)) <= 3
             fast += short
             kronecker += not short
-        # The list-based division is quadratic; keep its long cases few.
+        # The generic division folds once per step; keep its long cases few.
         if min(generic.slots(a), generic.slots(b)) <= 100 or rng.random() < 0.02:
             assert kernel.gcd(a, b) == generic.gcd(a, b)
             if b:
@@ -542,9 +586,9 @@ def test_gf2_kernel_is_chosen_by_the_characteristic_alone():
 
 
 def test_gf2_work_never_unpacks_or_folds_generically(monkeypatch):
-    # Inputs first, then the list-based division, unpacking and the
-    # generic fold's masks raise: GF(2)(t) arithmetic has to stay on the
-    # kernel's packed ints.
+    # Inputs first, then the generic packed division and gcd, unpacking
+    # and the generic fold's masks raise: GF(2)(t) arithmetic has to stay
+    # on the kernel's packed ints.
     rng = random.Random(0x2F03)
     F = Field.rational_functions(2)
 
@@ -563,8 +607,8 @@ def test_gf2_work_never_unpacks_or_folds_generically(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("GF(2)(t) arithmetic left the GF(2)[t] kernel")
 
-    monkeypatch.setattr(dmlab.fields, "_fp_divmod", forbidden)
-    monkeypatch.setattr(dmlab.fields, "_fp_gcd", forbidden)
+    monkeypatch.setattr(_PolyRing, "divmod", forbidden)
+    monkeypatch.setattr(_PolyRing, "gcd", forbidden)
     monkeypatch.setattr(_PolyRing, "unpack", forbidden)
     monkeypatch.setattr(_PolyRing, "_slot_masks", forbidden)
     assert vanishing_ideal(points, MonomialOrder.grevlex(3), 2).generators
