@@ -61,7 +61,7 @@ from .ideals import (
     normal_form,
     vanishing_ideal,
 )
-from .multipoly import MonomialOrder, MultiPoly
+from .multipoly import MonomialOrder, MultiPoly, _require_polys
 from .orbits import Morphism, OrbitCache, ReturnSet, _vanishing_test
 
 __all__ = [
@@ -342,8 +342,7 @@ def certify_invariant(
     point sets) is exact containment.
     """
     _require_int(modulus, "modulus", 1)
-    if basis.num_vars != phi.num_vars or basis.field != phi.field:
-        raise ValueError("basis and morphism do not share a ring")
+    _require_polys(phi.components, "components", basis.field, basis.num_vars)
     witnesses = []
     if basis.generators:
         images = tuple(

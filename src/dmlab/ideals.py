@@ -23,12 +23,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .fields import Field, FieldValue, _require_int
+from .fields import Field, _require_int
 from .multipoly import (
     GREVLEX,
     MonomialOrder,
     MultiPoly,
     _merge,
+    _point_payloads,
+    _require_polys,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -137,8 +139,7 @@ def normal_form(f: MultiPoly, basis: ReducedGroebnerBasis) -> MultiPoly:
     Zero exactly when f lies in the ideal; idempotent; linear over the
     coefficient field.
     """
-    if f.num_vars != basis.num_vars or f.field != basis.field:
-        raise ValueError("polynomial does not live in the basis ring")
+    _require_polys((f,), "f", basis.field, basis.num_vars)
     return _remainder(f, basis._divisors, basis.order)
 
 
@@ -151,23 +152,13 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     criterion against pairs already handled.  The final basis is
     minimalized and interreduced, leaving the unique reduced basis.
     """
-    field = None
-    num_vars = 0
-    basis: list = []
-    for g in generators:
-        if not isinstance(g, MultiPoly):
-            raise TypeError("generators must be MultiPoly")
-        if field is None:
-            field = g.field
-            num_vars = g.num_vars
-        if g.field != field or g.num_vars != num_vars:
-            raise ValueError("generators must share a ring")
-        if not g.is_zero():
-            basis.append(g._monic_pair(order))
-    if field is None:
+    generators = _require_polys(generators, "generators")
+    if not generators:
         raise ValueError("cannot infer the ring from an empty generator list")
+    field, num_vars = generators[0].field, generators[0].num_vars
     if order.num_vars != num_vars:
         raise ValueError("order does not match the variable count")
+    basis = [g._monic_pair(order) for g in generators if not g.is_zero()]
     if not basis:
         return ReducedGroebnerBasis(order, (), num_vars, field)
 
@@ -283,17 +274,9 @@ class PointSet(NamedTuple):
         if not pts:
             raise ValueError("empty point set")
         num_vars = len(pts[0])
-        field = None
+        field = getattr(pts[0][0], "field", None) if num_vars else None
         for p in pts:
-            if len(p) != num_vars:
-                raise ValueError("points must share a dimension")
-            for v in p:
-                if not isinstance(v, FieldValue):
-                    raise TypeError("coordinates must be FieldValue")
-                if field is None:
-                    field = v.field
-                elif v.field != field:
-                    raise ValueError("points must share a field")
+            _point_payloads(field, p, num_vars, "the first point")
         unique = tuple(dict.fromkeys(pts))
         return cls(unique, num_vars, field)
 

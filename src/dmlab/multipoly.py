@@ -63,6 +63,23 @@ def _point_payloads(field: Field, point, num_vars: int, dimension: str) -> tuple
     return tuple(v.payload for v in point)
 
 
+def _require_polys(polys, name: str, field=None, num_vars=None) -> tuple:
+    """The polynomials as a tuple, each checked to be a :class:`MultiPoly`
+    over ``field`` in ``num_vars`` variables; either, when None, is the
+    first polynomial's.  The one check of every polynomial argument."""
+    polys = tuple(polys)
+    for f in polys:
+        if not isinstance(f, MultiPoly):
+            raise TypeError(f"{name} must be MultiPoly, got {type(f).__name__}")
+        field = f.field if field is None else field
+        num_vars = f.num_vars if num_vars is None else num_vars
+        if f.field is not field and f.field != field:
+            raise FieldMismatchError("field mismatch")
+        if f.num_vars != num_vars:
+            raise ValueError(f"{name} must be polynomials in {num_vars} variables")
+    return polys
+
+
 def _merge(ring, out: dict, items) -> dict:
     """Add (monomial, nonzero payload) pairs into the term map ``out``.
 
@@ -216,12 +233,7 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other) -> None:
-        if not isinstance(other, MultiPoly):
-            raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError("field mismatch")
-        if other.num_vars != self.num_vars:
-            raise ValueError("variable count mismatch")
+        _require_polys((other,), "operands", self.field, self.num_vars)
 
     def __add__(self, other) -> "MultiPoly":
         self._check(other)
@@ -359,13 +371,7 @@ class MultiPoly:
         images = tuple(images)
         if len(images) != self.num_vars:
             raise ValueError("image count does not match variable count")
-        for g in images:
-            if not isinstance(g, MultiPoly):
-                raise TypeError("images must be MultiPoly")
-            if g.field != self.field:
-                raise FieldMismatchError("field mismatch")
-            if g.num_vars != images[0].num_vars:
-                raise ValueError("variable count mismatch")
+        _require_polys(images, "images", self.field)
         out_vars = images[0].num_vars
         ring = self.field._ring
         one = MultiPoly.from_int(self.field, out_vars, 1)

@@ -47,8 +47,8 @@ from itertools import compress, islice
 from math import gcd
 from typing import NamedTuple
 
-from .fields import FieldMismatchError, FieldValue, _require_int
-from .multipoly import MultiPoly, _kernel, _point_payloads
+from .fields import FieldValue, _require_int
+from .multipoly import _kernel, _point_payloads, _require_polys
 
 __all__ = [
     "CycleStructure",
@@ -86,18 +86,9 @@ class Morphism:
         components = tuple(components)
         if not components:
             raise ValueError("a morphism needs at least one component")
-        first = components[0]
-        for c in components:
-            if not isinstance(c, MultiPoly):
-                raise TypeError("components must be MultiPoly")
-            if c.field != first.field:
-                raise ValueError("components must share a field")
-            if c.num_vars != len(components):
-                raise ValueError(
-                    "each component must be a polynomial in exactly the ambient variables"
-                )
+        _require_polys(components, "components", num_vars=len(components))
         self.components = components
-        self.field = first.field
+        self.field = components[0].field
         self.num_vars = len(components)
 
     def _payloads(self, point) -> tuple:
@@ -340,14 +331,8 @@ def return_set(phi: Morphism, start, target, horizon: int, cache: OrbitCache | N
     before any iterate is computed.
     """
     _require_int(horizon, "horizon", 1)
-    gens = tuple(getattr(target, "generators", target))
-    for g in gens:
-        if not isinstance(g, MultiPoly):
-            raise TypeError("target generators must be MultiPoly")
-        if g.field != phi.field:
-            raise FieldMismatchError("field mismatch")
-        if g.num_vars != phi.num_vars:
-            raise ValueError("target generators must be polynomials in the ambient variables")
+    gens = getattr(target, "generators", target)
+    gens = _require_polys(gens, "target generators", phi.field, phi.num_vars)
     if cache is None:
         cache = OrbitCache(phi, start)
     elif cache.phi is not phi:

@@ -143,6 +143,61 @@ def test_one_integer_check_lives_in_fields():
     assert found == [("fields.py", "defines _require_int")]
 
 
+# Texts of the hand-written polynomial and point checks that
+# multipoly._require_polys and _point_payloads replaced.
+RING_TEXTS = (
+    "MultiPoly", "share a ring", "share a field", "ambient variables", "share a dimension",
+    "must be FieldValue",
+)
+
+
+def _nodes_by_scope(node, scope):
+    # (dotted name of the innermost enclosing class or function, node) for
+    # each node below node.
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        yield inner, child
+        yield from _nodes_by_scope(child, inner)
+
+
+def _ring_checks(path):
+    # (scope, what) of each isinstance test against MultiPoly or FieldValue,
+    # and each raise whose text is one of RING_TEXTS.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for scope, node in _nodes_by_scope(tree, "<module>"):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            for name in ("MultiPoly", "FieldValue"):
+                if any(getattr(part, "id", None) == name for part in ast.walk(node.args[1])):
+                    yield scope, f"isinstance {name}"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            texts = [
+                part.value
+                for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            ]
+            if any(marker in text for text in texts for marker in RING_TEXTS):
+                yield scope, "raises a ring text"
+
+
+def test_one_polynomial_check_and_one_point_check_live_in_multipoly():
+    # Polynomial arguments go through _require_polys and points through
+    # _point_payloads.  MultiPoly.__eq__ answers NotImplemented, and
+    # FieldValue checks its own operands.  _check_same_ring compares two
+    # bases, monomial orders included, not a polynomial argument.
+    found = sorted((path.name, *check) for path in SOURCES for check in _ring_checks(path))
+    assert found == [
+        ("fields.py", "FieldValue.__eq__", "isinstance FieldValue"),
+        ("fields.py", "FieldValue._check", "isinstance FieldValue"),
+        ("ideals.py", "_check_same_ring", "raises a ring text"),
+        ("multipoly.py", "MultiPoly.__eq__", "isinstance MultiPoly"),
+        ("multipoly.py", "_point_payloads", "isinstance FieldValue"),
+        ("multipoly.py", "_require_polys", "isinstance MultiPoly"),
+        ("multipoly.py", "_require_polys", "raises a ring text"),
+    ]
+
+
 def _calls_by_function(node, scope):
     # (name of the innermost enclosing function, call) for each call below node.
     for child in ast.iter_child_nodes(node):

@@ -39,3 +39,48 @@ def test_heavy_function_field_pins(p, count, want, operations, reductions, monke
     assert ring.calls == sum(operations.values())
     assert len(calls) == reductions
     assert digest(basis) == want
+
+
+# (case, size, output digest, payload-ring counts, (normal_form,
+# buchberger) calls) of tests/heavy.py's other cases at their pin sizes.
+# The certificate's 19 normal forms are the two coordinate images, two
+# per step and one per generator of W.
+OTHER_PINS = [
+    ("certify", 8, "39c7086daddf", {"neg": 1, "mul": 47569, "add": 43033}, (19, 0)),
+    ("QQ-points", 32, "ae9f6d3f999f",
+     {"clear": 2, "dmul": 1287, "combine": 752, "primitive": 752, "quotient": 256}, (0, 0)),
+    ("QQ-height", 20, "4e07408562be", {"pow": 19, "add": 39}, (0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, size, want, operations, functions", OTHER_PINS)
+def test_heavy_case_pins(name, size, want, operations, functions, monkeypatch):
+    import sys
+
+    import dmlab
+    from conftest import CountingRing
+    from heavy import CASES
+
+    (case,) = [case for case in CASES if case.name == name]
+    field, call = case.build(size)
+    ring = CountingRing(field._ring)
+    monkeypatch.setattr(field, "_ring", ring)
+    calls = {"normal_form": 0, "buchberger": 0}
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dmlab"]
+    for counted in calls:
+        original = getattr(dmlab, counted)
+
+        def wrapper(*args, counted=counted, original=original):
+            calls[counted] += 1
+            return original(*args)
+
+        for module in modules:
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, wrapper)
+    out = call()
+    # Read the counts before the digest: rendering goes through the ring.
+    assert dict(ring.counts) == operations
+    assert ring.calls == sum(operations.values())
+    assert tuple(calls.values()) == functions
+    assert case.digest(out) == want

@@ -130,7 +130,7 @@ def test_return_set_refuses_targets_off_the_map_before_iterating():
     cache = OrbitCache(phi, start)
     with pytest.raises(FieldMismatchError, match="field mismatch"):
         return_set(phi, start, [parse_polynomial("x-1", XY, Field.prime(5))], 10, cache)
-    with pytest.raises(ValueError, match="ambient variables"):
+    with pytest.raises(ValueError, match="polynomials in 2 variables"):
         return_set(phi, start, [parse_polynomial("x-1", ("x",), F7)], 10, cache)
     with pytest.raises(TypeError, match="MultiPoly"):
         return_set(phi, start, ["x-1"], 10, cache)
