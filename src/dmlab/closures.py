@@ -47,9 +47,10 @@ from typing import NamedTuple
 from .density import (
     DensityProfile,
     Progression,
+    _search_bounds,
+    _window_lengths,
     ceil_sqrt,
     decompose_return_set,
-    default_window_schedule,
     detect_progressions,
 )
 from .fields import _require_int
@@ -187,9 +188,10 @@ class AnalysisParams(NamedTuple):
     closure sampling and the case split.  ``a_max`` and
     ``window_lengths`` default to None, meaning derived from the
     horizon; a parsed experiment holds both resolved.  The record
-    checks itself: :meth:`resolved` is the one place a setting's range
-    is written, so an experiment file and a :class:`Session` reject the
-    same values with the same text.
+    checks itself with :meth:`resolved`, which reads the search and
+    window ranges from density's own checks, so an experiment file, a
+    :class:`Session` and the density functions reject the same values
+    with the same text.
     """
 
     a_max: int | None = None
@@ -212,21 +214,13 @@ class AnalysisParams(NamedTuple):
         """
         _require_int(horizon, "N", 1)
         params = self._replace(a_max=ceil_sqrt(horizon)) if self.a_max is None else self
-        # The integer fields' minimums, in field order.
-        minimums = (1, 2, 0, 1, 2, params.initial_samples, 0)
-        for name, value, minimum in zip(self._fields, params, minimums):
-            _require_int(value, name, minimum)
-            if name == "tail_start" and value >= horizon:
-                raise ValueError("tail_start must be below N")
-        lengths = params.window_lengths
-        if lengths is None:
-            lengths = default_window_schedule(horizon)
-        elif not isinstance(lengths, (list, tuple)) or not lengths:
+        _search_bounds(params.a_max, params.m_min, params.tail_start, horizon)
+        # The closure settings, in field order, each against its minimum.
+        for name, minimum in zip(self._fields[3:7], (1, 2, params.initial_samples, 0)):
+            _require_int(getattr(params, name), name, minimum)
+        if not isinstance(params.window_lengths, (list, tuple, type(None))):
             raise ValueError("window_lengths must be a nonempty list of integers")
-        for length in lengths:
-            if _require_int(length, "window_lengths entry", 1) > horizon:
-                raise ValueError("window_lengths entries must not exceed N")
-        return params._replace(window_lengths=tuple(sorted(set(lengths))))
+        return params._replace(window_lengths=_window_lengths(params.window_lengths, horizon))
 
 
 class Session:

@@ -79,9 +79,7 @@ class Progression:
         return range(self.offset, _require_int(horizon, "horizon", 0), self.modulus)
 
     def count_below(self, horizon: int) -> int:
-        if self.offset >= _require_int(horizon, "horizon", 0):
-            return 0
-        return (horizon - 1 - self.offset) // self.modulus + 1
+        return len(self.members_below(horizon))
 
 
 class DensityProfile(NamedTuple):
@@ -120,24 +118,33 @@ def ceil_sqrt(n: int) -> int:
 def default_window_schedule(n: int) -> tuple:
     """Window lengths near N^(1/4), N^(1/2), N^(3/4) and N itself.
 
-    Exact integer arithmetic: the k/4 entry is the smallest L with
-    L^4 >= N^k.  Duplicates collapse for small N.
+    Exact integer arithmetic: the k/4 entry, the smallest L with L^4 >= N^k,
+    is ⌈√⌈√(N^k)⌉⌉: r = ⌈x^(1/4)⌉ gives (r-1)^4 < x <= r^4, so
+    (r-1)^2 < ⌈√x⌉ <= r^2 and ⌈√⌈√x⌉⌉ = r.  Duplicates collapse for small N.
     """
     _require_int(n, "N", 1)
-
-    def ceil_quarter_root(target: int) -> int:
-        r = isqrt(isqrt(target))
-        while r**4 < target:
-            r += 1
-        return max(r, 1)
-
-    lengths = {
-        ceil_quarter_root(n),
-        ceil_sqrt(n),
-        ceil_quarter_root(n**3),
-        n,
-    }
+    lengths = {ceil_sqrt(ceil_sqrt(n)), ceil_sqrt(n), ceil_sqrt(ceil_sqrt(n**3)), n}
     return tuple(sorted(lengths))
+
+
+def _window_lengths(lengths, n: int) -> tuple:
+    """``lengths`` (None: the default schedule), integers in [1, N], sorted and deduplicated."""
+    if lengths is None:
+        return default_window_schedule(n)
+    lengths = sorted({_require_int(length, "window_lengths entry", 1) for length in lengths})
+    if not lengths:
+        raise ValueError("window_lengths must be a nonempty list of integers")
+    if lengths[-1] > n:
+        raise ValueError("window_lengths entries must not exceed N")
+    return tuple(lengths)
+
+
+def _search_bounds(a_max: int, m_min: int, tail_start: int, n: int) -> None:
+    """Check the progression search's settings against the horizon N."""
+    _require_int(a_max, "a_max", 1)
+    _require_int(m_min, "m_min", 2)
+    if _require_int(tail_start, "tail_start", 0) >= n:
+        raise ValueError("tail_start must be below N")
 
 
 def _window_maxima(s: ReturnSet, lengths) -> list:
@@ -176,13 +183,7 @@ def window_density_max(s: ReturnSet, length: int) -> Fraction:
 
 def density_profile(s: ReturnSet, lengths=None) -> DensityProfile:
     """Profile of max window ratios over a schedule of lengths."""
-    if lengths is None:
-        lengths = default_window_schedule(s.horizon)
-    lengths = sorted({_require_int(length, "window length", 1) for length in lengths})
-    if not lengths:
-        raise ValueError("window schedule must be nonempty")
-    if lengths[-1] > s.horizon:
-        raise ValueError("window length must not exceed N")
+    lengths = _window_lengths(lengths, s.horizon)
     return DensityProfile(s.horizon, tuple(zip(lengths, _window_maxima(s, lengths))))
 
 
@@ -207,10 +208,7 @@ def detect_progressions(s: ReturnSet, a_max: int, m_min: int = 5, tail_start: in
     Output is sorted by (modulus, offset).  The arguments are checked
     with the texts of the run's settings, N being ``s.horizon``.
     """
-    _require_int(a_max, "a_max", 1)
-    _require_int(m_min, "m_min", 2)
-    if _require_int(tail_start, "tail_start", 0) >= s.horizon:
-        raise ValueError("tail_start must be below N")
+    _search_bounds(a_max, m_min, tail_start, s.horizon)
     n, flags = s.horizon, s.flags
     kept: list = []
     for a in range(1, a_max + 1):

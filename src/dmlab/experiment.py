@@ -325,8 +325,6 @@ def _render(value, depth: int, out: list) -> None:
 def _stage(name: str):
     try:
         yield
-    except ExperimentError:
-        raise
     except Exception as exc:
         raise StageError(f"{name} stage: {exc}") from exc
 

@@ -26,6 +26,7 @@ has no division to read back; those strings are display-only.
 from __future__ import annotations
 
 import re
+from operator import add, mul, sub
 
 from .fields import Field
 from .multipoly import MultiPoly
@@ -39,6 +40,7 @@ _TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>[0-9]+)|(?P<op>[-+*^()])"
 )
 _SPACE_RE = re.compile(r"\s*")
+_BINARY = {"+": add, "-": sub, "*": mul}
 
 
 class ExprSyntaxError(ValueError):
@@ -96,25 +98,18 @@ class _Parser:
         return poly
 
     def expr(self) -> MultiPoly:
-        poly = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly + rhs if text == "+" else poly - rhs
-            else:
-                return poly
+        return self.chain(self.term, "+-")
 
     def term(self) -> MultiPoly:
-        poly = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.advance()
-                poly = poly * self.unary()
-            else:
-                return poly
+        return self.chain(self.unary, "*")
+
+    def chain(self, operand, ops: str) -> MultiPoly:
+        # operand (op operand)*, left-associative, each op one of ops.
+        poly = operand()
+        while (token := self.peek())[0] == "op" and token[1] in ops:
+            self.advance()
+            poly = _BINARY[token[1]](poly, operand())
+        return poly
 
     def unary(self) -> MultiPoly:
         kind, text, _ = self.peek()

@@ -92,6 +92,18 @@ def _require_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _power(mul, one, a, e: int):
+    """``a`` to the ``e``, square-and-multiply from ``one`` with ``mul``."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return out
+
+
 def _prime_characteristic(p: int) -> int:
     """``p``, checked to be a prime below 2**31."""
     # Trial division; at the 2**31 cap this is about 46,000 divisions,
@@ -262,14 +274,7 @@ class _PolyRing:
         return int.from_bytes(out, "little")
 
     def pow(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return out
+        return _power(self.mul, 1, a, e)
 
     def divmod(self, a: int, b: int) -> tuple:
         # Long division on the packed int.  Each step cancels the

@@ -274,7 +274,9 @@ class PointSet(NamedTuple):
         if not pts:
             raise ValueError("empty point set")
         num_vars = len(pts[0])
-        field = getattr(pts[0][0], "field", None) if num_vars else None
+        if not num_vars:
+            raise ValueError("points need at least one coordinate")
+        field = getattr(pts[0][0], "field", None)
         for p in pts:
             _point_payloads(field, p, num_vars, "the first point")
         unique = tuple(dict.fromkeys(pts))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import itemgetter, neg
 
-from .fields import Field, FieldMismatchError, FieldValue, _require_int
+from .fields import Field, FieldMismatchError, FieldValue, _power, _require_int
 
 __all__ = [
     "MonomialOrder",
@@ -114,6 +114,8 @@ class MonomialOrder:
     def __init__(self, kind: str, priority: tuple):
         if kind not in (LEX, GREVLEX):
             raise ValueError(f"unknown order kind {kind!r}")
+        if not priority:
+            raise ValueError("monomial orders need at least one variable")
         if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of the variable indices")
         self.kind = kind
@@ -262,15 +264,7 @@ class MultiPoly:
 
     def __pow__(self, e: int) -> "MultiPoly":
         _require_int(e, "exponent", 0)
-        out = MultiPoly.from_int(self.field, self.num_vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(MultiPoly.__mul__, MultiPoly.from_int(self.field, self.num_vars, 1), self, e)
 
     # -- structure -----------------------------------------------------
 

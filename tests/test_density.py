@@ -155,6 +155,33 @@ def test_default_window_schedule():
         assert top == n
 
 
+def _least_fourth_root(x):
+    # Least L with L^4 >= x, by bisection on L alone.
+    lo, hi = 0, 1 << (x.bit_length() // 4 + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**4 < x else (lo, mid)
+    return lo
+
+
+def test_default_window_schedule_is_exact():
+    # Entry k/4 is the least L with L^4 >= N^k, checked against a walk
+    # over N = 1..20000 (each least L only grows with N), then by
+    # bisection at N = m^4 - 1, m^4, m^4 + 1 and at random N up to 10^60.
+    roots = [0, 0, 0]
+    for n in range(1, 20001):
+        for k in range(3):
+            while roots[k] ** 4 < n ** (k + 1):
+                roots[k] += 1
+        assert default_window_schedule(n) == tuple(sorted({*roots, n}))
+    rng = random.Random(39)
+    bases = [*range(2, 400), *(10**j + 1 for j in range(3, 16))]
+    edges = [m**4 + d for m in bases for d in (-1, 0, 1)]
+    for n in [*edges, *(rng.randrange(1, 10**60) for _ in range(1000))]:
+        roots = {_least_fourth_root(n ** (k + 1)) for k in range(3)}
+        assert default_window_schedule(n) == tuple(sorted({*roots, n}))
+
+
 def test_density_profile():
     s = rs(2**12, powers_below(2, 2**12))
     prof = density_profile(s, [64, 8, 64])
@@ -164,7 +191,7 @@ def test_density_profile():
     with pytest.raises(KeyError):
         prof.ratio_at(10)
     for bad in ([0, 8], [8, 2**12 + 1]):
-        with pytest.raises(ValueError, match="window length"):
+        with pytest.raises(ValueError, match="window_lengths entr"):
             density_profile(s, bad)
     dflt = density_profile(s)
     assert [l for l, _ in dflt.entries] == [8, 64, 512, 4096]

@@ -198,6 +198,48 @@ def test_one_polynomial_check_and_one_point_check_live_in_multipoly():
     ]
 
 
+# Texts of the density settings' ranges.
+DENSITY_TEXTS = ("tail_start must be below N", "must not exceed N", "nonempty list of integers")
+
+
+def _written_once(path):
+    # (scope, what) of each exponent loop's halving (e >>= 1), each raise
+    # of a DENSITY_TEXTS text, and default_window_schedule holding a
+    # nested function or lambda.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for scope, node in _nodes_by_scope(tree, "<module>"):
+        if (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.RShift)
+            and getattr(node.value, "value", None) == 1
+        ):
+            yield scope, "halves an exponent"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield from ((scope, f"raises {t!r}") for t in DENSITY_TEXTS if t in part.value)
+        elif isinstance(node, ast.FunctionDef) and node.name == "default_window_schedule":
+            inner = [n for n in ast.walk(node) if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+            if inner != [node]:
+                yield scope, "nests a function"
+
+
+def test_square_and_multiply_and_the_density_ranges_are_written_once():
+    # Both power loops call fields._power; detect_progressions,
+    # density_profile and AnalysisParams.resolved check the density
+    # settings through density._search_bounds and _window_lengths, and
+    # resolved adds only its list-or-tuple test.  The schedule's fourth
+    # root is ceil_sqrt twice, not a loop of its own.
+    found = sorted((path.name, *site) for path in SOURCES for site in _written_once(path))
+    assert found == [
+        ("closures.py", "AnalysisParams.resolved", "raises 'nonempty list of integers'"),
+        ("density.py", "_search_bounds", "raises 'tail_start must be below N'"),
+        ("density.py", "_window_lengths", "raises 'must not exceed N'"),
+        ("density.py", "_window_lengths", "raises 'nonempty list of integers'"),
+        ("fields.py", "_power", "halves an exponent"),
+    ]
+
+
 def _calls_by_function(node, scope):
     # (name of the innermost enclosing function, call) for each call below node.
     for child in ast.iter_child_nodes(node):

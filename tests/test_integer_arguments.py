@@ -50,8 +50,8 @@ SITES = [
     ("Progression.members_below", lambda v: Progression(2, 0).members_below(v), "horizon", 0),
     ("ceil_sqrt", ceil_sqrt, "n", 0),
     ("default_window_schedule", default_window_schedule, "N", 1),
-    ("density_profile", lambda v: density_profile(RETURNS, (3, v)), "window length", 1),
-    ("window_density_max", lambda v: window_density_max(RETURNS, v), "window length", 1),
+    ("density_profile", lambda v: density_profile(RETURNS, (3, v)), "window_lengths entry", 1),
+    ("window_density_max", lambda v: window_density_max(RETURNS, v), "window_lengths entry", 1),
     ("certify_invariant", lambda v: certify_invariant(BASIS, PHI, v), "modulus", 1),
     ("orbit_prefix", lambda v: orbit_prefix(PHI, START, v), "n", 0),
     ("OrbitCache.index", lambda v: OrbitCache(PHI, START).index(v), "n", 0),
@@ -100,7 +100,7 @@ def test_each_integer_argument_has_the_settings_texts(call, bad, text):
 def test_window_lengths_stop_at_the_horizon(call):
     with pytest.raises(ValueError) as exc:
         call()
-    assert str(exc.value) == "window length must not exceed N"
+    assert str(exc.value) == "window_lengths entries must not exceed N"
 
 
 def test_certify_report_rejects_its_frame_as_input():

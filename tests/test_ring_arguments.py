@@ -141,3 +141,26 @@ def test_the_checked_arguments_still_work():
     assert len(PointSet.of([START, START]).points) == 1
     assert PHI.apply(START) == (START[1], START[0])
     assert OrbitCache(PHI, START).point(1) == PHI.apply(START)
+
+
+# (entry, call, exact ValueError text) of an order over no variables and
+# a point of no coordinates, which no polynomial could live on.
+NO_VARIABLES = "monomial orders need at least one variable"
+NO_COORDINATES = "points need at least one coordinate"
+EMPTY_ROWS = [
+    ("MonomialOrder", lambda: MonomialOrder("lex", ()), NO_VARIABLES),
+    ("MonomialOrder.grevlex", lambda: MonomialOrder.grevlex(0), NO_VARIABLES),
+    ("PointSet.of", lambda: PointSet.of([()]), NO_COORDINATES),
+    ("PointSet.of-first", lambda: PointSet.of([(), START]), NO_COORDINATES),
+    ("vanishing_ideal", lambda: vanishing_ideal([()], ORDER), NO_COORDINATES),
+]
+
+
+@pytest.mark.parametrize(
+    "call, text", [pytest.param(call, text, id=entry) for entry, call, text in EMPTY_ROWS]
+)
+def test_no_variables_and_no_coordinates_are_rejected(call, text):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == text
