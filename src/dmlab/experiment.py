@@ -24,7 +24,6 @@ rerun is byte-identical.
 from __future__ import annotations
 
 import json
-import re
 from contextlib import contextmanager
 from functools import cache, cached_property
 from itertools import compress, product
@@ -49,7 +48,7 @@ from .density import DensityProfile, Progression, density_profile
 # wraps them, and reached by run_experiment through globals().
 from .closures import refine_case_split
 from .density import decompose_return_set, detect_progressions
-from .exprparse import ExprSyntaxError, parse_polynomial
+from .exprparse import ExprSyntaxError, _require_names, parse_polynomial
 from .fields import Field, _require_int
 from .ideals import buchberger
 from .orbits import Morphism, ReturnSet, return_set
@@ -79,8 +78,6 @@ class SchemaError(ExperimentError):
 class StageError(ExperimentError):
     """An analysis stage failed; the message names the stage."""
 
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _TOP_KEYS = {"field", "vars", "phi", "alpha", "V", "N", "analysis"}
 
@@ -115,12 +112,6 @@ def _require_str_list(value, name: str):
     return value
 
 
-def _parse_field(label) -> Field:
-    if not isinstance(label, str):
-        raise SchemaError("field must be a string")
-    return _schema(Field.from_label, label)
-
-
 def experiment_from_dict(doc) -> ExperimentSpec:
     """Validate a decoded experiment document against the schema."""
     if not isinstance(doc, dict):
@@ -132,18 +123,12 @@ def experiment_from_dict(doc) -> ExperimentSpec:
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
 
-    field = _parse_field(doc["field"])
-    var_names = _require_str_list(doc["vars"], "vars")
-    if not var_names:
-        raise SchemaError("vars must be nonempty")
-    for name in var_names:
-        if not _IDENT_RE.fullmatch(name):
-            raise SchemaError(f"variable name {name!r} is not an identifier")
-        if name == "t":
-            raise SchemaError("reserved identifier 't' cannot be a variable")
-    if len(set(var_names)) != len(var_names):
-        raise SchemaError("variable names must be distinct")
-    var_names = tuple(var_names)
+    if not isinstance(doc["field"], str):
+        raise SchemaError("field must be a string")
+    field = _schema(Field.from_label, doc["field"])
+    var_names = _schema(_require_names, _require_str_list(doc["vars"], "vars"))
+    if "t" in var_names:
+        raise SchemaError("reserved identifier 't' cannot be a variable")
 
     phi_sources = tuple(_require_str_list(doc["phi"], "phi"))
     if len(phi_sources) != len(var_names):

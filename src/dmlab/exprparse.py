@@ -36,10 +36,12 @@ __all__ = ["ExprSyntaxError", "parse_polynomial", "MAX_EXPONENT", "MAX_NESTING"]
 MAX_EXPONENT = 2**20
 MAX_NESTING = 100
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Optional whitespace, then a token, the end, or a character no token starts with.
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>[0-9]+)|(?P<op>[-+*^()])"
+    rf"\s*(?:(?P<name>{_NAME_RE.pattern})|(?P<number>[0-9]+)|(?P<op>[-+*^()])"
+    r"|(?P<end>\Z)|(?P<bad>.))"
 )
-_SPACE_RE = re.compile(r"\s*")
 _BINARY = {"+": add, "-": sub, "*": mul}
 
 
@@ -54,20 +56,27 @@ class ExprSyntaxError(ValueError):
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        pos = _SPACE_RE.match(source, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
-    return tokens
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+        tokens.append((kind, m[kind], pos))
+        if kind == "end":
+            return tokens
+
+
+def _require_names(names) -> tuple:
+    """``names`` as a tuple, checked to be nonempty, identifiers and distinct."""
+    names = tuple(names)
+    if not names:
+        raise ValueError("vars must be nonempty")
+    for name in names:
+        if not _NAME_RE.fullmatch(name):
+            raise ValueError(f"variable name {name!r} is not an identifier")
+    if len(set(names)) != len(names):
+        raise ValueError("variable names must be distinct")
+    return names
 
 
 class _Parser:
@@ -86,9 +95,6 @@ class _Parser:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
-
-    def fail(self, detail: str):
-        raise ExprSyntaxError(detail, self.peek()[2])
 
     def parse(self) -> MultiPoly:
         poly = self.expr()
@@ -125,7 +131,7 @@ class _Parser:
             self.advance()
             ekind, etext, epos = self.peek()
             if ekind != "number":
-                self.fail("expected an integer exponent")
+                raise ExprSyntaxError("expected an integer exponent", epos)
             self.advance()
             try:
                 exponent = int(etext)
@@ -168,9 +174,4 @@ class _Parser:
 
 def parse_polynomial(source: str, var_names, field: Field) -> MultiPoly:
     """Parse an expression over the named variables into a MultiPoly."""
-    var_names = tuple(var_names)
-    if not var_names:
-        raise ValueError("at least one variable name is required")
-    if len(set(var_names)) != len(var_names):
-        raise ValueError("variable names must be distinct")
-    return _Parser(source, var_names, field).parse()
+    return _Parser(source, _require_names(var_names), field).parse()

@@ -104,15 +104,6 @@ def _power(mul, one, a, e: int):
     return out
 
 
-def _prime_characteristic(p: int) -> int:
-    """``p``, checked to be a prime below 2**31."""
-    # Trial division; at the 2**31 cap this is about 46,000 divisions,
-    # paid once per Field construction.
-    if not (2 <= p < _MAX_CHARACTERISTIC) or not all(p % q for q in range(2, isqrt(p) + 1)):
-        raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
-    return p
-
-
 def _fp_str(coeffs: tuple) -> str:
     if not coeffs:
         return "0"
@@ -572,21 +563,27 @@ class _FunctionRing:
 class Field:
     """Descriptor of a supported coefficient field.
 
-    Fields compare and hash by ``kind`` and ``characteristic``; the
-    payload arithmetic ``_ring`` is built once, here.
+    Fields compare and hash by ``kind`` and ``characteristic``.  The
+    characteristic is checked (0 for QQ, else a prime below 2**31) and
+    the payload arithmetic ``_ring`` built once, here.
     """
 
     __slots__ = ("kind", "characteristic", "_ring")
 
     def __init__(self, kind: FieldKind, characteristic: int):
+        p = characteristic
+        if kind is FieldKind.RATIONALS:
+            if p != 0:
+                raise ValueError(f"QQ has characteristic 0, got {p}")
+            self._ring = _RationalRing()
+        else:
+            # Trial division; at the 2**31 cap this is about 46,000
+            # divisions, paid once per Field construction.
+            if not (2 <= p < _MAX_CHARACTERISTIC) or not all(p % q for q in range(2, isqrt(p) + 1)):
+                raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
+            self._ring = (_PrimeRing if kind is FieldKind.PRIME else _FunctionRing)(p)
         self.kind = kind
         self.characteristic = characteristic
-        if kind is FieldKind.RATIONALS:
-            self._ring = _RationalRing()
-        elif kind is FieldKind.PRIME:
-            self._ring = _PrimeRing(characteristic)
-        else:
-            self._ring = _FunctionRing(characteristic)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -605,11 +602,11 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
-        return Field(FieldKind.PRIME, _prime_characteristic(p))
+        return Field(FieldKind.PRIME, p)
 
     @staticmethod
     def rational_functions(p: int) -> "Field":
-        return Field(FieldKind.RATIONAL_FUNCTIONS, _prime_characteristic(p))
+        return Field(FieldKind.RATIONAL_FUNCTIONS, p)
 
     @staticmethod
     def from_label(label: str) -> "Field":

@@ -30,6 +30,7 @@ from .multipoly import (
     MultiPoly,
     _merge,
     _point_payloads,
+    _require_order,
     _require_polys,
     mono_div,
     mono_divides,
@@ -156,8 +157,7 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     if not generators:
         raise ValueError("cannot infer the ring from an empty generator list")
     field, num_vars = generators[0].field, generators[0].num_vars
-    if order.num_vars != num_vars:
-        raise ValueError("order does not match the variable count")
+    _require_order(order, num_vars)
     basis = [g._monic_pair(order) for g in generators if not g.is_zero()]
     if not basis:
         return ReducedGroebnerBasis(order, (), num_vars, field)
@@ -316,14 +316,13 @@ def vanishing_ideal(
     all give the zero ideal); when it never gets that far, the emitted
     basis is the full one.
     """
+    if not isinstance(points, PointSet):
+        points = PointSet.of(points)
+    _require_order(order, points.num_vars)
     if max_degree is not None:
         if order.kind != GREVLEX:
             raise ValueError("a degree cap needs a grevlex order")
         _require_int(max_degree, "degree cap", 0)
-    if not isinstance(points, PointSet):
-        points = PointSet.of(points)
-    if order.num_vars != points.num_vars:
-        raise ValueError("order does not match the point dimension")
     field = points.field
     ring = field._ring
     n = points.num_vars

@@ -57,10 +57,23 @@ def _point_payloads(field: Field, point, num_vars: int, dimension: str) -> tuple
     point = tuple(point)
     if len(point) != num_vars:
         raise ValueError(f"point length does not match {dimension}")
-    for v in point:
-        if not isinstance(v, FieldValue) or (v.field is not field and v.field != field):
-            raise FieldMismatchError("field mismatch")
-    return tuple(v.payload for v in point)
+    return tuple([_payload(v, field) for v in point])
+
+
+def _payload(value, field: Field):
+    """Payload of ``value``, checked to be a FieldValue of ``field``: every coefficient's check."""
+    if not isinstance(value, FieldValue) or (value.field is not field and value.field != field):
+        raise FieldMismatchError("field mismatch")
+    return value.payload
+
+
+def _require_order(order, num_vars: int) -> "MonomialOrder":
+    """``order``, checked to be a MonomialOrder on ``num_vars`` variables: every order's check."""
+    if not isinstance(order, MonomialOrder):
+        raise TypeError(f"order must be MonomialOrder, got {type(order).__name__}")
+    if len(order.priority) != num_vars:
+        raise ValueError(f"order must be on {num_vars} variables")
+    return order
 
 
 def _require_polys(polys, name: str, field=None, num_vars=None) -> tuple:
@@ -109,11 +122,12 @@ class MonomialOrder:
     Orders compare and hash by ``kind`` and ``priority``.
     """
 
-    __slots__ = ("kind", "priority", "_pick")
+    __slots__ = ("kind", "priority", "key")
 
-    def __init__(self, kind: str, priority: tuple):
+    def __init__(self, kind: str, priority):
         if kind not in (LEX, GREVLEX):
             raise ValueError(f"unknown order kind {kind!r}")
+        priority = tuple([_require_int(i, "priority entry", 0) for i in priority])
         if not priority:
             raise ValueError("monomial orders need at least one variable")
         if sorted(priority) != list(range(len(priority))):
@@ -122,7 +136,10 @@ class MonomialOrder:
         self.priority = priority
         # Exponents in key order; with one variable itemgetter returns a scalar.
         picked = priority if kind == LEX else priority[::-1]
-        self._pick = itemgetter(*picked) if len(picked) > 1 else tuple
+        pick = itemgetter(*picked) if len(picked) > 1 else tuple
+        # grevlex: total degree, then the exponents from the least significant
+        # variable up, negated (the smaller exponent there wins ties).
+        self.key = pick if kind == LEX else lambda mono: (sum(mono), tuple(map(neg, pick(mono))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,25 +152,22 @@ class MonomialOrder:
     def __repr__(self):
         return f"MonomialOrder(kind={self.kind!r}, priority={self.priority!r})"
 
+    def __reduce__(self):  # the grevlex key is a closure; pickle rebuilds it
+        return MonomialOrder, (self.kind, self.priority)
+
     @classmethod
     def lex(cls, num_vars: int, priority=None) -> "MonomialOrder":
-        return cls(LEX, tuple(priority) if priority else tuple(range(num_vars)))
+        priority = range(num_vars) if priority is None else priority
+        return _require_order(cls(LEX, priority), num_vars)
 
     @classmethod
     def grevlex(cls, num_vars: int, priority=None) -> "MonomialOrder":
-        return cls(GREVLEX, tuple(priority) if priority else tuple(range(num_vars)))
+        priority = range(num_vars) if priority is None else priority
+        return _require_order(cls(GREVLEX, priority), num_vars)
 
     @property
     def num_vars(self) -> int:
         return len(self.priority)
-
-    def key(self, mono: tuple):
-        if self.kind == LEX:
-            return self._pick(mono)
-        # grevlex: compare total degree, then reversed exponent sequence
-        # with flipped sign (the monomial with the smaller exponent on the
-        # least significant variable wins ties).
-        return (sum(mono), tuple(map(neg, self._pick(mono))))
 
 
 class MultiPoly:
@@ -191,7 +205,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, field: Field, num_vars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < num_vars:
+        if _require_int(index, "variable index", 0) >= num_vars:
             raise ValueError(f"variable index {index} out of range")
         mono = tuple(1 if i == index else 0 for i in range(num_vars))
         return cls(field, num_vars, {mono: field._ring.one})
@@ -202,13 +216,11 @@ class MultiPoly:
 
         def payloads():
             for mono, coeff in items:
-                mono = tuple(mono)
+                mono = tuple([_require_int(e, "exponent", 0) for e in mono])
                 if len(mono) != num_vars:
                     raise ValueError("monomial length does not match variable count")
-                if coeff.field != field:
-                    raise FieldMismatchError("field mismatch")
-                if not coeff.is_zero():
-                    yield mono, coeff.payload
+                if (c := _payload(coeff, field)) != field._ring.zero:
+                    yield mono, c
 
         return cls(field, num_vars, _merge(field._ring, {}, payloads()))
 
@@ -270,6 +282,7 @@ class MultiPoly:
 
     def leading_monomial(self, order: MonomialOrder) -> tuple:
         """Largest monomial under ``order``; error on zero."""
+        _require_order(order, self.num_vars)
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         return max(self.terms, key=order.key)
@@ -392,10 +405,10 @@ class MultiPoly:
         names = tuple(names)
         if len(names) != self.num_vars:
             raise ValueError("name count does not match variable count")
+        order = MonomialOrder.grevlex(self.num_vars) if order is None else order
+        _require_order(order, self.num_vars)
         if not self.terms:
             return "0"
-        if order is None:
-            order = MonomialOrder.grevlex(self.num_vars)
         monos = sorted(self.terms, key=order.key, reverse=True)
         first, *rest = [self._term_str(mono, self.terms[mono], names) for mono in monos]
         # Only a QQ coefficient prints a leading "-"; past the first term it becomes " - ".

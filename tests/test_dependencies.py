@@ -182,8 +182,8 @@ def _ring_checks(path):
 
 
 def test_one_polynomial_check_and_one_point_check_live_in_multipoly():
-    # Polynomial arguments go through _require_polys and points through
-    # _point_payloads.  MultiPoly.__eq__ answers NotImplemented, and
+    # Polynomial arguments go through _require_polys, and point coordinates
+    # and from_terms coefficients through _payload.  MultiPoly.__eq__ answers NotImplemented, and
     # FieldValue checks its own operands.  _check_same_ring compares two
     # bases, monomial orders included, not a polynomial argument.
     found = sorted((path.name, *check) for path in SOURCES for check in _ring_checks(path))
@@ -192,9 +192,45 @@ def test_one_polynomial_check_and_one_point_check_live_in_multipoly():
         ("fields.py", "FieldValue._check", "isinstance FieldValue"),
         ("ideals.py", "_check_same_ring", "raises a ring text"),
         ("multipoly.py", "MultiPoly.__eq__", "isinstance MultiPoly"),
-        ("multipoly.py", "_point_payloads", "isinstance FieldValue"),
+        ("multipoly.py", "_payload", "isinstance FieldValue"),
         ("multipoly.py", "_require_polys", "isinstance MultiPoly"),
         ("multipoly.py", "_require_polys", "raises a ring text"),
+    ]
+
+
+def _strings(node):
+    return [part.value for part in ast.walk(node) if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+
+
+def _order_and_name_checks(path):
+    # (scope, what) of each raise of an "order must be" text, each isinstance
+    # test against MonomialOrder, and each compiled pattern spelling out the
+    # identifier grammar.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for scope, node in _nodes_by_scope(tree, "<module>"):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if any("order must be" in text for text in _strings(node.exc)):
+                yield scope, "raises 'order must be'"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "isinstance" and "MonomialOrder" in {
+                getattr(part, "id", None) for part in ast.walk(node.args[1])
+            }:
+                yield scope, "isinstance MonomialOrder"
+            elif name == "compile" and any("A-Za-z" in text for text in _strings(node)):
+                yield scope, "compiles an identifier pattern"
+
+
+def test_one_order_check_and_one_identifier_grammar():
+    # Every order argument goes through multipoly._require_order, and the
+    # experiment file's variable names through exprparse._require_names,
+    # whose pattern is the tokenizer's name group.
+    found = sorted((path.name, *site) for path in SOURCES for site in _order_and_name_checks(path))
+    assert found == [
+        ("exprparse.py", "<module>", "compiles an identifier pattern"),
+        ("multipoly.py", "_require_order", "isinstance MonomialOrder"),
+        ("multipoly.py", "_require_order", "raises 'order must be'"),
+        ("multipoly.py", "_require_order", "raises 'order must be'"),
     ]
 
 

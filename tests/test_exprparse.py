@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from dmlab import Field, MultiPoly, parse_polynomial
-from dmlab.exprparse import MAX_EXPONENT, MAX_NESTING, ExprSyntaxError
+from dmlab.exprparse import MAX_EXPONENT, MAX_NESTING, ExprSyntaxError, _tokenize
 
 QQ = Field.rationals()
 F7 = Field.prime(7)
@@ -163,6 +164,63 @@ def test_variable_name_validation():
         parse_polynomial("x", (), QQ)
     with pytest.raises(ValueError):
         parse_polynomial("x", ("x", "x"), QQ)
+
+
+@pytest.mark.parametrize(
+    "names, text",
+    [
+        ((), "vars must be nonempty"),
+        (("x", "2x"), "variable name '2x' is not an identifier"),
+        (("x", "x\n"), "variable name 'x\\n' is not an identifier"),
+        (("x", ""), "variable name '' is not an identifier"),
+        (("x", "y", "x"), "variable names must be distinct"),
+    ],
+)
+def test_variable_names_have_the_experiment_file_texts(names, text):
+    # Names the tokenizer could never read are refused up front.
+    with pytest.raises(ValueError) as exc:
+        parse_polynomial("1", names, QQ)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == text
+
+
+_REF_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<number>[0-9]+)|(?P<op>[-+*^()])")
+_REF_SPACE_RE = re.compile(r"\s*")
+
+
+def _reference_tokenize(source):
+    # The tokenizer as a position loop over a token and a whitespace pattern.
+    tokens = []
+    pos = 0
+    n = len(source)
+    while pos < n:
+        pos = _REF_SPACE_RE.match(source, pos).end()
+        if pos >= n:
+            break
+        m = _REF_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _outcome(tokenize, source):
+    try:
+        return tokenize(source)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+def test_tokenizer_matches_the_position_loop():
+    # Identifier, digit, operator, whitespace (ASCII and not), Unicode
+    # digit and stray characters, in random strings of up to 12.
+    alphabet = "xyt_Z09+-*^()" + " \t\n\r\x0b\x0c\x85\u00a0\u2028\u3000" + "\u0662\u00b2$.,/\u00e9\x00"
+    rng = random.Random(0x70C3)
+    for _ in range(20000):
+        source = "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+        assert _outcome(_tokenize, source) == _outcome(_reference_tokenize, source), repr(source)
 
 
 def _random_poly(rng, field, num_vars, coeff):

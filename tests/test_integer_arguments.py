@@ -4,13 +4,16 @@ analysis settings use ("<name> must be an integer", "<name> must be at
 least <k>")."""
 
 import json
+import pickle
 
 import pytest
 
 from dmlab import (
     Field,
+    FieldKind,
     MonomialOrder,
     Morphism,
+    MultiPoly,
     OrbitCache,
     Progression,
     ReturnSet,
@@ -60,6 +63,10 @@ SITES = [
     ("return_set", lambda v: return_set(PHI, START, BASIS, v), "horizon", 1),
     ("vanishing_ideal", lambda v: vanishing_ideal([START], ORDER, v), "degree cap", 0),
     ("MultiPoly.__pow__", lambda v: POLY**v, "exponent", 0),
+    ("MultiPoly.from_terms", lambda v: MultiPoly.from_terms(QQ, 2, [((1, v), QQ.one())]), "exponent", 0),
+    ("MultiPoly.variable", lambda v: MultiPoly.variable(QQ, 2, v), "variable index", 0),
+    ("MonomialOrder", lambda v: MonomialOrder("lex", (1, v)), "priority entry", 0),
+    ("MonomialOrder.grevlex", lambda v: MonomialOrder.grevlex(2, [v, 0]), "priority entry", 0),
     (
         "certify_report modulus",
         lambda v: certify_report(experiment_from_dict(DOC), v, 0),
@@ -124,3 +131,63 @@ def test_certify_command_names_the_frame_argument(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: modulus must be at least 1\n"
     assert main(["certify", str(path), "--a", "2", "--b", "-1"]) == 1
     assert capsys.readouterr().err == "input error: offset must be at least 0\n"
+
+
+def test_a_negative_exponent_is_refused_before_evaluation():
+    # x^-1 over GF(2)(t) once built, and evaluating it never returned.
+    field = Field.rational_functions(2)
+    with pytest.raises(ValueError) as exc:
+        MultiPoly.from_terms(field, 1, [((-1,), field.one())])
+    assert str(exc.value) == "exponent must be at least 0"
+
+
+@pytest.mark.parametrize("make", [MonomialOrder.lex, MonomialOrder.grevlex])
+@pytest.mark.parametrize(
+    "num_vars, priority, text",
+    [
+        (3, [1, 0], "order must be on 3 variables"),
+        (1, (1, 0), "order must be on 1 variables"),
+        # An empty priority is a priority, not a request for the default one.
+        (2, [], "monomial orders need at least one variable"),
+    ],
+    ids=["fewer", "more", "empty"],
+)
+def test_an_order_has_as_many_priority_entries_as_variables(make, num_vars, priority, text):
+    with pytest.raises(ValueError) as exc:
+        make(num_vars, priority)
+    assert str(exc.value) == text
+
+
+def test_a_priority_list_is_stored_as_a_tuple():
+    order = MonomialOrder("lex", [1, 0])
+    assert order.priority == (1, 0)
+    assert order == MonomialOrder("lex", (1, 0))
+    assert hash(order) == hash(MonomialOrder("lex", (1, 0)))
+
+
+@pytest.mark.parametrize("make", [MonomialOrder.lex, MonomialOrder.grevlex])
+def test_an_order_survives_pickling(make):
+    # The grevlex key is a closure, so an order pickles as its kind and priority.
+    order = make(3, (2, 0, 1))
+    copy = pickle.loads(pickle.dumps(order))
+    assert copy == order
+    monos = [(1, 0, 2), (0, 3, 0), (2, 1, 0), (0, 0, 3)]
+    assert sorted(monos, key=copy.key) == sorted(monos, key=order.key)
+
+
+# (kind, characteristic, exact ValueError text): the constructor applies the
+# rule that Field.prime, Field.rational_functions and Field.from_label share.
+PRIME_TEXT = "characteristic must be a prime below 2**31, got {}"
+CHARACTERISTIC_ROWS = [
+    (FieldKind.PRIME, 4, PRIME_TEXT.format(4)),
+    (FieldKind.RATIONALS, 5, "QQ has characteristic 0, got 5"),
+    (FieldKind.RATIONAL_FUNCTIONS, 9, PRIME_TEXT.format(9)),
+    (FieldKind.PRIME, 2**31 + 11, PRIME_TEXT.format(2**31 + 11)),
+]
+
+
+@pytest.mark.parametrize("kind, characteristic, text", CHARACTERISTIC_ROWS)
+def test_each_field_constructor_checks_its_characteristic(kind, characteristic, text):
+    with pytest.raises(ValueError) as exc:
+        Field(kind, characteristic)
+    assert str(exc.value) == text

@@ -51,12 +51,12 @@ ROWS = [
     ("FieldValue.__pow__-float", lambda: F7.one().__pow__(0.5), NotImplemented),
     ("FieldValue.__eq__-int", lambda: F7.one().__eq__(1), NotImplemented),
     ("buchberger-order", lambda: buchberger([P], MonomialOrder.grevlex(3)),
-     Raises(ValueError, "order does not match the variable count")),
+     Raises(ValueError, "order must be on 2 variables")),
     ("ideal_sum-field", lambda: ideal_sum(BASIS, OTHER_FIELD_BASIS),
      Raises(ValueError, "bases do not share a ring")),
     ("ideal_sum-zero", lambda: ideal_sum(ZERO_IDEAL, BASIS) is BASIS, True),
     ("vanishing_ideal-order", lambda: vanishing_ideal([START], MonomialOrder.grevlex(3)),
-     Raises(ValueError, "order does not match the point dimension")),
+     Raises(ValueError, "order must be on 2 variables")),
     ("MultiPoly-no-variables", lambda: MultiPoly(F7, 0, {}),
      Raises(ValueError, "polynomials need at least one variable")),
     ("MultiPoly.variable-index", lambda: MultiPoly.variable(F7, 2, 2),

@@ -1,12 +1,15 @@
 """Every polynomial argument is checked by one rule, in
-``multipoly._require_polys``, and every point argument by another, in
-``multipoly._point_payloads``, before any ring arithmetic runs.
+``multipoly._require_polys``, every point argument by another, in
+``multipoly._point_payloads``, and every monomial order by a third, in
+``multipoly._require_order``, before any ring arithmetic runs.
 
 Polynomials: "<name> must be MultiPoly, got <type>" (TypeError),
 "field mismatch" (FieldMismatchError) and "<name> must be polynomials in
 <n> variables" (ValueError).  Points: "field mismatch" for a coordinate
 that is not a value of the field, and "point length does not match
-<dimension>" (ValueError).
+<dimension>" (ValueError); coefficients share the coordinates' check.
+Orders: "order must be MonomialOrder, got <type>" (TypeError) and
+"order must be on <n> variables" (ValueError).
 """
 
 import pytest
@@ -16,6 +19,7 @@ from dmlab import (
     FieldMismatchError,
     MonomialOrder,
     Morphism,
+    MultiPoly,
     OrbitCache,
     PointSet,
     buchberger,
@@ -23,6 +27,7 @@ from dmlab import (
     normal_form,
     parse_polynomial,
     return_set,
+    s_polynomial,
     vanishing_ideal,
 )
 from conftest import CountingRing
@@ -118,6 +123,55 @@ def test_each_ring_argument_has_the_shared_texts(call, error, text, monkeypatch)
     assert type(exc.value) is error
     assert str(exc.value) == text
     assert [ring.calls for ring in rings] == [0, 0]
+
+
+def order_rows(entry, call):
+    # The three wrong orders of one entry, whose polynomials have two variables.
+    return [
+        (entry, "type", lambda: call("grevlex"), TypeError, "order must be MonomialOrder, got str"),
+        (entry, "fewer", lambda: call(MonomialOrder.grevlex(1)), ValueError, "order must be on 2 variables"),
+        (entry, "more", lambda: call(MonomialOrder.lex(3)), ValueError, "order must be on 2 variables"),
+    ]
+
+
+# The coefficients of from_terms and constant are checked like point
+# coordinates: anything but a value of the field is a field mismatch.
+COEFFICIENT_ROWS = [
+    (entry, wrong, call, *MISMATCH)
+    for entry, make in (
+        ("from_terms", lambda c: MultiPoly.from_terms(F7, 2, [((1, 0), F7.one()), ((0, 1), c)])),
+        ("constant", lambda c: MultiPoly.constant(F7, 2, c)),
+    )
+    for wrong, call in (("int", lambda: make(5)), ("field", lambda: make(F5.from_int(2))))
+]
+ORDER_ROWS = (
+    order_rows("leading_monomial", P.leading_monomial)
+    + order_rows("leading_term", P.leading_term)
+    + order_rows("monic", P.monic)
+    + order_rows("render", lambda order: P.render(XY, order))
+    + order_rows("s_polynomial", lambda order: s_polynomial(P, P, order))
+    + order_rows("buchberger", lambda order: buchberger([P], order))
+    + order_rows("vanishing_ideal", lambda order: vanishing_ideal([START], order))
+    + COEFFICIENT_ROWS
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [pytest.param(call, error, text, id=f"{entry}-{wrong}") for entry, wrong, call, error, text in ORDER_ROWS],
+)
+def test_each_order_and_coefficient_has_the_shared_texts(call, error, text, monkeypatch):
+    test_each_ring_argument_has_the_shared_texts(call, error, text, monkeypatch)
+
+
+def test_an_order_on_the_ring_still_works():
+    # f = x*y^2 + x^3 leads with x^3 under two-variable grevlex; the
+    # one-variable order once picked x*y^2 without an error.
+    f = poly("x*y^2 + x^3")
+    assert f.leading_monomial(ORDER) == (3, 0)
+    assert f.render(XY, MonomialOrder.lex(2, (1, 0))) == "x*y^2 + x^3"
+    assert s_polynomial(P, P, ORDER).is_zero()
+    assert MultiPoly.constant(F7, 2, F7.from_int(5)) == poly("5")
 
 
 def test_every_entry_has_a_row():
