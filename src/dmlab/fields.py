@@ -30,14 +30,17 @@ classes with ``add``, ``neg``, ``mul``, ``inverse`` and ``pow`` on raw
 payloads plus the ``zero`` and ``one`` payloads.  :class:`FieldValue`
 arithmetic only checks its operands and wraps the ring's result.
 ``MultiPoly`` keeps its coefficients as payloads and calls the ring
-directly, with one field check per polynomial operation.  For
-fraction-free elimination each ring also works in its field's integral
-domain, ZZ, GF(p)[t] or GF(p), whose elements are ints with 0 and 1 as
-zero and one: ``clear`` turns payloads into numerators over one common
-denominator, ``dmul`` multiplies, ``combine(r, v, c, w)`` is the vector
-r*v - c*w (v's entries past w's only scaled), ``primitive`` divides out
-the content (a no-op over GF(p)) and ``quotient(a, b)`` is the payload
-of a / b.
+directly, with one field check per polynomial operation.  Both
+Groebner algorithms eliminate fraction-free, so each ring also works
+in its field's integral domain, ZZ, GF(p)[t] or GF(p), whose elements
+are ints with 0 and 1 as zero and one: ``clear`` turns payloads into
+numerators over one common denominator, ``dadd``, ``dneg`` and
+``dmul`` add, negate and multiply, ``combine(r, v, c, w)`` is the
+vector r*v - c*w (v's entries past w's only scaled), ``primitive``
+divides out the content (a no-op over GF(p)) and ``quotient(a, b)`` is
+the payload of a / b.  Over GF(p)(t) this keeps the gcds of canonical
+fractions out of elimination: only ``clear``, ``primitive`` and the
+final ``quotient`` take one.
 
 A field's text form is its :attr:`Field.label`, "QQ", "GF(p)" or
 "GF(p)(t)", and :meth:`Field.from_label` parses a label back; no other
@@ -436,11 +439,15 @@ class _RationalRing:
     def pow(self, a, e: int):
         return _rational(a**e)
 
+    dadd, dneg = add, neg  # exact on ints, which are canonical payloads
+
     def dmul(self, a, b):
         return a * b
 
     def clear(self, values):
         den = lcm(*[q.denominator for q in values])
+        if den == 1:  # every value is an int, its own numerator
+            return values, 1
         return [q.numerator * (den // q.denominator) for q in values], den
 
     def combine(self, r, v, c, w):
@@ -451,7 +458,7 @@ class _RationalRing:
         return v if g == 1 else [a // g for a in v]
 
     def quotient(self, a, b):
-        return _rational(Fraction(a, b))
+        return a if b == 1 else _rational(Fraction(a, b))
 
 
 class _PrimeRing:
@@ -479,7 +486,7 @@ class _PrimeRing:
     def pow(self, a, e: int):
         return pow(a, e, self.p)
 
-    dmul = mul
+    dadd, dneg, dmul = add, neg, mul
 
     def clear(self, values):
         return values, 1
@@ -492,20 +499,20 @@ class _PrimeRing:
         return v
 
     def quotient(self, a, b):
-        return a * self.inverse(b) % self.p
+        return a if b == 1 else a * self.inverse(b) % self.p
 
 
 class _FunctionRing:
     """GF(p)(t) payloads: canonical (num, den) pairs of packed polynomials."""
 
-    __slots__ = ("polys", "dmul", "quotient")
+    __slots__ = ("polys", "dadd", "dneg", "dmul", "quotient")
     zero = (0, 1)
     one = (1, 1)
 
     def __init__(self, p: int):
-        self.polys = _GF2PolyRing() if p == 2 else _PolyRing(p)
-        self.dmul = self.polys.mul
-        self.quotient = self.polys.canonical
+        polys = self.polys = _GF2PolyRing() if p == 2 else _PolyRing(p)
+        self.dadd, self.dneg, self.dmul = polys.add, polys.neg, polys.mul
+        self.quotient = polys.canonical
 
     def add(self, a, b):
         polys = self.polys
@@ -543,7 +550,8 @@ class _FunctionRing:
         for _, d in values:
             if d != 1 and d != den:
                 den = polys.mul(den, polys.divmod(d, polys.gcd(den, d))[0])
-        return [polys.mul(num, polys.divmod(den, d)[0]) for num, d in values], den
+        nums = [num if d == den else polys.mul(num, polys.divmod(den, d)[0]) for num, d in values]
+        return nums, den
 
     def combine(self, r, v, c, w):
         mul, add, c = self.polys.mul, self.polys.add, self.polys.neg(c)
@@ -563,25 +571,28 @@ class _FunctionRing:
 class Field:
     """Descriptor of a supported coefficient field.
 
-    Fields compare and hash by ``kind`` and ``characteristic``.  The
-    characteristic is checked (0 for QQ, else a prime below 2**31) and
-    the payload arithmetic ``_ring`` built once, here.
+    Fields compare and hash by ``kind`` and ``characteristic``.  The kind
+    is checked to be a :class:`FieldKind`, the characteristic to be an
+    int (0 for QQ, else a prime below 2**31), and the payload arithmetic
+    ``_ring`` built once, here.
     """
 
     __slots__ = ("kind", "characteristic", "_ring")
 
     def __init__(self, kind: FieldKind, characteristic: int):
-        p = characteristic
+        p = _require_int(characteristic, "characteristic", 0)
         if kind is FieldKind.RATIONALS:
             if p != 0:
                 raise ValueError(f"QQ has characteristic 0, got {p}")
             self._ring = _RationalRing()
-        else:
+        elif kind is FieldKind.PRIME or kind is FieldKind.RATIONAL_FUNCTIONS:
             # Trial division; at the 2**31 cap this is about 46,000
             # divisions, paid once per Field construction.
             if not (2 <= p < _MAX_CHARACTERISTIC) or not all(p % q for q in range(2, isqrt(p) + 1)):
                 raise ValueError(f"characteristic must be a prime below 2**31, got {p}")
             self._ring = (_PrimeRing if kind is FieldKind.PRIME else _FunctionRing)(p)
+        else:
+            raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.characteristic = characteristic
 

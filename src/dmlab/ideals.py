@@ -12,15 +12,21 @@ monic generators, no term of one generator divisible by the leading
 term of another, sorted by descending leading term.  Reduced bases are
 unique per (ideal, order), so equality of ideals is equality of
 generator lists and all outputs are deterministic, independent of
-input generator order.  Internally a basis element is a (leading
-monomial, monic polynomial) pair on coefficient payloads, its monomial
-found once by ``MultiPoly.leading_monomial``; field values enter only
+input generator order.
+
+Both algorithms eliminate fraction-free, over the field's integral
+domain (ZZ, GF(p)[t] or GF(p)) on the payload ring's domain methods,
+and divide in the field only to make an output generator monic.
+Buchberger keeps each basis element as a (leading monomial, primitive
+domain terms) pair; normal forms reduce field payloads by the monic
+generators of a basis, with the same step.  Field values enter only
 as :class:`PointSet` coordinates.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fields import Field, _require_int
@@ -71,8 +77,8 @@ class ReducedGroebnerBasis(_BasisFields):
 
     @cached_property
     def _divisors(self) -> tuple:
-        # (leading monomial, monic generator) pairs, as _remainder takes them.
-        return tuple((g.leading_monomial(self.order), g) for g in self.generators)
+        # (leading monomial, monic terms) pairs, as _remainder takes them.
+        return tuple((g.leading_monomial(self.order), g.terms) for g in self.generators)
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -89,49 +95,66 @@ class ReducedGroebnerBasis(_BasisFields):
         return tuple(g.render(names, self.order) for g in self.generators)
 
 
+# A remainder in progress has its content taken out after this many scalings.
+_CONTENT_EVERY = 16
+
+
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
     """Cancel the leading terms of f and g against their lcm."""
-    return _s_poly(f._monic_pair(order), g._monic_pair(order))
+    first, second = [(h.leading_monomial(order), h.monic(order).terms) for h in (f, g)]
+    return MultiPoly(f.field, f.num_vars, _s_poly(f.field._ring, first, second))
 
 
-def _s_poly(a: tuple, b: tuple) -> MultiPoly:
-    # S-polynomial of two (leading monomial, monic polynomial) pairs: the
-    # shifted leading terms cancel, so only the tails are shifted and merged.
-    (la, fa), (lb, fb) = a, b
+def _s_poly(ring, first: tuple, second: tuple) -> dict:
+    # b*x^sa*f - a*x^sb*g for (leading monomial, terms) pairs with leading
+    # coefficients a and b: the shifted leading terms cancel, so only the
+    # tails are shifted and merged.
+    (la, f), (lb, g) = first, second
     lcm = mono_lcm(la, lb)
-    sa, sb = mono_div(lcm, la), mono_div(lcm, lb)
-    ring = fa.field._ring
-    terms = {mono_mul(m, sa): c for m, c in fa.terms.items() if m != la}
-    _merge(ring, terms, ((mono_mul(m, sb), ring.neg(c)) for m, c in fb.terms.items() if m != lb))
-    return MultiPoly(fa.field, fa.num_vars, terms)
+    sa, sb, b, mul = mono_div(lcm, la), mono_div(lcm, lb), g[lb], ring.mul
+    work = {mono_mul(m, sa): c if b == ring.one else mul(b, c) for m, c in f.items() if m != la}
+    factor = ring.neg(f[la])
+    return _merge(ring, work, ((mono_mul(m, sb), mul(factor, c)) for m, c in g.items() if m != lb))
 
 
-def _remainder(f: MultiPoly, divisors, order: MonomialOrder) -> MultiPoly:
-    # Multivariate division, remainder only, on coefficient payloads.
-    # Divisors are (leading monomial, monic polynomial) pairs, so a term
-    # c * x^shift * x^lm cancels by adding -c * x^shift times g's tail.
-    # Divisors are scanned in list order; the remainder is independent
-    # of that order once the divisors form a Groebner basis.
+def _remainder(ring, terms: dict, divisors, key) -> dict:
+    # Multivariate division, remainder only, on payload term maps, the
+    # remainder's terms in descending order.  Divisors are (leading
+    # monomial, terms) pairs.  A term c * x^shift * x^lm cancels by
+    # f <- b*f - c*x^shift*g, b being g's leading coefficient, with the
+    # remainder so far scaled by b too, so the result is a multiple of the
+    # remainder over the field.  Monic divisors, the only ones on field
+    # payloads, scale nothing; in the domain every _CONTENT_EVERY scalings
+    # take the content out of both parts together.  Divisors are scanned in
+    # list order; the remainder does not depend on it for a Groebner basis.
     if not divisors:
-        return f
-    ring = f.field._ring
-    mul = ring.mul
-    key = order.key
-    work = dict(f.terms)
+        return terms
+    mul, neg, one = ring.mul, ring.neg, ring.one
+    work = dict(terms)
     remainder: dict = {}
+    scalings = 0
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
         for lm, g in divisors:
             if mono_divides(lm, mono):
-                shift, factor = mono_div(mono, lm), ring.neg(coeff)
-                items = g.terms.items()
-                tail = ((mono_mul(m, shift), mul(factor, c)) for m, c in items if m != lm)
+                b = g[lm]
+                if b != one:
+                    work = {m: mul(b, v) for m, v in work.items()}
+                    remainder = {m: mul(b, v) for m, v in remainder.items()}
+                    scalings += 1
+                shift, factor = mono_div(mono, lm), neg(coeff)
+                tail = ((mono_mul(m, shift), mul(factor, v)) for m, v in g.items() if m != lm)
                 _merge(ring, work, tail)
+                if scalings == _CONTENT_EVERY:
+                    scalings, split = 0, len(remainder)
+                    values = ring.primitive(list(remainder.values()) + list(work.values()))
+                    remainder = dict(zip(remainder, values[:split]))
+                    work = dict(zip(work, values[split:]))
                 break
         else:
             remainder[mono] = coeff
-    return MultiPoly(f.field, f.num_vars, remainder)
+    return remainder
 
 
 def normal_form(f: MultiPoly, basis: ReducedGroebnerBasis) -> MultiPoly:
@@ -141,7 +164,8 @@ def normal_form(f: MultiPoly, basis: ReducedGroebnerBasis) -> MultiPoly:
     coefficient field.
     """
     _require_polys((f,), "f", basis.field, basis.num_vars)
-    return _remainder(f, basis._divisors, basis.order)
+    terms = _remainder(f.field._ring, f.terms, basis._divisors, basis.order.key)
+    return MultiPoly(f.field, f.num_vars, terms)
 
 
 def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
@@ -150,15 +174,31 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
     Classic Buchberger loop with the normal selection strategy (the
     pending pair with the order-smallest lcm goes first) and both
     classical skip criteria: coprime leading terms, and the chain
-    criterion against pairs already handled.  The final basis is
-    minimalized and interreduced, leaving the unique reduced basis.
+    criterion against pairs already handled.  It runs fraction-free:
+    each input is cleared of denominators and divided by its content,
+    an S-polynomial of f and g with leading coefficients a and b is
+    b*m_f*f - a*m_g*g, and a reduction step scales by the divisor's
+    leading coefficient instead of dividing by it.  The final basis is
+    minimalized and interreduced, then each generator is made monic
+    once, the only division, leaving the unique reduced basis.
     """
     generators = _require_polys(generators, "generators")
     if not generators:
         raise ValueError("cannot infer the ring from an empty generator list")
     field, num_vars = generators[0].field, generators[0].num_vars
     _require_order(order, num_vars)
-    basis = [g._monic_pair(order) for g in generators if not g.is_zero()]
+    ring, key = field._ring, order.key
+    # The field's integral domain as a payload ring for _merge and the
+    # kernel: the ring's domain methods, each bound through the ring.
+    domain = SimpleNamespace(
+        add=ring.dadd, neg=ring.dneg, mul=ring.dmul, primitive=ring.primitive, zero=0, one=1
+    )
+    # Basis elements: (leading monomial, terms cleared of denominators and content).
+    basis = []
+    for g in generators:
+        if g.terms:
+            values = domain.primitive(ring.clear(list(g.terms.values()))[0])
+            basis.append((g.leading_monomial(order), dict(zip(g.terms, values))))
     if not basis:
         return ReducedGroebnerBasis(order, (), num_vars, field)
 
@@ -174,7 +214,7 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
         for i in range(j):
             lcm = mono_lcm(basis[i][0], lj)
             pairs.add((i, j))
-            pending.append((order.key(lcm), (i, j), lcm))
+            pending.append((key(lcm), (i, j), lcm))
         pending.sort(reverse=True)
 
     for j in range(1, len(basis)):
@@ -191,25 +231,29 @@ def buchberger(generators, order: MonomialOrder) -> ReducedGroebnerBasis:
             for k, (lk, _) in enumerate(basis)
         ):
             continue
-        rem = _remainder(_s_poly(basis[i], basis[j]), basis, order)
-        if rem.is_zero():
-            continue
-        basis.append(rem._monic_pair(order))
-        add_pairs(len(basis) - 1)
+        rem = _remainder(domain, _s_poly(domain, basis[i], basis[j]), basis, key)
+        if rem:
+            basis.append((next(iter(rem)), dict(zip(rem, domain.primitive(list(rem.values()))))))
+            add_pairs(len(basis) - 1)
 
     # Minimalize: drop any generator whose leading monomial another kept
     # generator's divides, scanning small to large so the smallest
     # representative of each staircase corner survives.
-    basis.sort(key=lambda pair: order.key(pair[0]))
+    basis.sort(key=lambda pair: key(pair[0]))
     kept: list = []
     for lm, g in basis:
         if not any(mono_divides(l, lm) for l, _ in kept):
             kept.append((lm, g))
     # Interreduce: each survivor reduced by the others keeps its leading
     # term (no other leading monomial divides it) and loses every
-    # reducible tail term.  A constant survivor is the only one (its
-    # monomial divides every other), which leaves the unit ideal's basis.
-    reduced = [_remainder(g, kept[:i] + kept[i + 1 :], order) for i, (_, g) in enumerate(kept)]
+    # reducible tail term; over its leading coefficient it is monic.  A
+    # constant survivor is the only one (its monomial divides every other),
+    # which leaves the unit ideal's basis.
+    reduced = []
+    for i, (lm, g) in enumerate(kept):
+        terms = _remainder(domain, g, kept[:i] + kept[i + 1 :], key)
+        lc, quotient = terms[lm], ring.quotient
+        reduced.append(MultiPoly(field, num_vars, {m: quotient(c, lc) for m, c in terms.items()}))
     return ReducedGroebnerBasis(order, tuple(reversed(reduced)), num_vars, field)
 
 

@@ -157,11 +157,13 @@ class MonomialOrder:
 
     @classmethod
     def lex(cls, num_vars: int, priority=None) -> "MonomialOrder":
+        _require_int(num_vars, "variable count", 0)
         priority = range(num_vars) if priority is None else priority
         return _require_order(cls(LEX, priority), num_vars)
 
     @classmethod
     def grevlex(cls, num_vars: int, priority=None) -> "MonomialOrder":
+        _require_int(num_vars, "variable count", 0)
         priority = range(num_vars) if priority is None else priority
         return _require_order(cls(GREVLEX, priority), num_vars)
 
@@ -193,11 +195,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, field: Field, num_vars: int) -> "MultiPoly":
-        return cls(field, num_vars, {})
+        return cls(field, _require_int(num_vars, "variable count", 0), {})
 
     @classmethod
     def constant(cls, field: Field, num_vars: int, value: FieldValue) -> "MultiPoly":
-        return cls.from_terms(field, num_vars, [((0,) * num_vars, value)])
+        c, mono = _payload(value, field), (0,) * _require_int(num_vars, "variable count", 0)
+        return cls(field, num_vars, {} if c == field._ring.zero else {mono: c})
 
     @classmethod
     def from_int(cls, field: Field, num_vars: int, n: int) -> "MultiPoly":
@@ -205,6 +208,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, field: Field, num_vars: int, index: int) -> "MultiPoly":
+        _require_int(num_vars, "variable count", 0)
         if _require_int(index, "variable index", 0) >= num_vars:
             raise ValueError(f"variable index {index} out of range")
         mono = tuple(1 if i == index else 0 for i in range(num_vars))
@@ -213,6 +217,7 @@ class MultiPoly:
     @classmethod
     def from_terms(cls, field: Field, num_vars: int, items) -> "MultiPoly":
         """Build from (monomial, coefficient) pairs, merging duplicates."""
+        _require_int(num_vars, "variable count", 0)
 
         def payloads():
             for mono, coeff in items:
@@ -294,18 +299,12 @@ class MultiPoly:
 
     def monic(self, order: MonomialOrder) -> "MultiPoly":
         """This polynomial over its leading coefficient; error on zero."""
-        return self._monic_pair(order)[1]
-
-    def _monic_pair(self, order: MonomialOrder) -> tuple:
-        # (leading monomial, monic multiple), the monomial found once.
-        lm = self.leading_monomial(order)
         ring = self.field._ring
-        lc = self.terms[lm]
+        lc = self.terms[self.leading_monomial(order)]
         if lc == ring.one:
-            return lm, self
+            return self
         inv, mul = ring.inverse(lc), ring.mul
-        terms = {m: mul(c, inv) for m, c in self.terms.items()}
-        return lm, MultiPoly(self.field, self.num_vars, terms)
+        return MultiPoly(self.field, self.num_vars, {m: mul(c, inv) for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

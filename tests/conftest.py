@@ -6,8 +6,9 @@ import pytest
 
 class CountingRing:
     """Stands in for a field's payload ring and counts the operations run:
-    ``calls`` in all, ``counts`` per operation name.  Calls on a GF(p)(t)
-    ring's packed polynomials, ``ring.polys``, count as ``polys.<op>``."""
+    ``calls`` in all, ``counts`` per operation name, ``log`` their names in
+    call order.  Calls on a GF(p)(t) ring's packed polynomials,
+    ``ring.polys``, count as ``polys.<op>``."""
 
     def __init__(self, ring, prefix="", root=None):
         self.ring = ring
@@ -15,6 +16,7 @@ class CountingRing:
         self.root = root or self
         self.calls = 0
         self.counts = Counter()
+        self.log = []
 
     def __getattr__(self, name):
         attr = getattr(self.ring, name)
@@ -27,6 +29,7 @@ class CountingRing:
         def counted(*args):
             root.calls += 1
             root.counts[key] += 1
+            root.log.append(key)
             return attr(*args)
 
         return counted

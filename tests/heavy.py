@@ -13,9 +13,11 @@ performance change to that path is measured.
   of three coordinates each from ``random.Random(1)``, point by point:
   every coordinate is ``from_coefficients([3 random residues], [random
   residue, 1])``; then ``vanishing_ideal`` in grevlex with degree cap 3.
-  The fraction-free walk over GF(p)[t] is where the cost lies: its
-  coefficient degrees grow with the number of points, and at 11 points
-  the reductions inside ``buchberger`` take seconds.
+  Both the walk and the ``buchberger`` re-reduction after it run
+  fraction-free over GF(p)[t], and their coefficient degrees grow with
+  the number of points; the pin sizes stop before ``buchberger``.
+- ``GF(7)(t)-cap2``: the same points over GF(7)(t) under degree cap 2,
+  which reaches ``buchberger`` at its pin and claim sizes.
 - ``certify``: ``certify_invariant`` of W, the reduced basis of the line
   5x + y = 25 over GF(101) in grevlex, under ``(x^2 + y, x*y + 1)`` and
   its a-th iterate.  W is invariant at every a, but its images are
@@ -87,13 +89,13 @@ class Case(NamedTuple):
     digest: Callable
 
 
-def _function_field_case(p: int, pin: int) -> Case:
+def _function_field_case(name: str, p: int, cap: int, pin: int, claim: int) -> Case:
     def build(count):
         field = Field.rational_functions(p)
         pts = points(field, count)
-        return field, lambda: vanishing_ideal(pts, ORDER, CAP)
+        return field, lambda: vanishing_ideal(pts, ORDER, cap)
 
-    return Case(f"GF({p})(t)", pin, 11, build, digest)
+    return Case(name, pin, claim, build, digest)
 
 
 def _certify(a: int):
@@ -126,8 +128,9 @@ def _qq_height(horizon: int):
 
 
 CASES = (
-    _function_field_case(7, 9),
-    _function_field_case(101, 8),
+    _function_field_case("GF(7)(t)", 7, CAP, 9, 11),
+    _function_field_case("GF(101)(t)", 101, CAP, 8, 11),
+    _function_field_case("GF(7)(t)-cap2", 7, 2, 5, 7),
     Case("certify", 8, 10, _certify, _certificate_digest),
     Case("QQ-points", 32, 64, _qq_points, lambda basis: digest(basis, XY)),
     Case("QQ-height", 20, 26, _qq_height, lambda returns: _sha(map(str, returns.indices))),

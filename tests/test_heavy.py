@@ -5,10 +5,9 @@ import pytest
 # buchberger) calls) of tests/heavy.py's cases at their pin sizes, which
 # run in well under a second.  The certificate's 19 normal forms are the
 # two coordinate images, two per step and one per generator of W.  The
-# GF(p)(t) counts are the _FunctionRing calls the walk makes, so they do
-# not depend on how GF(p)[t] divides inside them; neither pin size
-# reaches the re-reduction through buchberger, the 11-point claim size
-# does.
+# GF(p)(t) counts are the _FunctionRing calls the walk and buchberger
+# make, so they do not depend on how GF(p)[t] divides inside them; only
+# the cap-2 pin reaches the re-reduction through buchberger.
 PINS = [
     ("certify", 8, "39c7086daddf", {"neg": 1, "mul": 47569, "add": 43033}, (19, 0)),
     ("QQ-points", 32, "ae9f6d3f999f",
@@ -18,6 +17,9 @@ PINS = [
      {"clear": 3, "dmul": 160, "combine": 108, "primitive": 108, "quotient": 72}, (0, 0)),
     ("GF(101)(t)", 8, "8816afc15ad2",
      {"clear": 3, "dmul": 126, "combine": 84, "primitive": 84, "quotient": 56}, (0, 0)),
+    ("GF(7)(t)-cap2", 5, "8ec3b3b247b4",
+     {"clear": 8, "dmul": 824, "combine": 35, "primitive": 41, "quotient": 61, "dneg": 64,
+      "dadd": 262}, (0, 1)),
 ]
 
 

@@ -394,8 +394,8 @@ def _random_generators(rng, field, num_vars):
 
 def test_pair_buchberger_matches_the_reference_loop():
     rng = random.Random(0x6B22)
-    fields = (QQ, Field.prime(101), F7, F2T)
-    for case in range(240):
+    fields = (QQ, Field.prime(101), F7, F2T, Field.rational_functions(7))
+    for case in range(300):
         field = fields[case % len(fields)]
         num_vars = rng.randint(1, 3)
         order = _random_order(rng, num_vars)
@@ -437,6 +437,27 @@ def test_groebner_layer_builds_no_field_value(monkeypatch):
         gens[-1].monic(order)
         vanishing_ideal(points, order, 1)
         vanishing_ideal(points, order)
+
+
+def test_function_field_buchberger_stays_in_the_domain(counted_field):
+    # From clearing its inputs to making the reduced basis monic, buchberger
+    # over GF(p)(t) runs on GF(p)[t] numerators: no field add, mul or
+    # inverse, each of which would canonicalize with a gcd.
+    rng = random.Random(0x6B24)
+    field, ring = counted_field(Field.rational_functions(7))
+    order = MonomialOrder.grevlex(2)
+    scaled = 0
+    for _ in range(30):
+        gens = _random_generators(rng, field, 2)
+        if all(g.is_zero() for g in gens):
+            continue
+        ring.log.clear()
+        buchberger(gens, order)
+        log = ring.log
+        first, last = log.index("clear"), len(log) - log[::-1].index("quotient")
+        assert not {"add", "mul", "inverse"} & set(log[first:last])
+        scaled += log.count("dmul")
+    assert scaled
 
 
 # -- sample doubling: stability by evaluation --------------------------------

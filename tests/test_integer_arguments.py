@@ -67,6 +67,15 @@ SITES = [
     ("MultiPoly.variable", lambda v: MultiPoly.variable(QQ, 2, v), "variable index", 0),
     ("MonomialOrder", lambda v: MonomialOrder("lex", (1, v)), "priority entry", 0),
     ("MonomialOrder.grevlex", lambda v: MonomialOrder.grevlex(2, [v, 0]), "priority entry", 0),
+    ("MonomialOrder.lex count", lambda v: MonomialOrder.lex(v, (0, 1)), "variable count", 0),
+    ("MonomialOrder.grevlex count", lambda v: MonomialOrder.grevlex(v), "variable count", 0),
+    ("MultiPoly.zero", lambda v: MultiPoly.zero(QQ, v), "variable count", 0),
+    ("MultiPoly.constant", lambda v: MultiPoly.constant(QQ, v, QQ.one()), "variable count", 0),
+    ("MultiPoly.from_int", lambda v: MultiPoly.from_int(QQ, v, 3), "variable count", 0),
+    ("MultiPoly.variable count", lambda v: MultiPoly.variable(QQ, v, 0), "variable count", 0),
+    ("MultiPoly.from_terms count", lambda v: MultiPoly.from_terms(QQ, v, []), "variable count", 0),
+    ("Field.prime", Field.prime, "characteristic", 0),
+    ("Field.rational_functions", Field.rational_functions, "characteristic", 0),
     (
         "certify_report modulus",
         lambda v: certify_report(experiment_from_dict(DOC), v, 0),
@@ -176,13 +185,18 @@ def test_an_order_survives_pickling(make):
 
 
 # (kind, characteristic, exact ValueError text): the constructor applies the
-# rule that Field.prime, Field.rational_functions and Field.from_label share.
+# rule that Field.prime, Field.rational_functions and Field.from_label share,
+# and refuses a kind that is not a FieldKind.
 PRIME_TEXT = "characteristic must be a prime below 2**31, got {}"
 CHARACTERISTIC_ROWS = [
     (FieldKind.PRIME, 4, PRIME_TEXT.format(4)),
     (FieldKind.RATIONALS, 5, "QQ has characteristic 0, got 5"),
     (FieldKind.RATIONAL_FUNCTIONS, 9, PRIME_TEXT.format(9)),
     (FieldKind.PRIME, 2**31 + 11, PRIME_TEXT.format(2**31 + 11)),
+    (FieldKind.PRIME, 7.0, "characteristic must be an integer"),
+    (FieldKind.RATIONALS, 0.0, "characteristic must be an integer"),
+    ("prime", 7, "unknown field kind 'prime'"),
+    (None, 0, "unknown field kind None"),
 ]
 
 
