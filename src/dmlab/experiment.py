@@ -249,26 +249,50 @@ class ReportDocument:
 @cache
 def _low_digits() -> tuple:
     """The strings 000..999, built the first time an index list passes 999;
-    joining digit triples is about three times faster than 1000 f-strings."""
+    joining digit triples is about three times faster than 1000 f-strings.
+    A partial block joins them after its block number, and a gap-free
+    block's byte template is built from them once per render and width."""
     return tuple(map("".join, product("0123456789", repeat=3)))
 
 
 def _render_indices(flags: bytes, pad: str, out: list) -> None:
     # The members of a membership table as a JSON list of strings at the
-    # indent ``pad``: one compress and one join per block of 1000 indices,
-    # each index above 999 written as its block number then three digits.
+    # indent ``pad``, appended block by block of 1000 indices, each index
+    # above 999 written as its block number then three digits.  The head
+    # block and partial blocks are one compress and one join.  A gap-free
+    # block's text differs from the next one's only in the block number's
+    # w digits, so it is a copy of one ASCII template per w, with w
+    # placeholder bytes in each entry, whose digit columns are each written
+    # by one strided slice assignment.
     if 1 not in flags:
         out.append("[]")
         return
     sep = '",' + pad + '"'
+    lead = "[" + pad + '"'
     head = flags[:1000]
-    blocks = [sep.join(map(str, compress(range(1000), head)))] if 1 in head else []
+    if 1 in head:
+        out += (lead, sep.join(map(str, compress(range(1000), head))))
+        lead = sep
+    templates: dict = {}
     for start in range(1000, len(flags), 1000):
         block = flags[start : start + 1000]
-        if 1 in block:
-            high = str(start // 1000)
-            blocks.append(high + (sep + high).join(compress(_low_digits(), block)))
-    out += ("[" + pad + '"', sep.join(blocks), '"' + pad[:-2] + "]")
+        if 1 not in block:
+            continue
+        high = str(start // 1000)
+        if len(block) == 1000 and 0 not in block:
+            width = len(high)
+            if width not in templates:
+                templates[width] = sep.join(" " * width + low for low in _low_digits()).encode()
+            buf = bytearray(templates[width])
+            unit = width + 3 + len(sep)
+            for j, digit in enumerate(high.encode()):
+                buf[j::unit] = bytes((digit,)) * 1000
+            text = buf.decode()
+        else:
+            text = high + (sep + high).join(compress(_low_digits(), block))
+        out += (lead, text)
+        lead = sep
+    out.append('"' + pad[:-2] + "]")
 
 
 def _render(value, depth: int, out: list) -> None:

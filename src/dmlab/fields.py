@@ -37,10 +37,10 @@ are ints with 0 and 1 as zero and one: ``clear`` turns payloads into
 numerators over one common denominator, ``dadd``, ``dneg`` and
 ``dmul`` add, negate and multiply, ``combine(r, v, c, w)`` is the
 vector r*v - c*w (v's entries past w's only scaled), ``primitive``
-divides out the content (a no-op over GF(p)) and ``quotient(a, b)`` is
-the payload of a / b.  Over GF(p)(t) this keeps the gcds of canonical
-fractions out of elimination: only ``clear``, ``primitive`` and the
-final ``quotient`` take one.
+divides out the content (over GF(p), the first entry when it is not 0)
+and ``quotient(a, b)`` is the payload of a / b.  Over GF(p)(t) this
+keeps the gcds of canonical fractions out of elimination: only
+``clear``, ``primitive`` and the final ``quotient`` take one.
 
 A field's text form is its :attr:`Field.label`, "QQ", "GF(p)" or
 "GF(p)(t)", and :meth:`Field.from_label` parses a label back; no other
@@ -496,7 +496,14 @@ class _PrimeRing:
         return [(r * a - c * b) % p for a, b in zip(v, w)] + [r * a % p for a in v[len(w) :]]
 
     def primitive(self, v):
-        return v
+        # Every nonzero residue is a unit, so the content is taken to be the
+        # first entry: a remainder, listed leading term first, comes out
+        # monic, and reducing by it scales nothing.
+        a = v[0] if v else 0
+        if a == 0 or a == 1:
+            return v
+        inv, p = self.inverse(a), self.p
+        return [b * inv % p for b in v]
 
     def quotient(self, a, b):
         return a if b == 1 else a * self.inverse(b) % self.p

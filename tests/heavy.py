@@ -1,10 +1,15 @@
 """Heavy off-suite cases: the library calls whose cost the suite misses.
 
     PYTHONPATH=src python tests/heavy.py [NAME[=SIZE] ...]
+    PYTHONPATH=src python tests/heavy.py --rates [NAME ...]
 
 Runs each named case (default: all of ``CASES``) once at SIZE, its
 claim size unless given, and prints the time and the output digest, the
-first 12 hex digits of a sha256 of the rendered output.  Each case has
+first 12 hex digits of a sha256 of the rendered output.  With
+``--rates`` it times nothing: it runs each case at its pin size, the
+midpoint and its claim size under ``conftest.CountingRing``, prints the
+payload-ring operation counts at each, and the exponent e with which
+the total grows as size**e from pin to claim.  Each case has
 a fixed recipe and seed and two sizes: a pin size that costs well under
 a second, which ``tests/test_heavy.py`` pins, and a claim size, where a
 performance change to that path is measured.
@@ -18,6 +23,11 @@ performance change to that path is measured.
   the number of points; the pin sizes stop before ``buchberger``.
 - ``GF(7)(t)-cap2``: the same points over GF(7)(t) under degree cap 2,
   which reaches ``buchberger`` at its pin and claim sizes.
+- ``GF(101)``: a capped vanishing ideal over the prime field.  POINTS
+  points of GF(101)^3 from ``random.Random(1)``, each coordinate a
+  random residue, then ``vanishing_ideal`` in grevlex with degree cap 3.
+  The walk stops at the cap and hands its generators to ``buchberger``
+  at both sizes, so this is the GF(p) Buchberger case.
 - ``certify``: ``certify_invariant`` of W, the reduced basis of the line
   5x + y = 25 over GF(101) in grevlex, under ``(x^2 + y, x*y + 1)`` and
   its a-th iterate.  W is invariant at every a, but its images are
@@ -36,6 +46,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import log
 from typing import Callable, NamedTuple
 
 from dmlab import (
@@ -56,10 +67,13 @@ XY = NAMES[:2]
 
 
 def points(field, count: int) -> list:
-    """``count`` seeded points of GF(p)(t)^3, numerators of t-degree at
-    most 2 over denominators of degree 1."""
+    """``count`` seeded points of the field's cube: random residues over
+    GF(p), and over GF(p)(t) numerators of t-degree at most 2 over
+    denominators of degree 1."""
     rng = random.Random(1)
     p = field.characteristic
+    if not field.has_generator:
+        return [tuple(field.from_int(rng.randrange(p)) for _ in NAMES) for _ in range(count)]
     return [
         tuple(
             field.from_coefficients([rng.randrange(p) for _ in range(3)], [rng.randrange(p), 1])
@@ -89,9 +103,9 @@ class Case(NamedTuple):
     digest: Callable
 
 
-def _function_field_case(name: str, p: int, cap: int, pin: int, claim: int) -> Case:
+def _vanishing_case(name: str, make_field, cap: int, pin: int, claim: int) -> Case:
     def build(count):
-        field = Field.rational_functions(p)
+        field = make_field()
         pts = points(field, count)
         return field, lambda: vanishing_ideal(pts, ORDER, cap)
 
@@ -128,17 +142,39 @@ def _qq_height(horizon: int):
 
 
 CASES = (
-    _function_field_case("GF(7)(t)", 7, CAP, 9, 11),
-    _function_field_case("GF(101)(t)", 101, CAP, 8, 11),
-    _function_field_case("GF(7)(t)-cap2", 7, 2, 5, 7),
+    _vanishing_case("GF(7)(t)", lambda: Field.rational_functions(7), CAP, 9, 11),
+    _vanishing_case("GF(101)(t)", lambda: Field.rational_functions(101), CAP, 8, 11),
+    _vanishing_case("GF(7)(t)-cap2", lambda: Field.rational_functions(7), 2, 5, 7),
+    _vanishing_case("GF(101)", lambda: Field.prime(101), CAP, 14, 17),
     Case("certify", 8, 10, _certify, _certificate_digest),
     Case("QQ-points", 32, 64, _qq_points, lambda basis: digest(basis, XY)),
     Case("QQ-height", 20, 26, _qq_height, lambda returns: _sha(map(str, returns.indices))),
 )
 
 
+def rates(case: Case) -> None:
+    """Print the case's payload-ring counts at three sizes and the growth
+    exponent of their totals."""
+    from conftest import CountingRing  # this script's directory is on sys.path
+
+    sizes = (case.pin, (case.pin + case.claim) // 2, case.claim)
+    totals = []
+    for size in sizes:
+        field, call = case.build(size)
+        ring = field._ring = CountingRing(field._ring)
+        call()
+        totals.append(ring.calls)
+        print(f"{case.name} at {size}: {ring.calls} calls, {dict(sorted(ring.counts.items()))}")
+    exponent = log(totals[-1] / totals[0]) / log(sizes[-1] / sizes[0])
+    print(f"{case.name}: calls grow as size^{exponent:.2f} from {sizes[0]} to {sizes[-1]}")
+
+
 def main(argv) -> int:
     by_name = {case.name: case for case in CASES}
+    if argv[:1] == ["--rates"]:
+        for name in argv[1:] or list(by_name):
+            rates(by_name[name])
+        return 0
     for arg in argv or list(by_name):
         name, _, size = arg.partition("=")
         case = by_name[name]

@@ -378,9 +378,13 @@ def _wrap(tree, depth):
     return tree
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 999, 1000, 1001, 2000, 100_001])
+@pytest.mark.parametrize("horizon", [0, 1, 999, 1000, 1001, 2000, 100_001, 101_001])
 def test_index_lists_render_as_indented_dumps(horizon):
+    # Gap-free blocks render from a template, the rest by a join: every
+    # index, every index but one inner index per block, and sparse sets
+    # cover both, at block numbers of one to three digits.
     rng = random.Random(horizon)
+    holes = {start + rng.randrange(1, 999) for start in range(0, horizon, 1000)}
     member_sets = [
         [],
         [999],
@@ -388,6 +392,7 @@ def test_index_lists_render_as_indented_dumps(horizon):
         [n for n in range(horizon) if rng.random() < 0.01],
         [n for n in range(horizon) if rng.getrandbits(1)],
         range(horizon),
+        [n for n in range(horizon) if n not in holes],
     ]
     for members in member_sets:
         members = [n for n in members if n < horizon]

@@ -460,6 +460,32 @@ def test_function_field_buchberger_stays_in_the_domain(counted_field):
     assert scaled
 
 
+def test_prime_field_primitive_makes_a_vector_monic_in_its_first_entry(monkeypatch):
+    # GF(p)'s content is a unit, the vector's first entry unless that is
+    # 0.  The walk's vectors all start with 0, since each is first reduced
+    # by the row of the monomial 1, whose pivot is entry 0, so there it
+    # divides nothing and the walk's counts stay those of a no-op.
+    ring = Field.prime(7)._ring
+    assert ring.primitive([3, 6, 2]) == [1, 2, 3]
+    for v in ([], [0, 3, 5], [1, 4]):
+        assert ring.primitive(v) == v
+    firsts = []
+    primitive = type(ring).primitive
+
+    def record(self, v):
+        firsts.append(v[0])
+        return primitive(self, v)
+
+    monkeypatch.setattr(type(ring), "primitive", record)
+    rng = random.Random(0x6B25)
+    for field in (F7, Field.prime(101)):
+        for num_vars in (2, 3):
+            points = [_reference_point(rng, field, num_vars) for _ in range(12)]
+            vanishing_ideal(points, MonomialOrder.grevlex(num_vars))
+    assert len(firsts) > 100
+    assert set(firsts) == {0}
+
+
 # -- sample doubling: stability by evaluation --------------------------------
 
 
